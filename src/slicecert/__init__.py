@@ -16,7 +16,6 @@ from .momentum import (
     ad_star,
     invariance_residual,
     momentum_isotropy_algebra,
-    quadratic_momentum,
 )
 from .witt_artin import (
     WittArtinFrame,
@@ -33,6 +32,7 @@ from .certify import (
     orthogonal_velocity,
     restricted_hessian,
     solve_velocities,
+    velocity_certificate,
     velocity_residual,
 )
 from .dynamics import (
@@ -58,7 +58,6 @@ __all__ = [
     "compactness_certificate",
     "group_exp",
     "MomentumMap",
-    "quadratic_momentum",
     "ad_star",
     "momentum_isotropy_algebra",
     "invariance_residual",
@@ -73,6 +72,7 @@ __all__ = [
     "velocity_residual",
     "restricted_hessian",
     "definiteness_search",
+    "velocity_certificate",
     "orthogonal_velocity",
     "DEFINITENESS_TOL",
     "ProbeReport",

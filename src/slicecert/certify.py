@@ -7,7 +7,7 @@ velocity whose Hessian restricted to the symplectic slice is definite.  The
 criterion is sufficient only: INCONCLUSIVE never asserts instability.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class VelocityFamily:
 
 @dataclass(frozen=True)
 class StabilityCertificate:
-    """Outcome of the definiteness search over one velocity family."""
+    """Verdict at one velocity of a family: searched, or fixed by the caller."""
 
     verdict: str
     xi_star: np.ndarray
@@ -57,7 +57,6 @@ class StabilityCertificate:
     compactness_verified: bool
     inertia_at_xi1: tuple
     boundary_hit: bool = False
-    best_definite_values: dict = field(default_factory=dict)
 
     @property
     def stable(self):
@@ -99,21 +98,29 @@ def solve_velocities(space, algebra, hamiltonian, p, tol=VELOCITY_TOL):
     return VelocityFamily(xi1=xi1, directions=isotropy_algebra(algebra, p), residual=residual)
 
 
+def require_velocity(space, algebra, hamiltonian, p, xi):
+    """Raise PreconditionViolated unless xi is a velocity of p."""
+    res = velocity_residual(space, algebra, hamiltonian, p, xi)
+    bound = VELOCITY_TOL * (1.0 + float(np.linalg.norm(hamiltonian.gradient(p))))
+    if res > bound:
+        raise PreconditionViolated(f"xi is not a velocity of p (residual {res:.3e} > {bound:.3e})")
+
+
+def augmented_hessian(space, algebra, hamiltonian, p, xi):
+    """d2h(p) - d2J_xi(p) on the whole phase space."""
+    q = hamiltonian.hessian(p)
+    if algebra.dim:
+        hessians = MomentumMap(space, algebra).component_hessians()
+        q = q - np.einsum("i,imn->mn", np.asarray(xi, dtype=float), hessians)
+    return q
+
+
 def restricted_hessian(space, algebra, hamiltonian, p, xi, frame, check=True):
     """B^T (d2h(p) - d2J_xi(p)) B for B the slice basis of ``frame``."""
     p = space.check_point(p)
-    xi = np.asarray(xi, dtype=float)
     if check:
-        res = velocity_residual(space, algebra, hamiltonian, p, xi)
-        bound = VELOCITY_TOL * (1.0 + float(np.linalg.norm(hamiltonian.gradient(p))))
-        if res > bound:
-            raise PreconditionViolated(
-                f"xi is not a velocity of p (residual {res:.3e} > {bound:.3e})"
-            )
-    mm = MomentumMap(space, algebra)
-    q = hamiltonian.hessian(p)
-    if algebra.dim:
-        q = q - np.einsum("i,imn->mn", xi, mm.component_hessians())
+        require_velocity(space, algebra, hamiltonian, p, xi)
+    q = augmented_hessian(space, algebra, hamiltonian, p, xi)
     b = frame.basis_n
     h = b.T @ q @ b
     return 0.5 * (h + h.T)
@@ -149,18 +156,45 @@ def _min_eig_supergradient(hmat, direction_mats, cluster_tol=1e-8):
     return float(w[0]), grad
 
 
+def _combine(h0, mats, s):
+    """The family member h0 + sum_k s_k mats[k] of restricted Hessians."""
+    h = h0.copy()
+    for k in range(len(mats)):
+        h += s[k] * mats[k]
+    return h
+
+
+def _certificate(hm, xi, h0, compact, boundary=False):
+    """The verdict rule: STABLE when hm is definite, vacuously so on an empty slice.
+
+    ``hm`` is the restricted Hessian at velocity ``xi`` and ``h0`` the one at
+    the family's base velocity xi1.
+    """
+    n_plus, n_minus, _ = inertia(hm, DEFINITENESS_TOL)
+    if n_plus == hm.shape[0]:
+        verdict = VERDICT_POS
+    elif n_minus == hm.shape[0]:
+        verdict = VERDICT_NEG
+    else:
+        verdict = VERDICT_INCONCLUSIVE
+    spectrum = np.linalg.eigvalsh(hm)
+    return StabilityCertificate(
+        verdict=verdict,
+        xi_star=xi,
+        spectrum=spectrum,
+        margin=float(np.abs(spectrum).min()) if spectrum.size else np.inf,
+        compactness_verified=compact,
+        inertia_at_xi1=inertia(h0, DEFINITENESS_TOL),
+        boundary_hit=boundary,
+    )
+
+
 def _ascend_lambda_min(h0, direction_mats, rng, restarts, box, max_iter):
     """Projected supergradient ascent of lambda_min over the box |s|_inf <= box."""
     m = len(direction_mats)
 
-    def hmat(s):
-        h = h0.copy()
-        for k in range(m):
-            h += s[k] * direction_mats[k]
-        return h
-
     def value(s):
-        return float(np.linalg.eigvalsh(hmat(s))[0])
+        return float(np.linalg.eigvalsh(_combine(h0, direction_mats, s))[0])
 
     if m == 0:
         s0 = np.zeros(0)
@@ -174,7 +208,7 @@ def _ascend_lambda_min(h0, direction_mats, rng, restarts, box, max_iter):
         val = value(s)
         step = 1.0 + float(np.abs(s).max())
         for _ in range(max_iter):
-            _, grad = _min_eig_supergradient(hmat(s), direction_mats)
+            _, grad = _min_eig_supergradient(_combine(h0, direction_mats, s), direction_mats)
             gnorm = float(np.linalg.norm(grad))
             if gnorm < 1e-15:
                 break
@@ -208,78 +242,44 @@ def definiteness_search(
     restarts=20,
     box=1e3,
     max_iter=500,
-    tol=DEFINITENESS_TOL,
 ):
     """Search the affine family for a definite restricted Hessian.
 
     Maximizes lambda_min(H(s)) and lambda_min(-H(s)) separately by projected
-    supergradient ascent with random restarts (s = 0 always included).  If
-    either optimum clears the definiteness threshold the corresponding STABLE
-    verdict is returned with the certifying velocity, spectrum, and margin;
-    otherwise the certificate is INCONCLUSIVE, which makes no instability
-    claim (the criterion is sufficient only).
+    supergradient ascent with random restarts (s = 0 always included), keeps
+    the optimum with the larger scaled value, and judges it by the verdict
+    rule of ``_certificate``.  INCONCLUSIVE makes no instability claim (the
+    criterion is sufficient only).
     """
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(42 if rng is None else int(rng))
     p = space.check_point(p)
     h0 = restricted_hessian(space, algebra, hamiltonian, p, family.xi1, frame)
-    mm = MomentumMap(space, algebra)
-    direction_mats = []
-    for k in range(family.dim):
-        hj = np.einsum("i,imn->mn", family.directions.basis[k], mm.component_hessians())
-        d = -(frame.basis_n.T @ hj @ frame.basis_n)
-        direction_mats.append(0.5 * (d + d.T))
-
-    def hmat(s):
-        h = h0.copy()
-        for k in range(family.dim):
-            h += s[k] * direction_mats[k]
-        return h
-
-    def scaled(value, s):
-        h = hmat(s)
-        scale = max(1.0, float(np.abs(h).max())) if h.size else 1.0
-        return value / scale
-
-    slice_dim = h0.shape[0]
     compact = compactness_certificate(algebra, space.metric)
-    base_inertia = inertia(h0, tol)
+    if h0.shape[0] == 0:
+        return _certificate(h0, family.xi1.copy(), h0, compact)
 
-    if slice_dim == 0:
-        # Empty slice: the restriction is vacuously definite.
-        return StabilityCertificate(
-            verdict=VERDICT_POS,
-            xi_star=family.xi1.copy(),
-            spectrum=np.zeros(0),
-            margin=np.inf,
-            compactness_verified=compact,
-            inertia_at_xi1=base_inertia,
-            best_definite_values={"positive": np.inf, "negative": np.inf},
-        )
+    hessians = MomentumMap(space, algebra).component_hessians()
+    d = -(frame.basis_n.T @ np.einsum("ki,imn->kmn", family.directions.basis, hessians) @ frame.basis_n)
+    direction_mats = 0.5 * (d + d.transpose(0, 2, 1))
 
-    pos_s, pos_val, pos_boundary = _ascend_lambda_min(h0, direction_mats, rng, restarts, box, max_iter)
-    neg_s, neg_val, neg_boundary = _ascend_lambda_min(-h0, [-d for d in direction_mats], rng, restarts, box, max_iter)
-    pos_scaled = scaled(pos_val, pos_s)
-    neg_scaled = scaled(neg_val, neg_s)
+    def scaled(optimum):
+        s, value, _ = optimum
+        return value / max(1.0, float(np.abs(_combine(h0, direction_mats, s)).max()))
 
-    if pos_scaled > tol or neg_scaled > tol:
-        if pos_scaled >= neg_scaled:
-            verdict, s_best, boundary = VERDICT_POS, pos_s, pos_boundary
-        else:
-            verdict, s_best, boundary = VERDICT_NEG, neg_s, neg_boundary
-    else:
-        verdict = VERDICT_INCONCLUSIVE
-        s_best, boundary = (pos_s, pos_boundary) if pos_scaled >= neg_scaled else (neg_s, neg_boundary)
+    pos = _ascend_lambda_min(h0, direction_mats, rng, restarts, box, max_iter)
+    neg = _ascend_lambda_min(-h0, -direction_mats, rng, restarts, box, max_iter)
+    s_best, _, boundary = pos if scaled(pos) >= scaled(neg) else neg
+    hm = _combine(h0, direction_mats, s_best)
+    return _certificate(hm, family.member(s_best), h0, compact, boundary)
 
-    spectrum = np.linalg.eigvalsh(hmat(s_best))
-    margin = float(np.abs(spectrum).min()) if spectrum.size else np.inf
-    return StabilityCertificate(
-        verdict=verdict,
-        xi_star=family.member(s_best),
-        spectrum=spectrum,
-        margin=margin,
-        compactness_verified=compact,
-        inertia_at_xi1=base_inertia,
-        boundary_hit=boundary,
-        best_definite_values={"positive": pos_val, "negative": neg_val},
-    )
+
+def velocity_certificate(space, algebra, hamiltonian, p, family, frame, xi):
+    """Certificate at one fixed velocity xi of ``family``, without a search.
+
+    Raises PreconditionViolated when xi is not a velocity of p.
+    """
+    xi = np.asarray(xi, dtype=float)
+    hm = restricted_hessian(space, algebra, hamiltonian, p, xi, frame)
+    h0 = restricted_hessian(space, algebra, hamiltonian, p, family.xi1, frame, check=False)
+    return _certificate(hm, xi, h0, compactness_certificate(algebra, space.metric))

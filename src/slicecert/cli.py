@@ -20,12 +20,11 @@ import numpy as np
 
 from .certify import (
     DEFINITENESS_TOL,
-    VELOCITY_TOL,
     definiteness_search,
     orthogonal_velocity,
     restricted_hessian,
     solve_velocities,
-    velocity_residual,
+    velocity_certificate,
 )
 from .errors import (
     DimensionMismatch,
@@ -38,12 +37,7 @@ from .errors import (
 from .linalg import inertia
 from .momentum import MomentumMap, invariance_residual, momentum_isotropy_algebra
 from .phase_space import Poly, SymplecticSpace, canonical_omega
-from .symmetry import (
-    LieAlgebraBasis,
-    compactness_certificate,
-    isotropy_algebra,
-    normalizer_algebra,
-)
+from .symmetry import LieAlgebraBasis, compactness_certificate, normalizer_algebra
 from .witt_artin import witt_artin_frame
 from .dynamics import stability_probe
 
@@ -98,17 +92,15 @@ def system_from_dict(data):
     metric = np.asarray(data["metric"], dtype=float) if data.get("metric") is not None else np.eye(dim)
     space = SymplecticSpace(dim=dim, omega=omega, metric=metric)
 
-    generators = np.asarray(data["generators"], dtype=float)
-    if generators.size == 0:
-        generators = np.zeros((0, dim, dim))
-    structure = data.get("structureConstants")
-    algebra = LieAlgebraBasis.build(space, generators, structure=structure)
+    algebra = LieAlgebraBasis.build(space, data["generators"], structure=data.get("structureConstants"))
 
     hamiltonian = Poly.from_records(dim, data["hamiltonian"])
     point = space.check_point(np.asarray(data["point"], dtype=float))
 
     if data.get("algebraMetric") is not None:
         algebra_metric = np.asarray(data["algebraMetric"], dtype=float)
+        if algebra_metric.size == 0:
+            algebra_metric = np.zeros((0, 0))
         if algebra_metric.shape != (algebra.dim, algebra.dim):
             raise ValidationError(
                 f"algebraMetric must be {algebra.dim}x{algebra.dim}, got {algebra_metric.shape}"
@@ -196,19 +188,14 @@ def cmd_validate(system):
 def cmd_analyze(system, point=None):
     p = system.space.check_point(point) if point is not None else system.point
     algebra = system.algebra
-    mm = MomentumMap(system.space, algebra)
-    mu = mm.value(p)
-    sub_h = isotropy_algebra(algebra, p)
-    sub_k = momentum_isotropy_algebra(algebra, mu)
-    sub_n = normalizer_algebra(algebra, sub_h, sub_k)
     frame = witt_artin_frame(system.space, algebra, p)
     report = {
         "point": p,
-        "mu": mu,
+        "mu": frame.mu,
         "dimAlgebra": algebra.dim,
-        "dimIsotropy": sub_h.dim,
-        "dimMomentumIsotropy": sub_k.dim,
-        "dimNormalizer": sub_n.dim,
+        "dimIsotropy": frame.isotropy.dim,
+        "dimMomentumIsotropy": frame.momentum_isotropy.dim,
+        "dimNormalizer": normalizer_algebra(algebra, frame.isotropy, frame.momentum_isotropy).dim,
         "wittArtinDims": list(frame.dims),
         "wittArtinBases": {
             "t0": frame.basis_t0,
@@ -226,69 +213,30 @@ def cmd_certify(system, velocity=None, seed=42):
     p = system.point
     family = solve_velocities(space, algebra, h, p)
     frame = witt_artin_frame(space, algebra, p)
-    compact = compactness_certificate(algebra, space.metric)
-
     xi_perp = orthogonal_velocity(family, system.algebra_metric)
     h_perp = restricted_hessian(space, algebra, h, p, xi_perp, frame, check=False)
-    inertia_perp = inertia(h_perp, DEFINITENESS_TOL)
-
-    if velocity is not None:
-        xi = np.asarray(velocity, dtype=float)
-        res = velocity_residual(space, algebra, h, p, xi)
-        bound = VELOCITY_TOL * (1.0 + float(np.linalg.norm(h.gradient(p))))
-        if res > bound:
-            raise PreconditionViolated(
-                f"--velocity is not in the velocity family (residual {res:.3e})"
-            )
-        hm = restricted_hessian(space, algebra, h, p, xi, frame, check=False)
-        n_plus, n_minus, n_zero = inertia(hm, DEFINITENESS_TOL)
-        s = hm.shape[0]
-        if s and n_plus == s:
-            verdict = "STABLE_POS_DEF"
-        elif s and n_minus == s:
-            verdict = "STABLE_NEG_DEF"
-        else:
-            verdict = "INCONCLUSIVE"
-        spectrum = np.linalg.eigvalsh(hm) if s else np.zeros(0)
-        margin = float(np.abs(spectrum).min()) if s else math.inf
-        h1 = restricted_hessian(space, algebra, h, p, family.xi1, frame, check=False)
-        cert_fields = {
-            "verdict": verdict,
-            "xiStar": xi,
-            "spectrum": spectrum,
-            "margin": margin,
-            "inertiaAtXi1": list(inertia(h1, DEFINITENESS_TOL)),
-            "boundaryHit": False,
-            "searchDisabled": True,
-        }
-        stable = verdict != "INCONCLUSIVE"
-    else:
+    if velocity is None:
         cert = definiteness_search(
             space, algebra, h, p, family, frame, rng=np.random.default_rng(seed)
         )
-        cert_fields = {
-            "verdict": cert.verdict,
-            "xiStar": cert.xi_star,
-            "spectrum": cert.spectrum,
-            "margin": cert.margin,
-            "inertiaAtXi1": list(cert.inertia_at_xi1),
-            "boundaryHit": cert.boundary_hit,
-            "searchDisabled": False,
-        }
-        stable = cert.stable
-
-    report = dict(cert_fields)
-    report.update(
-        {
-            "xiPerp": xi_perp,
-            "inertiaAtXiPerp": list(inertia_perp),
-            "compactnessVerified": compact,
-            "velocityResidual": family.residual,
-            "familyDim": family.dim,
-            "note": CERTIFICATE_NOTE,
-        }
-    )
-    return report, (EXIT_STABLE if stable else EXIT_INCONCLUSIVE)
+    else:
+        cert = velocity_certificate(space, algebra, h, p, family, frame, velocity)
+    report = {
+        "verdict": cert.verdict,
+        "xiStar": cert.xi_star,
+        "spectrum": cert.spectrum,
+        "margin": cert.margin,
+        "inertiaAtXi1": list(cert.inertia_at_xi1),
+        "boundaryHit": cert.boundary_hit,
+        "searchDisabled": velocity is not None,
+        "xiPerp": xi_perp,
+        "inertiaAtXiPerp": list(inertia(h_perp, DEFINITENESS_TOL)),
+        "compactnessVerified": cert.compactness_verified,
+        "velocityResidual": family.residual,
+        "familyDim": family.dim,
+        "note": CERTIFICATE_NOTE,
+    }
+    return report, (EXIT_STABLE if cert.stable else EXIT_INCONCLUSIVE)
 
 
 def cmd_probe(system, epsilon=1e-3, horizon=100.0, samples=16, dt=1e-2,

@@ -15,14 +15,6 @@ from .phase_space import Poly
 from .symmetry import Subalgebra
 
 
-def quadratic_momentum(space, generator_matrix):
-    """Momentum component of a single Hamiltonian matrix, as an exact Poly."""
-    a = np.asarray(generator_matrix, dtype=float)
-    s = -0.5 * (space.omega @ a)
-    s = 0.5 * (s + s.T)  # symmetric up to rounding for Hamiltonian a
-    return Poly.quadratic_form(s)
-
-
 def adstar_matrix(algebra, eta):
     """Matrix of mu -> ad*_eta mu, where <ad*_eta mu, xi> = -<mu, [eta, xi]>."""
     eta = np.asarray(eta, dtype=float)
@@ -60,8 +52,7 @@ class MomentumMap:
         self._quad = np.zeros((d, n, n))
         for i in range(d):
             s = -0.5 * (space.omega @ algebra.generators[i])
-            self._quad[i] = 0.5 * (s + s.T)
-        self._components = None
+            self._quad[i] = 0.5 * (s + s.T)  # symmetric up to rounding for Hamiltonian A_i
 
     @property
     def dim(self):
@@ -69,21 +60,7 @@ class MomentumMap:
 
     def component(self, i):
         """J_{e_i} as an exact polynomial."""
-        if self._components is None:
-            self._components = tuple(
-                quadratic_momentum(self.space, self.algebra.generators[k])
-                for k in range(self.algebra.dim)
-            )
-        return self._components[i]
-
-    def xi_component(self, xi):
-        """J_xi = sum_i xi_i J_i as a polynomial."""
-        xi = np.asarray(xi, dtype=float)
-        out = Poly.zero(self.space.dim)
-        for i in range(self.algebra.dim):
-            if xi[i] != 0.0:
-                out = out + xi[i] * self.component(i)
-        return out
+        return Poly.quadratic_form(self._quad[i])
 
     def value(self, x):
         """J(x) in the dual-generator basis; batched over leading axes."""

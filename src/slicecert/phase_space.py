@@ -147,10 +147,6 @@ class Poly:
         return cls(nvars, {tuple(exps): coeff})
 
     @classmethod
-    def monomial(cls, nvars, exponents, coeff):
-        return cls(nvars, {tuple(exponents): coeff})
-
-    @classmethod
     def quadratic_form(cls, matrix):
         """Polynomial x^T Q x for a square matrix Q (need not be symmetric)."""
         q = np.asarray(matrix, dtype=float)

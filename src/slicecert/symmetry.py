@@ -108,6 +108,8 @@ class LieAlgebraBasis:
             struct = derive_structure_constants(gens)
         else:
             struct = np.asarray(structure, dtype=float)
+            if struct.size == 0:
+                struct = np.zeros((0, 0, 0))
             if struct.shape != (d, d, d):
                 raise DimensionMismatch(f"structure constants must have shape ({d},{d},{d})")
             for i in range(d):
@@ -220,12 +222,6 @@ class Subalgebra:
                     raise ValidationError(
                         f"subalgebra is not closed under the bracket (residual {residual:.3e})"
                     )
-
-    def contains(self, algebra, other, tol=SUBALGEBRA_TOL):
-        return all(
-            self.containment_residual(algebra, other.basis[i]) <= tol
-            for i in range(other.dim)
-        )
 
 
 def isotropy_algebra(algebra, p):

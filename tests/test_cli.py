@@ -31,6 +31,19 @@ def example1_dict():
     return json.loads(bundled_system("example1").read_text())
 
 
+def so2_plane_dict():
+    """SO(2) rotating R^2, h = |x|^2 / 2, at p = (1, 0)."""
+    return {
+        "dim": 2,
+        "generators": [[[0.0, -1.0], [1.0, 0.0]]],
+        "hamiltonian": [
+            {"exponents": [2, 0], "coeff": 0.5},
+            {"exponents": [0, 2], "coeff": 0.5},
+        ],
+        "point": [1.0, 0.0],
+    }
+
+
 class TestLoad:
     def test_bundled_example1(self, example1):
         assert example1.space.dim == 4
@@ -86,16 +99,18 @@ class TestLoad:
         with pytest.raises(ValidationError, match="span"):
             system_from_dict(data)
 
-    def test_round_trip(self, example1):
-        data = serialize_system(example1)
+    @pytest.mark.parametrize("name", ["example1", "saddle"])
+    def test_round_trip(self, name):
+        system = load_system(name)
+        data = serialize_system(system)
         again = system_from_dict(json.loads(json.dumps(data)))
-        np.testing.assert_array_equal(again.space.omega, example1.space.omega)
-        np.testing.assert_array_equal(again.space.metric, example1.space.metric)
-        np.testing.assert_array_equal(again.algebra.generators, example1.algebra.generators)
-        np.testing.assert_array_equal(again.algebra.structure, example1.algebra.structure)
-        np.testing.assert_array_equal(again.point, example1.point)
-        np.testing.assert_array_equal(again.algebra_metric, example1.algebra_metric)
-        assert again.hamiltonian == example1.hamiltonian
+        np.testing.assert_array_equal(again.space.omega, system.space.omega)
+        np.testing.assert_array_equal(again.space.metric, system.space.metric)
+        np.testing.assert_array_equal(again.algebra.generators, system.algebra.generators)
+        np.testing.assert_array_equal(again.algebra.structure, system.algebra.structure)
+        np.testing.assert_array_equal(again.point, system.point)
+        np.testing.assert_array_equal(again.algebra_metric, system.algebra_metric)
+        assert again.hamiltonian == system.hamiltonian
 
 
 class TestAnalyze:
@@ -148,6 +163,25 @@ class TestCertify:
         report, code = cmd_certify(example1, velocity=np.array([3.0]))
         assert code == EXIT_STABLE
         assert report["verdict"] == "STABLE_NEG_DEF"
+
+    def test_velocity_on_empty_slice_matches_search(self):
+        # the slice is zero-dimensional, so the restriction is vacuously
+        # definite at the unique velocity xi = 1
+        system = system_from_dict(so2_plane_dict())
+        assert cmd_analyze(system)[0]["wittArtinDims"] == [1, 0, 0, 1]
+        searched, search_code = cmd_certify(system)
+        fixed, code = cmd_certify(system, velocity=np.array([1.0]))
+        assert (searched["verdict"], search_code) == ("STABLE_POS_DEF", EXIT_STABLE)
+        assert (fixed["verdict"], code) == ("STABLE_POS_DEF", EXIT_STABLE)
+        assert fixed["searchDisabled"] and not searched["searchDisabled"]
+
+    def test_velocity_off_family_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "so2.json"
+        path.write_text(json.dumps(so2_plane_dict()))
+        code = main(["certify", str(path), "--velocity", "2"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == EXIT_NOT_RELATIVE_EQUILIBRIUM
+        assert out["type"] == "PreconditionViolated"
 
     def test_saddle_inconclusive(self, saddle):
         report, code = cmd_certify(saddle)
@@ -290,6 +324,20 @@ class TestEnvironment:
         )
         assert result.returncode == EXIT_STABLE, result.stderr
         assert json.loads(result.stdout)["verdict"] == "STABLE_NEG_DEF"
+
+    def test_python_dash_m(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "slicecert", "certify", "example1"],
+            env=_child_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == EXIT_STABLE, result.stderr
+        assert json.loads(result.stdout)["verdict"] == "STABLE_NEG_DEF"
+
+    def test_every_export_resolves(self):
+        missing = [name for name in slicecert.__all__ if not hasattr(slicecert, name)]
+        assert missing == []
 
     @pytest.mark.skipif(
         shutil.which("slicecert") is None, reason="slicecert console script not installed"

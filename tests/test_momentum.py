@@ -12,7 +12,6 @@ from slicecert import (
     invariance_residual,
     isotropy_algebra,
     momentum_isotropy_algebra,
-    quadratic_momentum,
 )
 
 from systems import example1_generator, random_system_suite, su2_generators
@@ -42,15 +41,12 @@ class TestComponents:
         )
         assert example1_mm.component(0) == expected
 
-    def test_zero_generator(self, space4):
-        assert quadratic_momentum(space4, np.zeros((4, 4))).is_zero()
-
     def test_corotating_generator(self, space4):
         block = np.array([[0.0, -1.0], [1.0, 0.0]])
         a = np.zeros((4, 4))
         a[:2, :2] = block
         a[2:, 2:] = block
-        j = quadratic_momentum(space4, a)
+        j = MomentumMap(space4, LieAlgebraBasis.build(space4, a[None, :, :])).component(0)
         expected = Poly(
             4, {(2, 0, 0, 0): 0.5, (0, 2, 0, 0): 0.5, (0, 0, 2, 0): 0.5, (0, 0, 0, 2): 0.5}
         )
