@@ -9,13 +9,24 @@ invariants built from the Hermitian pairings of the blocks and the Casimir
 of the momentum components.  Relative-equilibrium points are arranged by
 solving the linear system in (hamiltonian coefficients, velocity) at the
 chosen point.
+
+The builders use slicecert itself (``Poly.gradient``, ``nullspace``), so a
+rounding-level change there would change the systems under test.  The
+suite is therefore frozen in ``suite_systems.json`` and loaded from it;
+``python tests/systems.py`` rebuilds that file, which a change must do only
+on purpose and say so in CHANGES.md.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 
 from slicecert import MomentumMap, Poly, SymplecticSpace
-from slicecert.cli import SystemDefinition, system_from_dict
+from slicecert.cli import serialize_system, system_from_dict
 from slicecert.linalg import nullspace
+
+SUITE_FILE = Path(__file__).with_name("suite_systems.json")
 
 PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -302,8 +313,13 @@ _SUITE = None
 
 
 def random_system_suite():
-    """Ten deterministic randomized systems, built once per session."""
+    """The ten frozen suite systems, loaded once per session."""
     global _SUITE
     if _SUITE is None:
-        _SUITE = [build_random_system(i) for i in range(10)]
+        _SUITE = [system_from_dict(data) for data in json.loads(SUITE_FILE.read_text())]
     return _SUITE
+
+
+if __name__ == "__main__":
+    suite = [serialize_system(build_random_system(i)) for i in range(10)]
+    SUITE_FILE.write_text(json.dumps(suite, indent=1) + "\n")
