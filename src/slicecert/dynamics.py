@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import SolverDiverged, ValidationError
 from .linalg import metric_inv_sqrt
@@ -34,9 +33,10 @@ def hamiltonian_vector_field(space, hamiltonian, x):
 def integrate(space, hamiltonian, x0, dt, steps, tol=MIDPOINT_TOL, max_newton=MAX_NEWTON):
     """Implicit midpoint trajectory; returns an array of steps+1 points.
 
-    Quadratic Hamiltonians reduce to a constant linear update (the Newton
-    solve is exact in one step); otherwise each step runs a Newton iteration
-    to the stated residual and raises SolverDiverged on failure.
+    Quadratic Hamiltonians reduce to one propagator, built once from the
+    midpoint equation (I - dt/2 L) x' = (I + dt/2 L) x + shift; otherwise
+    each step runs a Newton iteration to the stated residual and raises
+    SolverDiverged on failure.
     """
     x0 = space.check_point(x0)
     dt = float(dt)
@@ -55,11 +55,13 @@ def integrate(space, hamiltonian, x0, dt, steps, tol=MIDPOINT_TOL, max_newton=MA
         lmat = omega_inv @ hamiltonian.hessian(origin)
         shift = dt * (omega_inv @ hamiltonian.gradient(origin))
         a_minus = np.eye(n) - 0.5 * dt * lmat
-        a_plus = np.eye(n) + 0.5 * dt * lmat
-        lu = scipy.linalg.lu_factor(a_minus)
+        # x + (D x + c) with D = A-^{-1} A+ - I = A-^{-1} dt L: kept apart from
+        # I, D is rounded relative to dt L, which keeps h drift at rounding level
+        prop = np.linalg.solve(a_minus, np.column_stack([dt * lmat, shift]))
+        mat, const = prop[:, :n], prop[:, n]
         x = x0
         for k in range(steps):
-            x = scipy.linalg.lu_solve(lu, a_plus @ x + shift)
+            x = x + (mat @ x + const)
             traj[k + 1] = x
         return traj
 
@@ -105,6 +107,8 @@ def _orbit_distance_full(space, algebra, x, p, sub_k, starts=32, rng=None, extra
     if gen_scale <= 1e-13 * (1.0 + float(np.abs(p).max())):
         # K fixes p: the orbit is the single point p.
         return metric_dist(p), np.zeros(sub_k.dim)
+
+    import scipy.optimize  # only this search needs it; deferred to keep startup light
 
     m = sub_k.dim
     norms = [np.linalg.norm(a, 2) for a in amats]

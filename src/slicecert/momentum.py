@@ -115,10 +115,6 @@ def invariance_residual(space, algebra, hamiltonian, samples=100, rng=None):
         return 0.0
     if rng is None:
         rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(samples):
-        x = rng.standard_normal(space.dim)
-        grad = hamiltonian.gradient(x)
-        for i in range(algebra.dim):
-            worst = max(worst, abs(float(grad @ (algebra.generators[i] @ x))))
-    return worst
+    x = rng.standard_normal((samples, space.dim))
+    moved = np.einsum("imn,sn->ism", algebra.generators, x)
+    return float(np.abs(np.einsum("sm,ism->is", hamiltonian.gradient(x), moved)).max(initial=0.0))

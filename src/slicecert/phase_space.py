@@ -105,7 +105,7 @@ class Poly:
     vectorized over trailing batches of points.
     """
 
-    __slots__ = ("nvars", "_terms", "_exps", "_coeffs", "_partials", "_hess_polys", "_degree")
+    __slots__ = ("nvars", "_terms", "_index", "_coeffs", "_tables", "_degree")
 
     def __init__(self, nvars, terms=None):
         nvars = int(nvars)
@@ -121,10 +121,9 @@ class Poly:
             collected[key] = collected.get(key, 0.0) + float(coeff)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", {k: c for k, c in collected.items() if abs(c) > COEFF_DEDUP})
-        object.__setattr__(self, "_exps", None)
+        object.__setattr__(self, "_index", None)
         object.__setattr__(self, "_coeffs", None)
-        object.__setattr__(self, "_partials", None)
-        object.__setattr__(self, "_hess_polys", None)
+        object.__setattr__(self, "_tables", None)
         object.__setattr__(self, "_degree", None)
 
     def __setattr__(self, name, value):
@@ -194,74 +193,94 @@ class Poly:
         return self._degree
 
     def _arrays(self):
-        if self._exps is None:
-            if self._terms:
-                exps = np.array(list(self._terms.keys()), dtype=np.int64)
-                coeffs = np.array(list(self._terms.values()), dtype=float)
-            else:
-                exps = np.zeros((0, self.nvars), dtype=np.int64)
-                coeffs = np.zeros(0)
-            object.__setattr__(self, "_exps", exps)
-            object.__setattr__(self, "_coeffs", coeffs)
-        return self._exps, self._coeffs
+        """(positions of the monomials' factors in value's power table, coefficients)."""
+        if self._index is None:
+            exps = np.array(list(self._terms), dtype=np.int64).reshape(len(self._terms), self.nvars)
+            self._store(exps, np.array(list(self._terms.values()), dtype=float))
+        return self._index, self._coeffs
+
+    def _store(self, exps, coeffs):
+        width = self.degree() + 1
+        object.__setattr__(self, "_index", exps + width * np.arange(self.nvars))
+        object.__setattr__(self, "_coeffs", coeffs)
+
+    @classmethod
+    def _table(cls, nvars, columns):
+        """Vector-valued polynomial: one output per entry of ``columns``, a
+        list of {exponents: coeff} dicts, stored as the distinct monomials and
+        one (outputs, monomials) coefficient matrix."""
+        rows = {}
+        for col in columns:
+            for key in col:
+                rows.setdefault(key, len(rows))
+        coeffs = np.zeros((len(columns), len(rows)))
+        for j, col in enumerate(columns):
+            for key, c in col.items():
+                coeffs[j, rows[key]] = c
+        exps = np.array(list(rows), dtype=np.int64).reshape(len(rows), nvars)
+        table = cls(nvars)
+        object.__setattr__(table, "_degree", int(exps.sum(axis=1).max(initial=0)))
+        table._store(exps, coeffs)
+        return table
+
+    def _derivative_tables(self):
+        """(gradient table, upper-triangle Hessian table, its (rows, cols)), built once."""
+        if self._tables is None:
+            n = self.nvars
+            grad = [{} for _ in range(n)]
+            hess = [{} for _ in range(n * (n + 1) // 2)]
+            for exps, coeff in self._terms.items():
+                for i in range(n):
+                    if not exps[i]:
+                        continue
+                    d1 = list(exps)
+                    d1[i] -= 1
+                    grad[i][tuple(d1)] = coeff * exps[i]
+                    for j in range(i, n):
+                        if d1[j]:
+                            d2 = list(d1)
+                            d2[j] -= 1
+                            hess[i * n - i * (i - 1) // 2 + j - i][tuple(d2)] = coeff * exps[i] * d1[j]
+            tables = (Poly._table(n, grad), Poly._table(n, hess), np.triu_indices(n))
+            object.__setattr__(self, "_tables", tables)
+        return self._tables
 
     # -- evaluation ---------------------------------------------------------
 
     def value(self, x):
-        """Evaluate at a point (last axis = variables; batches allowed)."""
+        """Evaluate at a point (last axis = variables; batches allowed).
+
+        Gathers the monomials from one power table x**k, k <= degree, then
+        multiplies and sums (not ``@``, whose BLAS kernels differ between a
+        point and a batch), so a batch gives the same bits as its rows.
+        """
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.nvars:
-            raise DimensionMismatch(f"point of length {x.shape[-1]}, expected {self.nvars}")
-        exps, coeffs = self._arrays()
-        if len(coeffs) == 0:
-            out = np.zeros(x.shape[:-1])
-        else:
-            powers = x[..., None, :] ** exps
-            out = np.prod(powers, axis=-1) @ coeffs
+        if x.ndim == 0 or x.shape[-1] != self.nvars:
+            raise DimensionMismatch(f"point of shape {x.shape}, expected last axis {self.nvars}")
+        index, coeffs = self._arrays()
+        width = self.degree() + 1
+        powers = (x[..., None] ** np.arange(width)).reshape(x.shape[:-1] + (self.nvars * width,))
+        monomials = np.take(powers, index, axis=-1).prod(axis=-1)
+        if coeffs.ndim == 2:
+            monomials = monomials[..., None, :]
+        out = (monomials * coeffs).sum(axis=-1)
         if out.ndim == 0:
             return float(out)
         return out
 
     __call__ = value
 
-    def partial(self, index):
-        """Exact partial derivative with respect to variable ``index``."""
-        terms = {}
-        for exps, coeff in self._terms.items():
-            e = exps[index]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[index] = e - 1
-            key = tuple(new)
-            terms[key] = terms.get(key, 0.0) + coeff * e
-        return Poly(self.nvars, terms)
-
-    def _partial_list(self):
-        if self._partials is None:
-            object.__setattr__(self, "_partials", tuple(self.partial(i) for i in range(self.nvars)))
-        return self._partials
-
     def gradient(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.nvars,):
-            raise DimensionMismatch(f"point of shape {x.shape}, expected ({self.nvars},)")
-        return np.array([p.value(x) for p in self._partial_list()])
+        """Exact gradient at a point or a batch of points (last axis = variables)."""
+        return self._derivative_tables()[0].value(x)
 
     def hessian(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.nvars,):
-            raise DimensionMismatch(f"point of shape {x.shape}, expected ({self.nvars},)")
-        if self._hess_polys is None:
-            partials = self._partial_list()
-            rows = tuple(tuple(partials[i].partial(j) for j in range(i, self.nvars)) for i in range(self.nvars))
-            object.__setattr__(self, "_hess_polys", rows)
-        h = np.zeros((self.nvars, self.nvars))
-        for i in range(self.nvars):
-            for j in range(i, self.nvars):
-                v = self._hess_polys[i][j - i].value(x)
-                h[i, j] = v
-                h[j, i] = v
+        """Exact, exactly symmetric Hessian; batched like ``gradient``."""
+        _, table, (rows, cols) = self._derivative_tables()
+        upper = table.value(x)
+        h = np.empty(upper.shape[:-1] + (self.nvars, self.nvars))
+        h[..., rows, cols] = upper
+        h[..., cols, rows] = upper
         return h
 
     # -- arithmetic ----------------------------------------------------------

@@ -335,6 +335,25 @@ class TestEnvironment:
         assert result.returncode == EXIT_STABLE, result.stderr
         assert json.loads(result.stdout)["verdict"] == "STABLE_NEG_DEF"
 
+    @pytest.mark.parametrize(
+        "argv", [["certify", "example1"], ["probe", "example1", "--horizon", "0.05", "--samples", "1"]]
+    )
+    def test_scipy_optimize_is_not_imported(self, argv):
+        # Only the orbit-distance search needs scipy.optimize, and example1's
+        # base point is K-fixed, so its probe never runs that search.
+        code = (
+            "import contextlib, io, sys\n"
+            "from slicecert.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "print(code, 'scipy.optimize' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [str(EXIT_STABLE), "False"]
+
     def test_every_export_resolves(self):
         missing = [name for name in slicecert.__all__ if not hasattr(slicecert, name)]
         assert missing == []

@@ -107,6 +107,25 @@ class TestIntegrate:
             jac[:, i] = (flow(x0 + e) - flow(x0 - e)) / (2 * eps)
         assert np.abs(jac.T @ space2.omega @ jac - space2.omega).max() <= 1e-5
 
+    @pytest.mark.parametrize("case", ["example1", "random_definite"])
+    def test_linear_path_is_the_cayley_propagator(self, example1_parts, rng, case):
+        # quadratic h: k midpoint steps are C^k with C = (I - dt/2 L)^-1 (I + dt/2 L)
+        if case == "example1":
+            space, _, h = example1_parts
+        else:
+            space = SymplecticSpace.canonical(6)
+            a = rng.standard_normal((6, 6))
+            h = Poly.quadratic_form(0.5 * (a @ a.T + np.eye(6)))
+        n, dt, steps = space.dim, 1e-2, 10_000
+        x0 = rng.standard_normal(n)
+        lmat = space.omega_inverse() @ h.hessian(np.zeros(n))
+        cayley = np.linalg.solve(np.eye(n) - 0.5 * dt * lmat, np.eye(n) + 0.5 * dt * lmat)
+        traj = integrate(space, h, x0, dt, steps)
+        expected = np.linalg.matrix_power(cayley, steps) @ x0
+        assert np.linalg.norm(traj[-1] - expected) <= 1e-9 * np.linalg.norm(expected)
+        energies = h.value(traj)
+        assert np.abs(energies - energies[0]).max() <= 1e-12 * abs(energies[0])
+
     def test_rejects_bad_arguments(self, space2):
         h = Poly(2, {(2, 0): 1.0})
         with pytest.raises(ValidationError):

@@ -1,12 +1,14 @@
 """Polynomial observables and the symplectic space container."""
 
+import math
+
 import numpy as np
 import pytest
 
 from slicecert import Poly, SymplecticSpace, canonical_omega
 from slicecert.errors import DimensionMismatch, ValidationError
 
-from systems import example1_hamiltonian
+from systems import example1_hamiltonian, random_system_suite
 
 
 def random_poly(rng, nvars, max_degree=4, terms=6):
@@ -98,6 +100,78 @@ class TestHessian:
         for _ in range(10):
             dev = np.abs(f.hessian(rng.standard_normal(3) * 10) - base).max()
             assert dev == 0.0
+
+
+def exact_derivatives(f, x):
+    """Gradient and Hessian of ``f`` at ``x`` from its terms alone, each entry
+    as (correctly rounded sum, sum of |term|)."""
+    n = f.nvars
+    x = [float(v) for v in x]
+    grad = [[] for _ in range(n)]
+    hess = [[[] for _ in range(n)] for _ in range(n)]
+    for exps, coeff in f.terms.items():
+        for i in range(n):
+            if not exps[i]:
+                continue
+            d1 = list(exps)
+            d1[i] -= 1
+            grad[i].append(coeff * exps[i] * math.prod(v**e for v, e in zip(x, d1)))
+            for j in range(n):
+                if d1[j]:
+                    d2 = list(d1)
+                    d2[j] -= 1
+                    hess[i][j].append(coeff * exps[i] * d1[j] * math.prod(v**e for v, e in zip(x, d2)))
+
+    def summed(terms):
+        return math.fsum(terms), math.fsum(abs(t) for t in terms)
+
+    return np.array([summed(t) for t in grad]), np.array([[summed(t) for t in row] for row in hess])
+
+
+def assert_exact_derivatives(f, x):
+    grad, hess = exact_derivatives(f, x)
+    assert np.all(np.abs(f.gradient(x) - grad[:, 0]) <= 1e-13 * grad[:, 1])
+    assert np.all(np.abs(f.hessian(x) - hess[..., 0]) <= 1e-13 * hess[..., 1])
+
+
+class TestDerivativeTables:
+    def test_random_polynomials_match_exact_reference(self, rng):
+        for _ in range(60):
+            nvars = int(rng.integers(1, 7))
+            f = random_poly(rng, nvars, max_degree=4, terms=int(rng.integers(1, 16)))
+            for _ in range(3):
+                assert_exact_derivatives(f, rng.standard_normal(nvars))
+
+    def test_suite_hamiltonians_match_exact_reference(self, rng):
+        for system in random_system_suite():
+            h = system.hamiltonian
+            assert_exact_derivatives(h, system.point)
+            for _ in range(3):
+                assert_exact_derivatives(h, rng.standard_normal(h.nvars))
+
+    def test_batch_equals_stacked_points(self, rng):
+        polys = [s.hamiltonian for s in random_system_suite()]
+        polys += [random_poly(rng, int(rng.integers(1, 7)), terms=12) for _ in range(20)]
+        for f in polys:
+            pts = rng.standard_normal((7, f.nvars))
+            for method in (f.value, f.gradient, f.hessian):
+                np.testing.assert_array_equal(method(pts), np.array([method(x) for x in pts]))
+            grid = pts[:6].reshape(2, 3, f.nvars)
+            np.testing.assert_array_equal(f.hessian(grid), f.hessian(pts[:6]).reshape(2, 3, f.nvars, f.nvars))
+
+    @pytest.mark.parametrize("f", [Poly.zero(3), Poly.constant(3, 2.5)], ids=["zero", "constant"])
+    def test_zero_and_constant_give_zero_derivatives(self, f):
+        np.testing.assert_array_equal(f.gradient(np.ones(3)), np.zeros(3))
+        np.testing.assert_array_equal(f.hessian(np.ones(3)), np.zeros((3, 3)))
+        np.testing.assert_array_equal(f.gradient(np.ones((4, 3))), np.zeros((4, 3)))
+        np.testing.assert_array_equal(f.hessian(np.ones((4, 3))), np.zeros((4, 3, 3)))
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (2, 3), ()])
+    def test_wrong_last_axis_raises(self, shape):
+        f = example1_hamiltonian()
+        for method in (f.value, f.gradient, f.hessian):
+            with pytest.raises(DimensionMismatch):
+                method(np.ones(shape))
 
 
 class TestAlgebra:
