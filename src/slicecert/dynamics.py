@@ -55,8 +55,8 @@ def integrate(space, hamiltonian, x0, dt, steps, tol=MIDPOINT_TOL, max_newton=MA
         lmat = omega_inv @ hamiltonian.hessian(origin)
         shift = dt * (omega_inv @ hamiltonian.gradient(origin))
         a_minus = np.eye(n) - 0.5 * dt * lmat
-        # x + (D x + c) with D = A-^{-1} A+ - I = A-^{-1} dt L: kept apart from
-        # I, D is rounded relative to dt L, which keeps h drift at rounding level
+        # Step x + (D x + c) with D = A-^{-1} A+ - I = A-^{-1} dt L.  Kept apart
+        # from I, D is rounded relative to dt L rather than to 1, so h drifts less.
         prop = np.linalg.solve(a_minus, np.column_stack([dt * lmat, shift]))
         mat, const = prop[:, :n], prop[:, n]
         x = x0

@@ -228,7 +228,7 @@ class Poly:
         if self._tables is None:
             n = self.nvars
             grad = [{} for _ in range(n)]
-            hess = [{} for _ in range(n * (n + 1) // 2)]
+            hess = {(i, j): {} for i in range(n) for j in range(i, n)}  # np.triu_indices order
             for exps, coeff in self._terms.items():
                 for i in range(n):
                     if not exps[i]:
@@ -240,8 +240,8 @@ class Poly:
                         if d1[j]:
                             d2 = list(d1)
                             d2[j] -= 1
-                            hess[i * n - i * (i - 1) // 2 + j - i][tuple(d2)] = coeff * exps[i] * d1[j]
-            tables = (Poly._table(n, grad), Poly._table(n, hess), np.triu_indices(n))
+                            hess[i, j][tuple(d2)] = coeff * exps[i] * d1[j]
+            tables = (Poly._table(n, grad), Poly._table(n, list(hess.values())), np.triu_indices(n))
             object.__setattr__(self, "_tables", tables)
         return self._tables
 
