@@ -11,16 +11,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotRelativeEquilibrium, PreconditionViolated
+from .errors import DimensionMismatch, NotRelativeEquilibrium, PreconditionViolated
 from .linalg import inertia
 from .momentum import MomentumMap
-from .symmetry import Subalgebra, compactness_certificate, isotropy_algebra
+from .symmetry import Subalgebra, compactness_certificate
 
 # Definiteness threshold, applied to the spectrum after scaling the matrix
 # by 1/max(1, max|entry|); separates genuine definiteness from numerical zeros.
 DEFINITENESS_TOL = 1e-7
 
 VELOCITY_TOL = 1e-9
+
+# The search's supergradient ascent: random restarts per sign, the box
+# |s|_inf <= SEARCH_BOX, and the iteration cap of each ascent.
+SEARCH_RESTARTS = 20
+SEARCH_BOX = 1e3
+SEARCH_MAX_ITER = 500
 
 VERDICT_POS = "STABLE_POS_DEF"
 VERDICT_NEG = "STABLE_NEG_DEF"
@@ -65,62 +71,58 @@ class StabilityCertificate:
 
 def velocity_residual(space, algebra, hamiltonian, p, xi):
     """Norm of grad h(p) - grad J_xi(p); zero iff xi is a velocity at p."""
-    mm = MomentumMap(space, algebra)
-    target = hamiltonian.gradient(space.check_point(p))
-    rows = mm.differential_rows(p)
+    return _velocity_residual(MomentumMap(space, algebra), hamiltonian, space.check_point(p), xi)
+
+
+def _velocity_residual(mm, hamiltonian, p, xi):
     xi = np.asarray(xi, dtype=float)
-    predicted = rows.T @ xi if algebra.dim else np.zeros(space.dim)
-    return float(np.linalg.norm(target - predicted))
+    if xi.shape != (mm.dim,):
+        raise DimensionMismatch(f"velocity of shape {xi.shape}, expected ({mm.dim},)")
+    with np.errstate(invalid="ignore"):  # a non-finite xi gives a NaN or infinite residual
+        predicted = mm.differential_rows(p).T @ xi
+    return float(np.linalg.norm(hamiltonian.gradient(p) - predicted))
 
 
-def solve_velocities(space, algebra, hamiltonian, p, tol=VELOCITY_TOL):
-    """Solve grad J_xi(p) = grad h(p) for xi by least squares.
+def solve_velocities(hamiltonian, frame):
+    """Solve grad J_xi(p) = grad h(p) for xi by least squares at the frame's point.
 
-    Returns the minimum-norm particular solution together with the isotropy
-    algebra (the family directions); raises NotRelativeEquilibrium when the
-    residual exceeds tol * (1 + |grad h(p)|).
+    Returns the minimum-norm particular solution together with the frame's
+    isotropy algebra (the family directions); raises NotRelativeEquilibrium
+    when the residual exceeds VELOCITY_TOL * (1 + |grad h(p)|).
     """
-    p = space.check_point(p)
-    mm = MomentumMap(space, algebra)
-    target = hamiltonian.gradient(p)
-    if algebra.dim == 0:
-        xi1 = np.zeros(0)
-        residual = float(np.linalg.norm(target))
-    else:
-        mat = mm.differential_rows(p).T  # (2n, d)
-        xi1, _, _, _ = np.linalg.lstsq(mat, target, rcond=None)
-        residual = float(np.linalg.norm(mat @ xi1 - target))
-    if residual > tol * (1.0 + float(np.linalg.norm(target))):
+    target = hamiltonian.gradient(frame.point)
+    mat = frame.momentum_map.differential_rows(frame.point).T  # (2n, d), d = 0 included
+    xi1, _, _, _ = np.linalg.lstsq(mat, target, rcond=None)
+    residual = float(np.linalg.norm(mat @ xi1 - target))
+    if residual > VELOCITY_TOL * (1.0 + float(np.linalg.norm(target))):
         raise NotRelativeEquilibrium(
             f"critical-point residual {residual:.3e} exceeds tolerance; "
             "the point is not a relative equilibrium"
         )
-    return VelocityFamily(xi1=xi1, directions=isotropy_algebra(algebra, p), residual=residual)
+    return VelocityFamily(xi1=xi1, directions=frame.isotropy, residual=residual)
 
 
-def require_velocity(space, algebra, hamiltonian, p, xi):
-    """Raise PreconditionViolated unless xi is a velocity of p."""
-    res = velocity_residual(space, algebra, hamiltonian, p, xi)
+def require_velocity(mm, hamiltonian, p, xi):
+    """Raise PreconditionViolated unless xi is a velocity of p for momentum map ``mm``."""
+    res = _velocity_residual(mm, hamiltonian, p, xi)
     bound = VELOCITY_TOL * (1.0 + float(np.linalg.norm(hamiltonian.gradient(p))))
-    if res > bound:
+    if not res <= bound:  # a NaN residual is rejected too
         raise PreconditionViolated(f"xi is not a velocity of p (residual {res:.3e} > {bound:.3e})")
 
 
-def augmented_hessian(space, algebra, hamiltonian, p, xi):
-    """d2h(p) - d2J_xi(p) on the whole phase space."""
-    q = hamiltonian.hessian(p)
-    if algebra.dim:
-        hessians = MomentumMap(space, algebra).component_hessians()
-        q = q - np.einsum("i,imn->mn", np.asarray(xi, dtype=float), hessians)
-    return q
+def augmented_hessian(mm, hamiltonian, p, xi):
+    """d2h(p) - d2J_xi(p) on the whole phase space, for momentum map ``mm``."""
+    d2j = np.einsum("i,imn->mn", np.asarray(xi, dtype=float), mm.component_hessians())
+    return hamiltonian.hessian(p) - d2j
 
 
 def restricted_hessian(space, algebra, hamiltonian, p, xi, frame, check=True):
-    """B^T (d2h(p) - d2J_xi(p)) B for B the slice basis of ``frame``."""
+    """B^T (d2h(p) - d2J_xi(p)) B for B the slice basis of ``frame``, whose
+    momentum map supplies d2J."""
     p = space.check_point(p)
     if check:
-        require_velocity(space, algebra, hamiltonian, p, xi)
-    q = augmented_hessian(space, algebra, hamiltonian, p, xi)
+        require_velocity(frame.momentum_map, hamiltonian, p, xi)
+    q = augmented_hessian(frame.momentum_map, hamiltonian, p, xi)
     b = frame.basis_n
     h = b.T @ q @ b
     return 0.5 * (h + h.T)
@@ -231,35 +233,25 @@ def _ascend_lambda_min(h0, direction_mats, rng, restarts, box, max_iter):
     return best_s, best_val, boundary
 
 
-def definiteness_search(
-    space,
-    algebra,
-    hamiltonian,
-    p,
-    family,
-    frame,
-    rng=None,
-    restarts=20,
-    box=1e3,
-    max_iter=500,
-):
+def definiteness_search(hamiltonian, family, frame, rng=None):
     """Search the affine family for a definite restricted Hessian.
 
     Maximizes lambda_min(H(s)) and lambda_min(-H(s)) separately by projected
     supergradient ascent with random restarts (s = 0 always included), keeps
     the optimum with the larger scaled value, and judges it by the verdict
-    rule of ``_certificate``.  INCONCLUSIVE makes no instability claim (the
-    criterion is sufficient only).
+    rule of ``_certificate``.  ``family`` comes from ``solve_velocities`` on
+    the same frame, which has already checked xi1.  INCONCLUSIVE makes no
+    instability claim (the criterion is sufficient only).
     """
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(42 if rng is None else int(rng))
-    p = space.check_point(p)
-    h0 = restricted_hessian(space, algebra, hamiltonian, p, family.xi1, frame)
-    compact = compactness_certificate(algebra, space.metric)
+    mm = frame.momentum_map
+    h0 = restricted_hessian(mm.space, mm.algebra, hamiltonian, frame.point, family.xi1, frame, check=False)
+    compact = compactness_certificate(mm.algebra, mm.space.metric)
     if h0.shape[0] == 0:
         return _certificate(h0, family.xi1.copy(), h0, compact)
 
-    hessians = MomentumMap(space, algebra).component_hessians()
+    hessians = mm.component_hessians()
     d = -(frame.basis_n.T @ np.einsum("ki,imn->kmn", family.directions.basis, hessians) @ frame.basis_n)
     direction_mats = 0.5 * (d + d.transpose(0, 2, 1))
 
@@ -267,19 +259,21 @@ def definiteness_search(
         s, value, _ = optimum
         return value / max(1.0, float(np.abs(_combine(h0, direction_mats, s)).max()))
 
-    pos = _ascend_lambda_min(h0, direction_mats, rng, restarts, box, max_iter)
-    neg = _ascend_lambda_min(-h0, -direction_mats, rng, restarts, box, max_iter)
+    pos = _ascend_lambda_min(h0, direction_mats, rng, SEARCH_RESTARTS, SEARCH_BOX, SEARCH_MAX_ITER)
+    neg = _ascend_lambda_min(-h0, -direction_mats, rng, SEARCH_RESTARTS, SEARCH_BOX, SEARCH_MAX_ITER)
     s_best, _, boundary = pos if scaled(pos) >= scaled(neg) else neg
     hm = _combine(h0, direction_mats, s_best)
     return _certificate(hm, family.member(s_best), h0, compact, boundary)
 
 
-def velocity_certificate(space, algebra, hamiltonian, p, family, frame, xi):
+def velocity_certificate(hamiltonian, family, frame, xi):
     """Certificate at one fixed velocity xi of ``family``, without a search.
 
-    Raises PreconditionViolated when xi is not a velocity of p.
+    Raises DimensionMismatch when xi has the wrong length and
+    PreconditionViolated when it is not a velocity of the frame's point.
     """
+    mm = frame.momentum_map
     xi = np.asarray(xi, dtype=float)
-    hm = restricted_hessian(space, algebra, hamiltonian, p, xi, frame)
-    h0 = restricted_hessian(space, algebra, hamiltonian, p, family.xi1, frame, check=False)
-    return _certificate(hm, xi, h0, compactness_certificate(algebra, space.metric))
+    hm = restricted_hessian(mm.space, mm.algebra, hamiltonian, frame.point, xi, frame)
+    h0 = restricted_hessian(mm.space, mm.algebra, hamiltonian, frame.point, family.xi1, frame, check=False)
+    return _certificate(hm, xi, h0, compactness_certificate(mm.algebra, mm.space.metric))

@@ -35,14 +35,13 @@ from .errors import (
     ValidationError,
 )
 from .linalg import inertia
-from .momentum import MomentumMap, invariance_residual, momentum_isotropy_algebra
+from .momentum import invariance_residual
 from .phase_space import Poly, SymplecticSpace, canonical_omega
 from .symmetry import LieAlgebraBasis, compactness_certificate, normalizer_algebra
 from .witt_artin import witt_artin_frame
 from .dynamics import stability_probe
 
 INVARIANCE_TOL = 1e-9
-INVARIANCE_SAMPLES = 100
 
 EXIT_STABLE = 0
 EXIT_INCONCLUSIVE = 2
@@ -82,23 +81,36 @@ def bundled_system(name):
         return Path(path)
 
 
+def _finite(key, values):
+    """Field ``key`` of a system file as a float array; non-finite entries
+    raise ValidationError."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{key} has a non-finite entry")
+    return values
+
+
 def system_from_dict(data):
     """Build and validate a SystemDefinition from parsed JSON data."""
     for key in ("dim", "generators", "hamiltonian", "point"):
         if key not in data:
             raise ParseError(f"missing required field '{key}'")
     dim = int(data["dim"])
-    omega = np.asarray(data["omega"], dtype=float) if data.get("omega") is not None else canonical_omega(dim)
-    metric = np.asarray(data["metric"], dtype=float) if data.get("metric") is not None else np.eye(dim)
+    omega = _finite("omega", data["omega"]) if data.get("omega") is not None else canonical_omega(dim)
+    metric = _finite("metric", data["metric"]) if data.get("metric") is not None else np.eye(dim)
     space = SymplecticSpace(dim=dim, omega=omega, metric=metric)
 
-    algebra = LieAlgebraBasis.build(space, data["generators"], structure=data.get("structureConstants"))
+    structure = data.get("structureConstants")
+    if structure is not None:
+        structure = _finite("structureConstants", structure)
+    algebra = LieAlgebraBasis.build(space, _finite("generators", data["generators"]), structure=structure)
 
+    _finite("hamiltonian coefficients", [rec["coeff"] for rec in data["hamiltonian"]])
     hamiltonian = Poly.from_records(dim, data["hamiltonian"])
     point = space.check_point(np.asarray(data["point"], dtype=float))
 
     if data.get("algebraMetric") is not None:
-        algebra_metric = np.asarray(data["algebraMetric"], dtype=float)
+        algebra_metric = _finite("algebraMetric", data["algebraMetric"])
         if algebra_metric.size == 0:
             algebra_metric = np.zeros((0, 0))
         if algebra_metric.shape != (algebra.dim, algebra.dim):
@@ -110,7 +122,7 @@ def system_from_dict(data):
     else:
         algebra_metric = algebra.gram()
 
-    residual = invariance_residual(space, algebra, hamiltonian, samples=INVARIANCE_SAMPLES)
+    residual = invariance_residual(space, algebra, hamiltonian)
     if residual > INVARIANCE_TOL:
         raise ValidationError(
             f"hamiltonian is not invariant under the group action (residual {residual:.3e})"
@@ -211,16 +223,14 @@ def cmd_analyze(system, point=None):
 def cmd_certify(system, velocity=None, seed=42):
     space, algebra, h = system.space, system.algebra, system.hamiltonian
     p = system.point
-    family = solve_velocities(space, algebra, h, p)
     frame = witt_artin_frame(space, algebra, p)
+    family = solve_velocities(h, frame)
     xi_perp = orthogonal_velocity(family, system.algebra_metric)
     h_perp = restricted_hessian(space, algebra, h, p, xi_perp, frame, check=False)
     if velocity is None:
-        cert = definiteness_search(
-            space, algebra, h, p, family, frame, rng=np.random.default_rng(seed)
-        )
+        cert = definiteness_search(h, family, frame, rng=np.random.default_rng(seed))
     else:
-        cert = velocity_certificate(space, algebra, h, p, family, frame, velocity)
+        cert = velocity_certificate(h, family, frame, velocity)
     report = {
         "verdict": cert.verdict,
         "xiStar": cert.xi_star,
@@ -241,15 +251,11 @@ def cmd_certify(system, velocity=None, seed=42):
 
 def cmd_probe(system, epsilon=1e-3, horizon=100.0, samples=16, dt=1e-2,
               escape_factor=100.0, seed=42, csv_path=None):
-    space, algebra = system.space, system.algebra
-    mm = MomentumMap(space, algebra)
-    sub_k = momentum_isotropy_algebra(algebra, mm.value(system.point))
     report = stability_probe(
-        space,
-        algebra,
+        system.space,
+        system.algebra,
         system.hamiltonian,
         system.point,
-        sub_k,
         epsilon=epsilon,
         horizon=horizon,
         samples=samples,

@@ -17,10 +17,11 @@ import scipy.linalg
 
 from .errors import SolverDiverged, ValidationError
 from .linalg import metric_inv_sqrt
-from .momentum import MomentumMap
+from .momentum import MomentumMap, momentum_isotropy_algebra
 
 MIDPOINT_TOL = 1e-12
 MAX_NEWTON = 50
+DISTANCE_STARTS = 4  # orbit-distance starts per probe checkpoint
 
 
 def hamiltonian_vector_field(space, hamiltonian, x):
@@ -90,55 +91,55 @@ def integrate(space, hamiltonian, x0, dt, steps, tol=MIDPOINT_TOL, max_newton=MA
     return traj
 
 
-def _orbit_distance_full(space, algebra, x, p, sub_k, starts=32, rng=None, extra_start=None):
-    """(distance, minimizer) for min over g in exp(k) of |x - g.p|_metric."""
-    x = space.check_point(x)
-    p = space.check_point(p)
+def _orbit_distance_to(space, algebra, p, sub_k):
+    """The function (x, starts, rng, extra_start) -> (distance, minimizer) for
+    min over g in exp(k) of |x - g.p|_metric.
+
+    K's generator matrices and whether K fixes p depend on p and K only, so
+    they are settled here, once per point.
+    """
     metric = space.metric
 
-    def metric_dist(q):
+    def metric_dist(x, q):
         d = x - q
         return float(np.sqrt(max(d @ metric @ d, 0.0)))
 
-    if sub_k.dim == 0:
-        return metric_dist(p), np.zeros(0)
     amats = [algebra.matrix(sub_k.basis[i]) for i in range(sub_k.dim)]
-    gen_scale = max(np.abs(a @ p).max() for a in amats)
-    if gen_scale <= 1e-13 * (1.0 + float(np.abs(p).max())):
-        # K fixes p: the orbit is the single point p.
-        return metric_dist(p), np.zeros(sub_k.dim)
+    if not amats or max(np.abs(a @ p).max() for a in amats) <= 1e-13 * (1.0 + float(np.abs(p).max())):
+        # K is trivial or fixes p: the orbit is the single point p.
+        return lambda x, starts, rng, extra_start=None: (metric_dist(x, p), np.zeros(sub_k.dim))
 
     import scipy.optimize  # only this search needs it; deferred to keep startup light
 
     m = sub_k.dim
-    norms = [np.linalg.norm(a, 2) for a in amats]
-    box = math.pi * max(1.0, 1.0 / min(norms))
+    box = math.pi * max(1.0, 1.0 / min(np.linalg.norm(a, 2) for a in amats))
 
-    def objective(t):
-        a = np.tensordot(t, amats, axes=1)
-        q = scipy.linalg.expm(a) @ p
-        d = x - q
-        return float(d @ metric @ d)
+    def distance(x, starts, rng, extra_start=None):
+        def objective(t):
+            a = np.tensordot(t, amats, axes=1)
+            q = scipy.linalg.expm(a) @ p
+            d = x - q
+            return float(d @ metric @ d)
 
-    if rng is None:
-        rng = np.random.default_rng(0)
-    start_list = [np.zeros(m)]
-    if extra_start is not None and len(extra_start) == m:
-        start_list.append(np.asarray(extra_start, dtype=float))
-    start_list.extend(rng.uniform(-box, box, size=(max(0, starts - len(start_list)), m)))
+        start_list = [np.zeros(m)]
+        if extra_start is not None and len(extra_start) == m:
+            start_list.append(np.asarray(extra_start, dtype=float))
+        start_list.extend(rng.uniform(-box, box, size=(max(0, starts - len(start_list)), m)))
 
-    best_val = objective(np.zeros(m))
-    best_t = np.zeros(m)
-    for t0 in start_list:
-        res = scipy.optimize.minimize(
-            objective,
-            t0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-16, "maxiter": 400 * m, "maxfev": 400 * m},
-        )
-        if res.fun < best_val:
-            best_val, best_t = float(res.fun), np.asarray(res.x, dtype=float)
-    return float(np.sqrt(max(best_val, 0.0))), best_t
+        best_val = objective(np.zeros(m))
+        best_t = np.zeros(m)
+        for t0 in start_list:
+            res = scipy.optimize.minimize(
+                objective,
+                t0,
+                method="Nelder-Mead",
+                options={"xatol": 1e-10, "fatol": 1e-16, "maxiter": 400 * m, "maxfev": 400 * m},
+            )
+            if res.fun < best_val:
+                best_val, best_t = float(res.fun), np.asarray(res.x, dtype=float)
+        return float(np.sqrt(max(best_val, 0.0))), best_t
+
+    return distance
 
 
 def orbit_distance(space, algebra, x, p, sub_k, starts=32, rng=None):
@@ -147,8 +148,9 @@ def orbit_distance(space, algebra, x, p, sub_k, starts=32, rng=None):
     Multi-start Nelder-Mead over exponential coordinates of K; the identity
     is always a start, so the result never exceeds |x - p|_metric.
     """
-    dist, _ = _orbit_distance_full(space, algebra, x, p, sub_k, starts=starts, rng=rng)
-    return dist
+    distance = _orbit_distance_to(space, algebra, space.check_point(p), sub_k)
+    rng = np.random.default_rng(0) if rng is None else rng
+    return distance(space.check_point(x), starts, rng)[0]
 
 
 @dataclass(frozen=True)
@@ -172,26 +174,29 @@ def stability_probe(
     algebra,
     hamiltonian,
     p,
-    sub_k,
     epsilon,
     horizon,
     samples,
     dt=1e-2,
     escape_factor=100.0,
     rng=None,
-    distance_starts=4,
     csv_path=None,
 ):
     """Integrate ``samples`` trajectories from the metric epsilon-ball at p.
 
-    Records the largest observed distance to the K-orbit, the energy and
-    momentum drifts, and whether any trajectory exceeded
-    escape_factor * epsilon.  Orbit distances are evaluated on a subsample
-    of each trajectory, with evaluation points placed at the ambient-norm
-    peaks of each window so excursions are not missed between samples.
+    Records the largest observed distance to the orbit of K, the momentum
+    isotropy group of J(p), the energy and momentum drifts, and whether any
+    trajectory exceeded escape_factor * epsilon.  Orbit distances are
+    evaluated on a subsample of each trajectory, with evaluation points placed
+    at the ambient-norm peaks of each window so excursions are not missed
+    between samples.
     """
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    for name, value in (("epsilon", epsilon), ("horizon", horizon), ("dt", dt),
+                        ("escape_factor", escape_factor)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{name} must be finite and positive, got {value}")
+    if samples < 1:
+        raise ValidationError(f"samples must be >= 1, got {samples}")
     p = space.check_point(p)
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(42 if rng is None else int(rng))
@@ -199,6 +204,7 @@ def stability_probe(
     stride = max(1, steps // 200)
     inv_sqrt = metric_inv_sqrt(space.metric)
     mm = MomentumMap(space, algebra)
+    distance = _orbit_distance_to(space, algebra, p, momentum_isotropy_algebra(algebra, mm.value(p)))
 
     max_dist = 0.0
     energy_drift = 0.0
@@ -246,16 +252,7 @@ def stability_probe(
                 indices.add(lo + int(np.argmax(ambient[lo:hi])))
             warm = None
             for idx in sorted(indices):
-                dist, warm = _orbit_distance_full(
-                    space,
-                    algebra,
-                    traj[idx],
-                    p,
-                    sub_k,
-                    starts=distance_starts,
-                    rng=rng,
-                    extra_start=warm,
-                )
+                dist, warm = distance(traj[idx], DISTANCE_STARTS, rng, warm)
                 max_dist = max(max_dist, dist)
                 if writer is not None:
                     row = [sample, idx * dt]

@@ -9,7 +9,7 @@ import numpy as np
 RANK_TOL = float(os.environ.get("SLICECERT_TOL", "1e-9"))
 
 
-def nullspace(mat, tol=None):
+def nullspace(mat):
     """Orthonormal basis (columns) of the right nullspace of ``mat``."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2:
@@ -19,25 +19,21 @@ def nullspace(mat, tol=None):
         return np.zeros((0, 0))
     if rows == 0 or not np.any(mat):
         return np.eye(cols)
-    if tol is None:
-        tol = RANK_TOL
     _, sigma, vh = np.linalg.svd(mat)
-    cutoff = tol * max(1.0, float(sigma[0]))
+    cutoff = RANK_TOL * max(1.0, float(sigma[0]))
     rank = int(np.sum(sigma > cutoff))
     return vh[rank:].T.copy()
 
 
-def orthonormalize(vectors, gram=None, against=None, tol=None):
+def orthonormalize(vectors, gram=None, against=None):
     """Modified Gram-Schmidt with one reorthogonalization pass.
 
     ``vectors`` holds candidate columns; ``gram`` is the inner-product matrix
     (Euclidean when omitted); ``against`` holds columns that are already
     orthonormal in that inner product and are projected out first.  Columns
-    whose residual norm drops below ``tol * max(1, original norm)`` are
+    whose residual norm drops below ``RANK_TOL * max(1, original norm)`` are
     discarded.  Returns the surviving orthonormal columns.
     """
-    if tol is None:
-        tol = RANK_TOL
     v = np.asarray(vectors, dtype=float)
     if v.ndim != 2:
         v = np.atleast_2d(v).T
@@ -59,7 +55,7 @@ def orthonormalize(vectors, gram=None, against=None, tol=None):
             for q in kept:
                 w -= ip(q, w) * q
         norm1 = np.sqrt(max(ip(w, w), 0.0))
-        if norm1 > tol * max(1.0, norm0):
+        if norm1 > RANK_TOL * max(1.0, norm0):
             kept.append(w / norm1)
     if not kept:
         return np.zeros((n, 0))

@@ -14,6 +14,8 @@ from .linalg import nullspace, orthonormalize
 from .phase_space import Poly
 from .symmetry import Subalgebra
 
+INVARIANCE_SAMPLES = 100
+
 
 def adstar_matrix(algebra, eta):
     """Matrix of mu -> ad*_eta mu, where <ad*_eta mu, xi> = -<mu, [eta, xi]>."""
@@ -105,16 +107,15 @@ class MomentumMap:
         return float(np.linalg.norm(moved - transport @ self.value(x)))
 
 
-def invariance_residual(space, algebra, hamiltonian, samples=100, rng=None):
-    """Max of |grad h(x) . (A_i x)| over random sample points and generators.
+def invariance_residual(space, algebra, hamiltonian):
+    """Max of |grad h(x) . (A_i x)| over INVARIANCE_SAMPLES seeded random
+    points and every generator.
 
     Zero (to rounding) iff h is invariant under the identity component of the
     generated group.
     """
     if algebra.dim == 0:
         return 0.0
-    if rng is None:
-        rng = np.random.default_rng(0)
-    x = rng.standard_normal((samples, space.dim))
+    x = np.random.default_rng(0).standard_normal((INVARIANCE_SAMPLES, space.dim))
     moved = np.einsum("imn,sn->ism", algebra.generators, x)
     return float(np.abs(np.einsum("sm,ism->is", hamiltonian.gradient(x), moved)).max(initial=0.0))

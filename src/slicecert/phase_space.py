@@ -95,6 +95,8 @@ class SymplecticSpace:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise DimensionMismatch(f"expected a point of length {self.dim}, got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValidationError(f"point has a non-finite entry: {x}")
         return x
 
 

@@ -23,12 +23,13 @@ HAMILTONIAN_TOL = 1e-12
 CLOSURE_TOL = 1e-10
 JACOBI_TOL = 1e-10
 SUBALGEBRA_TOL = 1e-9
+COMPACTNESS_TOL = 1e-10
 
 
-def derive_structure_constants(generators, tol=CLOSURE_TOL):
+def derive_structure_constants(generators):
     """Expand each commutator in the generator basis by least squares.
 
-    Raises NotClosedUnderBracket if any expansion residual exceeds ``tol``
+    Raises NotClosedUnderBracket if any expansion residual exceeds CLOSURE_TOL
     (the input does not span a Lie algebra).
     """
     gens = np.asarray(generators, dtype=float)
@@ -43,7 +44,7 @@ def derive_structure_constants(generators, tol=CLOSURE_TOL):
             comm = gens[i] @ gens[j] - gens[j] @ gens[i]
             coeffs = pinv @ comm.ravel()
             residual = np.abs(flat @ coeffs - comm.ravel()).max() if comm.size else 0.0
-            if residual > tol:
+            if residual > CLOSURE_TOL:
                 raise NotClosedUnderBracket(
                     f"commutator [A_{i}, A_{j}] leaves the generator span (residual {residual:.3e})"
                 )
@@ -52,7 +53,7 @@ def derive_structure_constants(generators, tol=CLOSURE_TOL):
     return structure
 
 
-def _check_jacobi(structure, tol=JACOBI_TOL):
+def _check_jacobi(structure):
     c = structure
     if c.size == 0:
         return
@@ -62,7 +63,7 @@ def _check_jacobi(structure, tol=JACOBI_TOL):
         + np.einsum("kim,mjl->ijkl", c, c)
     )
     worst = np.abs(lhs).max()
-    if worst > tol:
+    if worst > JACOBI_TOL:
         raise ValidationError(f"structure constants violate the Jacobi identity (residual {worst:.3e})")
 
 
@@ -186,14 +187,13 @@ class Subalgebra:
         object.__setattr__(self, "basis", b)
 
     @classmethod
-    def from_vectors(cls, algebra, vectors, check_closure=True):
+    def from_vectors(cls, algebra, vectors):
         vectors = np.asarray(vectors, dtype=float)
         if vectors.size == 0:
             return cls(basis=np.zeros((0, algebra.dim)))
         onb = orthonormalize(vectors.T, gram=algebra.gram()).T
         sub = cls(basis=onb)
-        if check_closure:
-            sub.check_closed(algebra)
+        sub.check_closed(algebra)
         return sub
 
     @property
@@ -213,12 +213,12 @@ class Subalgebra:
         g = algebra.gram()
         return float(np.sqrt(max(r @ g @ r, 0.0))) if g.size else 0.0
 
-    def check_closed(self, algebra, tol=SUBALGEBRA_TOL):
+    def check_closed(self, algebra):
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 b = algebra.bracket(self.basis[i], self.basis[j])
                 residual = self.containment_residual(algebra, b)
-                if residual > tol * (1.0 + float(np.linalg.norm(b))):
+                if residual > SUBALGEBRA_TOL * (1.0 + float(np.linalg.norm(b))):
                     raise ValidationError(
                         f"subalgebra is not closed under the bracket (residual {residual:.3e})"
                     )
@@ -255,7 +255,7 @@ def normalizer_algebra(algebra, sub_h, sub_k):
     return Subalgebra.from_vectors(algebra, vectors)
 
 
-def compactness_certificate(algebra, metric, tol=1e-10):
+def compactness_certificate(algebra, metric):
     """True iff every generator is skew-symmetric for ``metric``.
 
     This is a sufficient condition: it bounds the generated group inside the
@@ -265,7 +265,7 @@ def compactness_certificate(algebra, metric, tol=1e-10):
     metric = np.asarray(metric, dtype=float)
     for i in range(algebra.dim):
         a = algebra.generators[i]
-        if np.abs(a.T @ metric + metric @ a).max() > tol:
+        if np.abs(a.T @ metric + metric @ a).max() > COMPACTNESS_TOL:
             return False
     return True
 

@@ -29,9 +29,12 @@ KERNEL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class WittArtinFrame:
-    """Concrete bases (columns) realizing the four subspaces at one point."""
+    """Concrete bases (columns) realizing the four subspaces at one point,
+    with the point-level objects they were built from: the momentum map,
+    mu = J(p), and the isotropy algebras h of p and k of mu."""
 
     point: np.ndarray
+    momentum_map: MomentumMap
     mu: np.ndarray
     basis_t0: np.ndarray
     basis_t: np.ndarray
@@ -112,6 +115,7 @@ def witt_artin_frame(space, algebra, p, rng=None):
 
     return WittArtinFrame(
         point=p,
+        momentum_map=mm,
         mu=mu,
         basis_t0=basis_t0,
         basis_t=basis_t,
@@ -167,11 +171,11 @@ def descent_residual(space, algebra, hamiltonian, p, xi, v, eta):
         kr = float(np.linalg.norm(rows @ v))
         if kr > KERNEL_TOL * (1.0 + float(np.linalg.norm(v))):
             raise PreconditionViolated(f"v is outside ker dJ(p) (residual {kr:.3e})")
-    require_velocity(space, algebra, hamiltonian, p, xi)
+    require_velocity(mm, hamiltonian, p, xi)
     sub_k = momentum_isotropy_algebra(algebra, mm.value(p))
     if sub_k.containment_residual(algebra, eta) > SUBALGEBRA_TOL * (1.0 + float(np.linalg.norm(eta))):
         raise PreconditionViolated("eta is outside the momentum isotropy algebra")
 
-    q = augmented_hessian(space, algebra, hamiltonian, p, xi)
+    q = augmented_hessian(mm, hamiltonian, p, xi)
     w = v + algebra.act(eta, p)
     return abs(float(w @ q @ w) - float(v @ q @ v))

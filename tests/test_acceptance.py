@@ -27,7 +27,6 @@ from slicecert import (
 from slicecert.certify import DEFINITENESS_TOL
 from slicecert.cli import cmd_certify, load_system
 from slicecert.linalg import inertia
-from slicecert.symmetry import Subalgebra
 
 from systems import random_system_suite
 
@@ -49,8 +48,8 @@ def suite():
 def test_criterion_1_example1_reproduction(example1):
     start = time.perf_counter()
     report, code = cmd_certify(example1, seed=42)
-    family = solve_velocities(example1.space, example1.algebra, example1.hamiltonian, example1.point)
     frame = witt_artin_frame(example1.space, example1.algebra, example1.point)
+    family = solve_velocities(example1.hamiltonian, frame)
 
     grid = np.linspace(0.0, 6.0, 401)
     negative = []
@@ -80,8 +79,8 @@ def test_criterion_1_example1_reproduction(example1):
 
 
 def test_criterion_2_orthogonal_velocity_baseline_fails(example1):
-    family = solve_velocities(example1.space, example1.algebra, example1.hamiltonian, example1.point)
     frame = witt_artin_frame(example1.space, example1.algebra, example1.point)
+    family = solve_velocities(example1.hamiltonian, frame)
     xi_perp = orthogonal_velocity(family, example1.algebra_metric)
     np.testing.assert_allclose(xi_perp, [0.0], atol=1e-12)
     h_perp = restricted_hessian(
@@ -97,8 +96,8 @@ def test_criterion_2_orthogonal_velocity_baseline_fails(example1):
 def test_criterion_3_second_worked_point(example1):
     start = time.perf_counter()
     p = np.array([1.0, 0.0, 0.0, 0.0])
-    family = solve_velocities(example1.space, example1.algebra, example1.hamiltonian, p)
     frame = witt_artin_frame(example1.space, example1.algebra, p)
+    family = solve_velocities(example1.hamiltonian, frame)
     hm = restricted_hessian(
         example1.space, example1.algebra, example1.hamiltonian, p, family.xi1, frame
     )
@@ -120,7 +119,9 @@ def test_criterion_4_descent_suite(suite):
     worst = 0.0
     for system in suite:
         mm = MomentumMap(system.space, system.algebra)
-        family = solve_velocities(system.space, system.algebra, system.hamiltonian, system.point)
+        family = solve_velocities(
+            system.hamiltonian, witt_artin_frame(system.space, system.algebra, system.point)
+        )
         kernel = mm.kernel_basis(system.point)
         sub_k = momentum_isotropy_algebra(system.algebra, mm.value(system.point))
         q = system.hamiltonian.hessian(system.point)
@@ -148,8 +149,8 @@ def test_criterion_5_realization_independence(suite):
     rng = np.random.default_rng(55)
     mismatches = 0
     for system in suite:
-        family = solve_velocities(system.space, system.algebra, system.hamiltonian, system.point)
         frame = witt_artin_frame(system.space, system.algebra, system.point)
+        family = solve_velocities(system.hamiltonian, frame)
         base = inertia(
             restricted_hessian(
                 system.space, system.algebra, system.hamiltonian, system.point, family.xi1, frame,
@@ -216,13 +217,11 @@ def test_criterion_8_integrator_conservation_and_probes(example1):
     assert momentum_drift <= 1e-9
     assert energy_drift <= 1e-6
 
-    sub_k = momentum_isotropy_algebra(example1.algebra, mm.value(example1.point))
     probe = stability_probe(
         example1.space,
         example1.algebra,
         example1.hamiltonian,
         example1.point,
-        sub_k,
         epsilon=1e-3,
         horizon=100.0,
         samples=16,
@@ -239,7 +238,6 @@ def test_criterion_8_integrator_conservation_and_probes(example1):
         saddle_algebra,
         saddle_h,
         np.zeros(2),
-        Subalgebra(basis=np.zeros((0, 0))),
         epsilon=1e-3,
         horizon=20.0,
         samples=16,
@@ -259,10 +257,10 @@ def test_criterion_9_concavity_of_minimum_eigenvalue(suite, example1):
     while slices < 100:
         progressed = False
         for system in systems:
-            family = solve_velocities(system.space, system.algebra, system.hamiltonian, system.point)
+            frame = witt_artin_frame(system.space, system.algebra, system.point)
+            family = solve_velocities(system.hamiltonian, frame)
             if family.dim == 0:
                 continue
-            frame = witt_artin_frame(system.space, system.algebra, system.point)
             if frame.dims[2] == 0:
                 continue
 

@@ -32,30 +32,33 @@ def parts():
 class TestSolveVelocities:
     def test_origin_full_family(self, parts):
         space, algebra, h = parts
-        family = solve_velocities(space, algebra, h, np.zeros(4))
+        family = solve_velocities(h, witt_artin_frame(space, algebra, np.zeros(4)))
         np.testing.assert_array_equal(family.xi1, [0.0])
         assert family.dim == 1
 
     def test_unique_velocity(self, parts):
         space, algebra, h = parts
-        family = solve_velocities(space, algebra, h, np.array([1.0, 0, 0, 0]))
+        family = solve_velocities(h, witt_artin_frame(space, algebra, np.array([1.0, 0, 0, 0])))
         np.testing.assert_allclose(family.xi1, [2.0], atol=1e-12)
         assert family.dim == 0
 
     def test_zero_hamiltonian(self, parts):
         space, algebra, _ = parts
-        family = solve_velocities(space, algebra, Poly.zero(4), np.array([1.0, 0, 0, 0]))
+        family = solve_velocities(Poly.zero(4), witt_artin_frame(space, algebra, np.array([1.0, 0, 0, 0])))
         np.testing.assert_array_equal(family.xi1, [0.0])
         assert family.dim == isotropy_algebra(algebra, np.array([1.0, 0, 0, 0])).dim
 
     def test_rejects_non_equilibrium(self, parts):
         space, algebra, h = parts
+        frame = witt_artin_frame(space, algebra, np.array([1.0, 1.0, 1.0, 1.0]))
         with pytest.raises(NotRelativeEquilibrium):
-            solve_velocities(space, algebra, h, np.array([1.0, 1.0, 1.0, 1.0]))
+            solve_velocities(h, frame)
 
     def test_affine_family_members_are_velocities(self, rng):
         for system in random_system_suite():
-            family = solve_velocities(system.space, system.algebra, system.hamiltonian, system.point)
+            family = solve_velocities(
+                system.hamiltonian, witt_artin_frame(system.space, system.algebra, system.point)
+            )
             if family.dim == 0:
                 continue
             grad = system.hamiltonian.gradient(system.point)
@@ -72,7 +75,9 @@ class TestSolveVelocities:
         from slicecert import MomentumMap, momentum_isotropy_algebra, normalizer_algebra
 
         for system in random_system_suite():
-            family = solve_velocities(system.space, system.algebra, system.hamiltonian, system.point)
+            family = solve_velocities(
+                system.hamiltonian, witt_artin_frame(system.space, system.algebra, system.point)
+            )
             mm = MomentumMap(system.space, system.algebra)
             sub_k = momentum_isotropy_algebra(system.algebra, mm.value(system.point))
             sub_h = isotropy_algebra(system.algebra, system.point)
@@ -115,9 +120,9 @@ class TestRestrictedHessian:
 class TestDefinitenessSearch:
     def test_example1_origin(self, parts):
         space, algebra, h = parts
-        family = solve_velocities(space, algebra, h, np.zeros(4))
         frame = witt_artin_frame(space, algebra, np.zeros(4))
-        cert = definiteness_search(space, algebra, h, np.zeros(4), family, frame, rng=0)
+        family = solve_velocities(h, frame)
+        cert = definiteness_search(h, family, frame, rng=0)
         assert cert.verdict == "STABLE_NEG_DEF"
         assert abs(cert.xi_star[0] - 3.0) <= 1e-6
         assert abs(cert.margin - 1.0) <= 1e-6
@@ -130,18 +135,18 @@ class TestDefinitenessSearch:
         space = SymplecticSpace.canonical(2)
         algebra = LieAlgebraBasis.build(space, np.zeros((0, 2, 2)))
         h = Poly(2, {(1, 1): 1.0})
-        family = solve_velocities(space, algebra, h, np.zeros(2))
         frame = witt_artin_frame(space, algebra, np.zeros(2))
-        cert = definiteness_search(space, algebra, h, np.zeros(2), family, frame, rng=0)
+        family = solve_velocities(h, frame)
+        cert = definiteness_search(h, family, frame, rng=0)
         assert cert.verdict == "INCONCLUSIVE"
         assert family.dim == 0
 
     def test_unique_velocity_certificate(self, parts):
         space, algebra, h = parts
         p = np.array([1.0, 0, 0, 0])
-        family = solve_velocities(space, algebra, h, p)
         frame = witt_artin_frame(space, algebra, p)
-        cert = definiteness_search(space, algebra, h, p, family, frame, rng=0)
+        family = solve_velocities(h, frame)
+        cert = definiteness_search(h, family, frame, rng=0)
         assert cert.verdict == "STABLE_NEG_DEF"
         np.testing.assert_allclose(cert.xi_star, [2.0], atol=1e-12)
         assert abs(cert.margin - 2.0) <= 1e-12
@@ -163,48 +168,42 @@ class TestDefinitenessSearch:
                 (0, 0, 0, 0, 1, 1): 1.0,
             },
         )
-        family = solve_velocities(space, algebra, h, np.zeros(6))
-        assert family.dim == 1
         frame = witt_artin_frame(space, algebra, np.zeros(6))
-        cert = definiteness_search(space, algebra, h, np.zeros(6), family, frame, rng=0)
+        family = solve_velocities(h, frame)
+        assert family.dim == 1
+        cert = definiteness_search(h, family, frame, rng=0)
         assert cert.verdict == "INCONCLUSIVE"
         assert cert.boundary_hit is False
 
     def test_stable_verdict_implies_margin(self):
         for system in random_system_suite()[:6]:
-            family = solve_velocities(system.space, system.algebra, system.hamiltonian, system.point)
             frame = witt_artin_frame(system.space, system.algebra, system.point)
-            cert = definiteness_search(
-                system.space, system.algebra, system.hamiltonian, system.point, family, frame, rng=1
-            )
+            family = solve_velocities(system.hamiltonian, frame)
+            cert = definiteness_search(system.hamiltonian, family, frame, rng=1)
             if cert.stable and cert.spectrum.size:
                 scale = max(1.0, float(np.abs(cert.spectrum).max()))
                 assert cert.margin / scale > DEFINITENESS_TOL
 
     def test_verdict_equivariant_along_orbit(self, rng):
         system = random_system_suite()[4]
-        family = solve_velocities(system.space, system.algebra, system.hamiltonian, system.point)
         frame = witt_artin_frame(system.space, system.algebra, system.point)
-        cert = definiteness_search(
-            system.space, system.algebra, system.hamiltonian, system.point, family, frame, rng=2
-        )
+        family = solve_velocities(system.hamiltonian, frame)
+        cert = definiteness_search(system.hamiltonian, family, frame, rng=2)
         frame_k = frame.momentum_isotropy
         for _ in range(3):
             eta = frame_k.basis.T @ rng.standard_normal(frame_k.dim)
             t = float(rng.uniform(-2, 2))
             moved = group_exp(system.algebra, eta, t) @ system.point
-            fam2 = solve_velocities(system.space, system.algebra, system.hamiltonian, moved)
             frame2 = witt_artin_frame(system.space, system.algebra, moved)
-            cert2 = definiteness_search(
-                system.space, system.algebra, system.hamiltonian, moved, fam2, frame2, rng=2
-            )
+            fam2 = solve_velocities(system.hamiltonian, frame2)
+            cert2 = definiteness_search(system.hamiltonian, fam2, frame2, rng=2)
             assert cert2.verdict == cert.verdict
 
 
 class TestOrthogonalVelocity:
     def test_origin_always_zero(self, parts, rng):
         space, algebra, h = parts
-        family = solve_velocities(space, algebra, h, np.zeros(4))
+        family = solve_velocities(h, witt_artin_frame(space, algebra, np.zeros(4)))
         for _ in range(5):
             a = rng.standard_normal((1, 1))
             metric = a @ a.T + np.eye(1)
@@ -212,7 +211,7 @@ class TestOrthogonalVelocity:
 
     def test_trivial_isotropy_returns_particular(self, parts):
         space, algebra, h = parts
-        family = solve_velocities(space, algebra, h, np.array([1.0, 0, 0, 0]))
+        family = solve_velocities(h, witt_artin_frame(space, algebra, np.array([1.0, 0, 0, 0])))
         np.testing.assert_allclose(orthogonal_velocity(family, np.eye(1)), family.xi1)
 
     def test_particular_inside_isotropy_projects_to_zero(self, parts):
@@ -226,8 +225,8 @@ class TestOrthogonalVelocity:
         # do at least as well; the suite contains definite-baseline systems
         nontrivial = 0
         for system in random_system_suite():
-            family = solve_velocities(system.space, system.algebra, system.hamiltonian, system.point)
             frame = witt_artin_frame(system.space, system.algebra, system.point)
+            family = solve_velocities(system.hamiltonian, frame)
             if frame.dims[2] == 0:
                 continue
             xi_perp = orthogonal_velocity(family, system.algebra_metric)
@@ -240,9 +239,7 @@ class TestOrthogonalVelocity:
             baseline_margin = max(w.min(), -w.max())
             if baseline_margin / scale <= DEFINITENESS_TOL:
                 continue
-            cert = definiteness_search(
-                system.space, system.algebra, system.hamiltonian, system.point, family, frame, rng=3
-            )
+            cert = definiteness_search(system.hamiltonian, family, frame, rng=3)
             assert cert.stable
             assert cert.margin >= baseline_margin - 1e-6
             nontrivial += 1
@@ -279,10 +276,10 @@ class TestConcavity:
 
         checked = 0
         for system in random_system_suite():
-            family = solve_velocities(system.space, system.algebra, system.hamiltonian, system.point)
+            frame = witt_artin_frame(system.space, system.algebra, system.point)
+            family = solve_velocities(system.hamiltonian, frame)
             if family.dim == 0:
                 continue
-            frame = witt_artin_frame(system.space, system.algebra, system.point)
             if frame.dims[2] == 0:
                 continue
 

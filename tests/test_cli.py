@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import slicecert
-from slicecert import bundled_system, load_system, serialize_system
+from slicecert import LieAlgebraBasis, MomentumMap, bundled_system, load_system, serialize_system, symmetry
 from slicecert.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_NOT_RELATIVE_EQUILIBRIUM,
@@ -178,10 +178,11 @@ class TestCertify:
     def test_velocity_off_family_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "so2.json"
         path.write_text(json.dumps(so2_plane_dict()))
-        code = main(["certify", str(path), "--velocity", "2"])
-        out = json.loads(capsys.readouterr().out)
-        assert code == EXIT_NOT_RELATIVE_EQUILIBRIUM
-        assert out["type"] == "PreconditionViolated"
+        for velocity in ("2", "nan", "inf"):
+            code = main(["certify", str(path), "--velocity", velocity])
+            out = json.loads(capsys.readouterr().out)
+            assert code == EXIT_NOT_RELATIVE_EQUILIBRIUM, velocity
+            assert out["type"] == "PreconditionViolated"
 
     def test_saddle_inconclusive(self, saddle):
         report, code = cmd_certify(saddle)
@@ -204,6 +205,91 @@ class TestCertify:
         assert code == EXIT_STABLE
         assert report["verdict"] == "STABLE_NEG_DEF"
         assert report["compactnessVerified"] is False
+
+
+class TestInputValidation:
+    def test_velocity_of_wrong_length(self, capsys):
+        code = main(["certify", "example1", "--velocity", "1,2"])
+        out = json.loads(capsys.readouterr().out)
+        assert (code, out["type"]) == (EXIT_VALIDATION, "DimensionMismatch")
+
+    def test_non_finite_point_flag(self, capsys):
+        code = main(["analyze", "example1", "--point", "nan,0,0,0"])
+        out = json.loads(capsys.readouterr().out)
+        assert (code, out["type"]) == (EXIT_VALIDATION, "ValidationError")
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("omega", 0, 1),
+            ("metric", 2, 2),
+            ("generators", 0, 1, 0),
+            ("structureConstants", 0, 0, 0),
+            ("hamiltonian", 0, "coeff"),
+            ("point", 0),
+            ("algebraMetric", 0, 0),
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_system_entry(self, path, value, tmp_path, capsys):
+        data = serialize_system(load_system("example1"))
+        entry = data
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        system_file = tmp_path / "system.json"
+        system_file.write_text(json.dumps(data))
+        code = main(["validate", str(system_file)])
+        out = json.loads(capsys.readouterr().out)
+        assert (code, out["type"]) == (EXIT_VALIDATION, "ValidationError")
+        assert "non-finite" in out["error"]
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count calls of ``owner.name``: on a class, or in every slicecert module
+    that imported the function by name."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, counted)
+    else:
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("slicecert") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestPointObjectsBuiltOnce:
+    @pytest.mark.parametrize("system_name, point", [
+        ("example1", None), ("example1", [1.0, 0.0, 0.0, 0.0]), ("saddle", None),
+    ])
+    def test_certify(self, monkeypatch, system_name, point):
+        system = load_system(system_name)
+        if point is not None:
+            system = system.with_point(np.array(point))
+        maps = _count_calls(monkeypatch, MomentumMap, "__init__")
+        isotropy = _count_calls(monkeypatch, symmetry, "isotropy_algebra")
+        cmd_certify(system)
+        assert (len(maps), len(isotropy)) == (1, 1)
+
+    def test_probe_builds_one_momentum_map(self, monkeypatch, example1):
+        maps = _count_calls(monkeypatch, MomentumMap, "__init__")
+        cmd_probe(example1, horizon=0.05, samples=2)
+        assert len(maps) == 1
+
+    def test_probe_finds_k_generators_once(self, monkeypatch, example1):
+        # the circle K moves p = (1, 0, 0, 0), so every checkpoint searches its orbit
+        system = example1.with_point(np.array([1.0, 0.0, 0.0, 0.0]))
+        dim_k = slicecert.witt_artin_frame(system.space, system.algebra, system.point).momentum_isotropy.dim
+        matrices = _count_calls(monkeypatch, LieAlgebraBasis, "matrix")
+        report, _ = cmd_probe(system, horizon=0.05, samples=2)
+        assert report["maxOrbitDistance"] > 0.0
+        assert 1 <= dim_k and len(matrices) <= dim_k
 
 
 class TestProbeCommand:

@@ -184,10 +184,8 @@ class TestOrbitDistance:
 class TestProbe:
     def test_example1_bounded(self, example1_parts):
         space, algebra, h = example1_parts
-        mm = MomentumMap(space, algebra)
-        k = momentum_isotropy_algebra(algebra, mm.value(np.zeros(4)))
         report = stability_probe(
-            space, algebra, h, np.zeros(4), k, epsilon=1e-3, horizon=10.0, samples=8, rng=11
+            space, algebra, h, np.zeros(4), epsilon=1e-3, horizon=10.0, samples=8, rng=11
         )
         assert not report.escaped
         assert report.max_orbit_distance <= 10 * 1e-3
@@ -199,18 +197,16 @@ class TestProbe:
         space = SymplecticSpace.canonical(2)
         algebra = LieAlgebraBasis.build(space, np.zeros((0, 2, 2)))
         h = Poly(2, {(1, 1): 1.0})
-        k = Subalgebra(basis=np.zeros((0, 0)))
         report = stability_probe(
-            space, algebra, h, np.zeros(2), k, epsilon=1e-3, horizon=20.0, samples=8, rng=11
+            space, algebra, h, np.zeros(2), epsilon=1e-3, horizon=20.0, samples=8, rng=11
         )
         assert report.escaped
 
     def test_frozen_flow(self):
         space = SymplecticSpace.canonical(2)
         algebra = LieAlgebraBasis.build(space, np.zeros((0, 2, 2)))
-        k = Subalgebra(basis=np.zeros((0, 0)))
         report = stability_probe(
-            space, algebra, Poly.zero(2), np.zeros(2), k, epsilon=1e-3, horizon=5.0, samples=4, rng=11
+            space, algebra, Poly.zero(2), np.zeros(2), epsilon=1e-3, horizon=5.0, samples=4, rng=11
         )
         assert report.max_orbit_distance <= 1e-3
         assert report.energy_drift == 0.0
@@ -218,7 +214,24 @@ class TestProbe:
         assert not report.escaped
 
     def test_rejects_bad_epsilon(self, example1_parts):
+        # and every other out-of-range or non-finite probe argument
         space, algebra, h = example1_parts
-        k = Subalgebra.from_vectors(algebra, np.eye(1))
-        with pytest.raises(ValidationError):
-            stability_probe(space, algebra, h, np.zeros(4), k, epsilon=0.0, horizon=1.0, samples=1)
+        nan, inf = float("nan"), float("inf")
+        for bad in (
+            {"epsilon": 0.0},
+            {"epsilon": nan},
+            {"epsilon": inf},
+            {"samples": 0},
+            {"samples": -3},
+            {"horizon": -5.0},
+            {"horizon": 0.0},
+            {"horizon": nan},
+            {"horizon": inf},
+            {"dt": nan},
+            {"dt": -0.1},
+            {"escape_factor": -1.0},
+            {"escape_factor": nan},
+        ):
+            args = dict({"epsilon": 1e-3, "horizon": 1.0, "samples": 1}, **bad)
+            with pytest.raises(ValidationError):
+                stability_probe(space, algebra, h, np.zeros(4), **args)

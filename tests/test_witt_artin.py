@@ -166,9 +166,9 @@ class TestDescent:
     def test_descends_on_random_system(self, rng):
         system = random_system_suite()[2]
         mm = MomentumMap(system.space, system.algebra)
-        family = solve_velocities(system.space, system.algebra, system.hamiltonian, system.point)
-        kernel = mm.kernel_basis(system.point)
         frame = witt_artin_frame(system.space, system.algebra, system.point)
+        family = solve_velocities(system.hamiltonian, frame)
+        kernel = mm.kernel_basis(system.point)
         q = system.hamiltonian.hessian(system.point) - np.einsum(
             "i,imn->mn", family.xi1, mm.component_hessians()
         )
@@ -184,8 +184,8 @@ class TestDescent:
 class TestRealizationIndependence:
     def test_inertia_stable_under_complement_choice(self, rng):
         for system in random_system_suite()[:4]:
-            family = solve_velocities(system.space, system.algebra, system.hamiltonian, system.point)
             base_frame = witt_artin_frame(system.space, system.algebra, system.point)
+            family = solve_velocities(system.hamiltonian, base_frame)
             base = inertia(
                 restricted_hessian(
                     system.space, system.algebra, system.hamiltonian, system.point, family.xi1, base_frame
