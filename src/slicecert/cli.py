@@ -81,13 +81,43 @@ def bundled_system(name):
         return Path(path)
 
 
+def _floats(key, values):
+    """Field ``key`` of a system file as a float array; anything that is not
+    a rectangular array of numbers raises ParseError."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{key} is not a numeric array: {exc}") from exc
+
+
 def _finite(key, values):
     """Field ``key`` of a system file as a float array; non-finite entries
     raise ValidationError."""
-    values = np.asarray(values, dtype=float)
+    values = _floats(key, values)
     if not np.isfinite(values).all():
         raise ValidationError(f"{key} has a non-finite entry")
     return values
+
+
+def _dimension(value):
+    """The ``dim`` field as an int; anything but a whole number raises
+    ParseError."""
+    whole = (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and math.isfinite(value) and value == int(value)
+    )
+    if not whole:
+        raise ParseError(f"dim must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _records(value):
+    """The ``hamiltonian`` field: a list of {"exponents", "coeff"} objects."""
+    if not isinstance(value, list) or not all(
+        isinstance(rec, dict) and "exponents" in rec and "coeff" in rec for rec in value
+    ):
+        raise ParseError('hamiltonian must be a list of {"exponents": [...], "coeff": c} records')
+    return value
 
 
 def system_from_dict(data):
@@ -95,7 +125,7 @@ def system_from_dict(data):
     for key in ("dim", "generators", "hamiltonian", "point"):
         if key not in data:
             raise ParseError(f"missing required field '{key}'")
-    dim = int(data["dim"])
+    dim = _dimension(data["dim"])
     omega = _finite("omega", data["omega"]) if data.get("omega") is not None else canonical_omega(dim)
     metric = _finite("metric", data["metric"]) if data.get("metric") is not None else np.eye(dim)
     space = SymplecticSpace(dim=dim, omega=omega, metric=metric)
@@ -105,9 +135,10 @@ def system_from_dict(data):
         structure = _finite("structureConstants", structure)
     algebra = LieAlgebraBasis.build(space, _finite("generators", data["generators"]), structure=structure)
 
-    _finite("hamiltonian coefficients", [rec["coeff"] for rec in data["hamiltonian"]])
-    hamiltonian = Poly.from_records(dim, data["hamiltonian"])
-    point = space.check_point(np.asarray(data["point"], dtype=float))
+    records = _records(data["hamiltonian"])
+    _finite("hamiltonian coefficients", [rec["coeff"] for rec in records])
+    hamiltonian = Poly.from_records(dim, records)
+    point = space.check_point(_floats("point", data["point"]))
 
     if data.get("algebraMetric") is not None:
         algebra_metric = _finite("algebraMetric", data["algebraMetric"])
@@ -220,15 +251,23 @@ def cmd_analyze(system, point=None):
     return report, 0
 
 
+def _seeded_rng(seed):
+    """numpy's generator for a command's ``--seed``, which must be >= 0."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def cmd_certify(system, velocity=None, seed=42):
     space, algebra, h = system.space, system.algebra, system.hamiltonian
     p = system.point
+    rng = _seeded_rng(seed)
     frame = witt_artin_frame(space, algebra, p)
     family = solve_velocities(h, frame)
     xi_perp = orthogonal_velocity(family, system.algebra_metric)
     h_perp = restricted_hessian(space, algebra, h, p, xi_perp, frame, check=False)
     if velocity is None:
-        cert = definiteness_search(h, family, frame, rng=np.random.default_rng(seed))
+        cert = definiteness_search(h, family, frame, rng=rng)
     else:
         cert = velocity_certificate(h, family, frame, velocity)
     report = {
@@ -261,7 +300,7 @@ def cmd_probe(system, epsilon=1e-3, horizon=100.0, samples=16, dt=1e-2,
         samples=samples,
         dt=dt,
         escape_factor=escape_factor,
-        rng=np.random.default_rng(seed),
+        rng=_seeded_rng(seed),
         csv_path=csv_path,
     )
     out = {

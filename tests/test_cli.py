@@ -244,6 +244,44 @@ class TestInputValidation:
         assert (code, out["type"]) == (EXIT_VALIDATION, "ValidationError")
         assert "non-finite" in out["error"]
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("dim",), float("nan")),
+            (("generators", 0, 1), [1.0, 0.0]),  # a ragged row
+            (("hamiltonian", 0, "coeff"), "abc"),
+            (("point",), "abc"),
+            (("hamiltonian",), {"exponents": [2, 0, 0, 0], "coeff": 1.0}),
+        ],
+        ids=["dim-nan", "ragged-generators", "string-coeff", "string-point", "hamiltonian-object"],
+    )
+    def test_malformed_system_entry(self, path, value, tmp_path, capsys):
+        data = example1_dict()
+        entry = data
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        system_file = tmp_path / "system.json"
+        system_file.write_text(json.dumps(data))
+        code = main(["validate", str(system_file)])
+        out = json.loads(capsys.readouterr().out)
+        assert (code, out["type"]) == (EXIT_VALIDATION, "ParseError")
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["probe", "example1", "--horizon", "0.05", "--csv", "/nonexistent-dir/x.csv"], "ParseError"),
+            (["probe", "example1", "--horizon", "1e300", "--dt", "1e-300"], "ValidationError"),
+            (["probe", "example1", "--horizon", "0.05", "--seed", "-1"], "ValidationError"),
+            (["certify", "example1", "--seed", "-1"], "ValidationError"),
+        ],
+        ids=["unwritable-csv", "overflowing-steps", "probe-negative-seed", "certify-negative-seed"],
+    )
+    def test_bad_command_argument(self, argv, kind, capsys):
+        code = main(argv)
+        out = json.loads(capsys.readouterr().out)
+        assert (code, out["type"]) == (EXIT_VALIDATION, kind)
+
 
 def _count_calls(monkeypatch, owner, name):
     """Count calls of ``owner.name``: on a class, or in every slicecert module
@@ -422,11 +460,22 @@ class TestEnvironment:
         assert json.loads(result.stdout)["verdict"] == "STABLE_NEG_DEF"
 
     @pytest.mark.parametrize(
-        "argv", [["certify", "example1"], ["probe", "example1", "--horizon", "0.05", "--samples", "1"]]
+        "argv",
+        [
+            ["certify", "example1"],
+            ["probe", "example1", "--horizon", "0.05", "--samples", "1"],
+            ["probe", "MOVED", "--horizon", "0.05", "--samples", "3"],
+        ],
     )
-    def test_scipy_optimize_is_not_imported(self, argv):
-        # Only the orbit-distance search needs scipy.optimize, and example1's
-        # base point is K-fixed, so its probe never runs that search.
+    def test_scipy_optimize_is_not_imported(self, argv, tmp_path):
+        # Only the Nelder-Mead orbit search for non-abelian K needs
+        # scipy.optimize.  example1's base point is K-fixed; at MOVED =
+        # (1, 0, 0, 0) its circle K moves p and takes the closed form.
+        data = example1_dict()
+        data["point"] = [1.0, 0.0, 0.0, 0.0]
+        moved = tmp_path / "example1_moved.json"
+        moved.write_text(json.dumps(data))
+        argv = [str(moved) if arg == "MOVED" else arg for arg in argv]
         code = (
             "import contextlib, io, sys\n"
             "from slicecert.cli import main\n"

@@ -1,13 +1,18 @@
 """Implicit midpoint integration, orbit distance, and the stability probe."""
 
+import csv
+import json
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from slicecert import (
     LieAlgebraBasis,
     MomentumMap,
     Poly,
     SymplecticSpace,
+    bundled_system,
     group_exp,
     hamiltonian_vector_field,
     integrate,
@@ -15,10 +20,17 @@ from slicecert import (
     orbit_distance,
     stability_probe,
 )
+from slicecert.cli import main
 from slicecert.errors import SolverDiverged, ValidationError
 from slicecert.symmetry import Subalgebra
 
-from systems import example1_generator, example1_hamiltonian, su2_generators
+from systems import (
+    PAULI,
+    example1_generator,
+    example1_hamiltonian,
+    su2_generators,
+    torus_generators,
+)
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +151,35 @@ class TestIntegrate:
             integrate(space2, h, np.array([10.0, 10.0]), 10.0, 1, max_newton=3)
 
 
+# Abelian K, given by raw generators whose exponentials have period 2 pi:
+# example1's circle, the weights-(1, 2) circle, and a 2-torus whose second
+# generator fixes p.
+ABELIAN_CASES = {
+    "example1": (example1_generator()[None], [1.0, 0.2, -0.4, 0.3]),
+    "weights12": (torus_generators([[1, 2]]), [0.9, -0.3, 0.5, 0.6]),
+    "t2-fixing": (torus_generators([[1, 0], [0, 1]]), [0.8, -0.6, 0.0, 0.0]),
+}
+
+
+def _abelian_case(name):
+    """(space, algebra, K, raw generators, p); K is the whole algebra."""
+    gens, p = ABELIAN_CASES[name]
+    space = SymplecticSpace.canonical(gens.shape[1])
+    algebra = LieAlgebraBasis.build(space, gens)
+    return space, algebra, Subalgebra.from_vectors(algebra, np.eye(len(gens))), gens, np.array(p)
+
+
+def _dense_orbit(gens, p, per_axis):
+    """exp(sum_i theta_i G_i) p over a per_axis^m grid of one period [0, 2 pi)^m,
+    each factor by scipy's expm."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, per_axis, endpoint=False)
+    points = p[None, :]
+    for g in gens:
+        factors = scipy.linalg.expm(thetas[:, None, None] * g)
+        points = np.einsum("kij,qj->kqi", factors, points).reshape(-1, len(p))
+    return points
+
+
 class TestOrbitDistance:
     def test_same_point(self, example1_parts):
         space, algebra, _ = example1_parts
@@ -179,6 +220,85 @@ class TestOrbitDistance:
         for _ in range(5):
             x = rng.standard_normal(4)
             assert orbit_distance(space, algebra, x, p, k, rng=rng) <= space.norm(x - p) + 1e-12
+
+    @pytest.mark.parametrize("name", sorted(ABELIAN_CASES))
+    def test_no_worse_than_dense_reference(self, name, rng):
+        space, algebra, k, gens, p = _abelian_case(name)
+        reference_points = _dense_orbit(gens, p, 20_000 if len(gens) == 1 else 1_000)
+        for _ in range(12):
+            theta = rng.uniform(-np.pi, np.pi, len(gens))
+            u = rng.standard_normal(len(p))
+            x = scipy.linalg.expm(np.tensordot(theta, gens, axes=1)) @ p
+            x += 10 ** rng.uniform(-4, 0) * u / np.linalg.norm(u)
+            reference = np.linalg.norm(reference_points - x, axis=1).min()
+            dist = orbit_distance(space, algebra, x, p, k)
+            assert dist <= reference * (1 + 1e-9)
+            assert dist <= space.norm(x - p)
+
+    @pytest.mark.parametrize("name", sorted(ABELIAN_CASES))
+    def test_group_translates_are_on_the_orbit(self, name, rng):
+        space, algebra, k, gens, p = _abelian_case(name)
+        for _ in range(8):
+            theta = rng.uniform(-np.pi, np.pi, len(gens))
+            x = scipy.linalg.expm(np.tensordot(theta, gens, axes=1)) @ p
+            assert orbit_distance(space, algebra, x, p, k) <= 1e-9
+
+    @pytest.mark.parametrize("starts", [4, 32])
+    def test_circle_grid_spans_the_full_period(self, starts):
+        # The box pi max(1, 1/|A|_2) of the normalized generator spans a third
+        # of this circle's period; a 2.5 rad turn of the raw generator lies
+        # outside it, yet on the orbit.
+        space = SymplecticSpace.canonical(4)
+        gens = torus_generators([[1, 3]])
+        algebra = LieAlgebraBasis.build(space, gens)
+        k = Subalgebra.from_vectors(algebra, np.eye(1))
+        p = np.array([1.0, 0.0, 0.7, 0.2])
+        x = scipy.linalg.expm(2.5 * gens[0]) @ p
+        assert orbit_distance(space, algebra, x, p, k, starts=starts) <= 1e-9
+
+    def test_non_abelian_k_falls_back_to_nelder_mead(self):
+        # p = (z, i sigma_y conj(z)) on two spin-1/2 blocks has J(p) = 0
+        # exactly (dyadic entries), so K is all of su(2) and moves p.
+        space = SymplecticSpace.canonical(8)
+        algebra = LieAlgebraBasis.build(space, su2_generators(blocks=2))
+        z = np.array([0.5 - 0.25j, 0.375 + 0.5j])
+        zc = np.concatenate([z, 1j * PAULI[1] @ z.conj()])
+        p = np.empty(8)
+        p[0::2], p[1::2] = zc.real, zc.imag
+        mu = MomentumMap(space, algebra).value(p)
+        assert np.all(mu == 0.0)
+        k = momentum_isotropy_algebra(algebra, mu)
+        assert k.dim == 3
+        draws = np.random.default_rng(5)
+        for i in range(3):
+            x = group_exp(algebra, draws.uniform(-1.5, 1.5, 3)) @ p
+            dist = orbit_distance(space, algebra, x, p, k, starts=4, rng=np.random.default_rng(i))
+            assert dist <= 1e-6
+
+    @pytest.mark.parametrize("seed", [3, 42])
+    def test_sampled_starts_depend_on_the_seed_alone(self, seed, tmp_path, capsys):
+        # At (1, 0, 0, 0) example1's circle K moves p, so every checkpoint
+        # searches the orbit; the initial conditions must still be the
+        # sample draws of default_rng(seed) and nothing else.
+        data = json.loads(bundled_system("example1").read_text())
+        data["point"] = p = [1.0, 0.0, 0.0, 0.0]
+        system_file, csv_file = tmp_path / "system.json", tmp_path / "probe.csv"
+        system_file.write_text(json.dumps(data))
+        epsilon = 1e-3
+        code = main(["probe", str(system_file), "--samples", "3", "--horizon", "0.05",
+                     "--epsilon", str(epsilon), "--seed", str(seed), "--csv", str(csv_file)])
+        capsys.readouterr()
+        assert code == 0
+        with csv_file.open(newline="") as handle:
+            starts = [[float(v) for v in row[2:6]] for row in csv.reader(handle)
+                      if row[1] in ("0", "0.0")]
+        draws = np.random.default_rng(seed)
+        expected = []
+        for _ in range(3):
+            direction = draws.standard_normal(4)
+            direction /= np.linalg.norm(direction)
+            expected.append(np.array(p) + epsilon * draws.random() ** 0.25 * direction)
+        np.testing.assert_allclose(starts, expected, rtol=0, atol=1e-15)
 
 
 class TestProbe:
