@@ -7,23 +7,11 @@ from .symmetry import (
     Subalgebra,
     compactness_certificate,
     derive_structure_constants,
-    group_exp,
     isotropy_algebra,
     normalizer_algebra,
 )
-from .momentum import (
-    MomentumMap,
-    ad_star,
-    invariance_residual,
-    momentum_isotropy_algebra,
-)
-from .witt_artin import (
-    WittArtinFrame,
-    descent_residual,
-    slice_momentum_map,
-    slice_symplectic_form,
-    witt_artin_frame,
-)
+from .momentum import MomentumMap, invariance_residual, momentum_isotropy_algebra
+from .witt_artin import WittArtinFrame, witt_artin_frame
 from .certify import (
     DEFINITENESS_TOL,
     StabilityCertificate,
@@ -35,13 +23,7 @@ from .certify import (
     velocity_certificate,
     velocity_residual,
 )
-from .dynamics import (
-    ProbeReport,
-    hamiltonian_vector_field,
-    integrate,
-    orbit_distance,
-    stability_probe,
-)
+from .dynamics import ProbeReport, integrate, orbit_distance, stability_probe
 from .cli import SystemDefinition, bundled_system, load_system, serialize_system
 
 __version__ = "0.1.0"
@@ -56,16 +38,11 @@ __all__ = [
     "isotropy_algebra",
     "normalizer_algebra",
     "compactness_certificate",
-    "group_exp",
     "MomentumMap",
-    "ad_star",
     "momentum_isotropy_algebra",
     "invariance_residual",
     "WittArtinFrame",
     "witt_artin_frame",
-    "slice_symplectic_form",
-    "slice_momentum_map",
-    "descent_residual",
     "VelocityFamily",
     "StabilityCertificate",
     "solve_velocities",
@@ -76,7 +53,6 @@ __all__ = [
     "orthogonal_velocity",
     "DEFINITENESS_TOL",
     "ProbeReport",
-    "hamiltonian_vector_field",
     "integrate",
     "orbit_distance",
     "stability_probe",

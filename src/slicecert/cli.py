@@ -9,6 +9,7 @@ equilibrium (or a rejected --velocity), 4 = validation or parse failure.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -325,7 +326,9 @@ def _parse_vector(text):
     return np.array([float(part) for part in text.split(",")])
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="slicecert",
         description="Certify Lyapunov stability of relative equilibria in "
@@ -380,8 +383,7 @@ def _summary(command, report):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         system = load_system(args.file)
         if args.command == "validate":

@@ -10,7 +10,10 @@ to multi-start Nelder-Mead.  Either way the value is the distance to an
 actual orbit point, so it only ever overestimates, and probes err toward
 declaring escape, never toward confirming stability.  The fallback's random
 starts come from a child stream of the probe's generator, so the sampled
-initial conditions depend on the seed alone.
+initial conditions depend on the seed alone.  scipy is imported only where
+it is needed: ``scipy.linalg.expm`` once K moves p, ``scipy.optimize`` for
+the fallback.  So a probe at a K-fixed point, like every other command,
+loads neither.
 """
 
 import csv
@@ -18,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ParseError, SolverDiverged, ValidationError
 from .linalg import metric_inv_sqrt
@@ -33,13 +35,7 @@ PERIOD_MAX_DENOMINATOR = 100  # frequency ratios a circle period may have
 NEWTON_ITERS = 30  # Newton steps per checkpoint, and halvings per step
 NEWTON_EIG_FLOOR = 1e-8  # Hessian |eigenvalue| floor, relative to the largest
 NEWTON_TOL = 1e-15  # stop once a step promises less, relative to |x - q|^2
-
-
-def hamiltonian_vector_field(space, hamiltonian, x):
-    """X_h(x) = Omega^{-1} grad h(x); satisfies x1' = dh/dy1 in canonical
-    2d coordinates and conserves h and every momentum component."""
-    x = space.check_point(x)
-    return space.omega_inverse() @ hamiltonian.gradient(x)
+MAX_TRAJECTORY_ENTRIES = 1 << 27  # (steps + 1) * dim floats a probe may hold: 1 GiB
 
 
 def integrate(space, hamiltonian, x0, dt, steps, tol=MIDPOINT_TOL, max_newton=MAX_NEWTON):
@@ -165,12 +161,13 @@ def _nelder_mead_distance(amats, p, metric, box):
     one eigenbasis does not diagonalize.  Starts: the identity, the caller's
     warm start, then random points of [-box, box]^m from ``rng``."""
     import scipy.optimize  # only this search needs it; deferred to keep startup light
+    from scipy.linalg import expm
 
     m = len(amats)
 
     def distance(x, starts, rng, extra_start=None):
         def objective(t):
-            q = scipy.linalg.expm(np.tensordot(t, amats, axes=1)) @ p
+            q = expm(np.tensordot(t, amats, axes=1)) @ p
             d = x - q
             return float(d @ metric @ d)
 
@@ -214,6 +211,7 @@ def _orbit_distance_to(space, algebra, p, sub_k):
     if not len(amats) or np.abs(amats @ p).max() <= 1e-13 * (1.0 + float(np.abs(p).max())):
         # K is trivial or fixes p: the orbit is the single point p.
         return lambda x, starts, rng, extra_start=None: (metric_dist(x, p), np.zeros(sub_k.dim))
+    from scipy.linalg import expm  # deferred: only an orbit that moves p needs it
 
     norms = np.array([np.linalg.norm(a, 2) for a in amats])
     box = math.pi * max(1.0, 1.0 / norms.min())
@@ -272,7 +270,7 @@ def _orbit_distance_to(space, algebra, p, sub_k):
             if found is None:
                 break
             t, (f, z, md) = found
-        q = scipy.linalg.expm(np.tensordot(t, amats, axes=1)) @ p
+        q = expm(np.tensordot(t, amats, axes=1)) @ p
         return min(metric_dist(x, q), metric_dist(x, p)), t
 
     return distance
@@ -348,6 +346,12 @@ def stability_probe(
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(42 if rng is None else int(rng))
     steps = max(1, int(math.ceil(horizon / dt)))
+    if (steps + 1) * space.dim > MAX_TRAJECTORY_ENTRIES:
+        raise ValidationError(
+            f"horizon / dt = {steps} steps: a trajectory of (steps + 1) * dim = "
+            f"{(steps + 1) * space.dim} entries exceeds the bound of "
+            f"{MAX_TRAJECTORY_ENTRIES} (1 GiB of float64)"
+        )
     stride = max(1, steps // 200)
     inv_sqrt = metric_inv_sqrt(space.metric)
     mm = MomentumMap(space, algebra)

@@ -4,9 +4,15 @@ import os
 
 import numpy as np
 
-# A singular value sigma counts as zero iff sigma <= RANK_TOL * max(1, sigma_max).
+# A singular value sigma counts as zero iff sigma <= RANK_TOL * max(1, scale),
+# where scale is the largest singular value of the matrix being judged.
 # The environment variable SLICECERT_TOL overrides the default.
 RANK_TOL = float(os.environ.get("SLICECERT_TOL", "1e-9"))
+
+
+def _rank(sigma, scale):
+    """Number of singular values in ``sigma`` that count as nonzero."""
+    return int(np.count_nonzero(sigma > RANK_TOL * max(1.0, float(scale))))
 
 
 def nullspace(mat):
@@ -20,46 +26,37 @@ def nullspace(mat):
     if rows == 0 or not np.any(mat):
         return np.eye(cols)
     _, sigma, vh = np.linalg.svd(mat)
-    cutoff = RANK_TOL * max(1.0, float(sigma[0]))
-    rank = int(np.sum(sigma > cutoff))
-    return vh[rank:].T.copy()
+    return vh[_rank(sigma, sigma[0]):].T.copy()
 
 
 def orthonormalize(vectors, gram=None, against=None):
-    """Modified Gram-Schmidt with one reorthogonalization pass.
+    """Orthonormal basis (columns) of the span of ``vectors`` with ``against``
+    projected out, by one SVD after metric whitening.
 
-    ``vectors`` holds candidate columns; ``gram`` is the inner-product matrix
-    (Euclidean when omitted); ``against`` holds columns that are already
-    orthonormal in that inner product and are projected out first.  Columns
-    whose residual norm drops below ``RANK_TOL * max(1, original norm)`` are
-    discarded.  Returns the surviving orthonormal columns.
+    ``gram`` is the inner-product matrix (Euclidean when omitted); ``against``
+    holds columns that are already orthonormal in that inner product.  With
+    G = L L^T, the columns are whitened to L^T v, ``against`` is projected
+    out twice, and the left singular vectors that ``_rank`` keeps are mapped
+    back through L^-T.  The scale of the rank rule is the largest singular
+    value of the whitened input before projection, so a direction that only
+    rounding leaves after projection is dropped.
     """
     v = np.asarray(vectors, dtype=float)
     if v.ndim != 2:
         v = np.atleast_2d(v).T
     n = v.shape[0]
-
-    def ip(a, b):
-        return float(a @ gram @ b) if gram is not None else float(a @ b)
-
-    fixed = []
-    if against is not None and against.size:
-        fixed = [against[:, j] for j in range(against.shape[1])]
-    kept = []
-    for j in range(v.shape[1]):
-        w = v[:, j].copy()
-        norm0 = np.sqrt(max(ip(w, w), 0.0))
-        for _ in range(2):
-            for q in fixed:
-                w -= ip(q, w) * q
-            for q in kept:
-                w -= ip(q, w) * q
-        norm1 = np.sqrt(max(ip(w, w), 0.0))
-        if norm1 > RANK_TOL * max(1.0, norm0):
-            kept.append(w / norm1)
-    if not kept:
+    if not v.shape[1]:
         return np.zeros((n, 0))
-    return np.column_stack(kept)
+    lt = np.eye(n) if gram is None else np.linalg.cholesky(gram).T
+    w = lt @ v
+    scale = np.linalg.norm(w, 2)
+    if against is not None and against.size:
+        q = lt @ against
+        for _ in range(2):
+            w = w - q @ (q.T @ w)
+    u, sigma, _ = np.linalg.svd(w, full_matrices=False)
+    kept = u[:, : _rank(sigma, scale)]
+    return np.linalg.solve(lt, kept)
 
 
 def inertia(sym_matrix, zero_tol):

@@ -7,7 +7,6 @@ grad J_i(x) . v = omega(A_i x, v), which the test suite asserts.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch
 from .linalg import nullspace, orthonormalize
@@ -15,20 +14,6 @@ from .phase_space import Poly
 from .symmetry import Subalgebra
 
 INVARIANCE_SAMPLES = 100
-
-
-def adstar_matrix(algebra, eta):
-    """Matrix of mu -> ad*_eta mu, where <ad*_eta mu, xi> = -<mu, [eta, xi]>."""
-    eta = np.asarray(eta, dtype=float)
-    if algebra.dim == 0:
-        return np.zeros((0, 0))
-    return -np.einsum("a,aji->ji", eta, algebra.structure)
-
-
-def ad_star(algebra, eta, mu):
-    """Infinitesimal coadjoint action ad*_eta mu; bilinear in (eta, mu)."""
-    mu = np.asarray(mu, dtype=float)
-    return adstar_matrix(algebra, eta) @ mu
 
 
 def momentum_isotropy_algebra(algebra, mu):
@@ -90,21 +75,6 @@ class MomentumMap:
         """Metric-orthonormal basis (columns) of ker dJ(p)."""
         null = nullspace(self.differential_rows(p))
         return orthonormalize(null, gram=self.space.metric)
-
-    def equivariance_residual(self, x, eta, t):
-        """|J(exp(tA(eta)) x) - Coad_{exp(t eta)} J(x)|.
-
-        The coadjoint transport is the propagator of mu' = ad*_eta mu, i.e.
-        expm of the constant ad* matrix.
-        """
-        x = self.space.check_point(x)
-        eta = np.asarray(eta, dtype=float)
-        g = scipy.linalg.expm(float(t) * self.algebra.matrix(eta))
-        moved = self.value(g @ x)
-        if self.algebra.dim == 0:
-            return 0.0
-        transport = scipy.linalg.expm(float(t) * adstar_matrix(self.algebra, eta))
-        return float(np.linalg.norm(moved - transport @ self.value(x)))
 
 
 def invariance_residual(space, algebra, hamiltonian):

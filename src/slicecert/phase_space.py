@@ -312,59 +312,6 @@ class Poly:
     def __rsub__(self, other):
         return self._coerce(other) + (-self)
 
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            return Poly(self.nvars, {e: c * float(other) for e, c in self._terms.items()})
-        other = self._coerce(other)
-        terms = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, 0.0) + c1 * c2
-        return Poly(self.nvars, terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValidationError("polynomial powers must be non-negative integers")
-        out = Poly.constant(self.nvars, 1.0)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
-    def compose_linear(self, matrix):
-        """Substitute x -> M y, returning the expanded polynomial in y."""
-        m = np.asarray(matrix, dtype=float)
-        if m.shape[0] != self.nvars:
-            raise DimensionMismatch(f"matrix with {m.shape[0]} rows, expected {self.nvars}")
-        k = m.shape[1]
-        linear = []
-        for i in range(self.nvars):
-            terms = {}
-            for j in range(k):
-                if m[i, j] != 0.0:
-                    exps = [0] * k
-                    exps[j] = 1
-                    terms[tuple(exps)] = m[i, j]
-            linear.append(Poly(k, terms))
-        powers = {}
-
-        def lin_pow(i, e):
-            key = (i, e)
-            if key not in powers:
-                powers[key] = linear[i] ** e
-            return powers[key]
-
-        out = Poly.zero(k)
-        for exps, coeff in self._terms.items():
-            term = Poly.constant(k, coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * lin_pow(i, e)
-            out = out + term
-        return out
-
     # -- misc -----------------------------------------------------------------
 
     def __eq__(self, other):

@@ -9,7 +9,6 @@ the Frobenius inner product of the generator matrices.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -268,8 +267,3 @@ def compactness_certificate(algebra, metric):
         if np.abs(a.T @ metric + metric @ a).max() > COMPACTNESS_TOL:
             return False
     return True
-
-
-def group_exp(algebra, xi, t=1.0):
-    """exp(t A(xi)); symplectic whenever A(xi) is Hamiltonian."""
-    return scipy.linalg.expm(float(t) * algebra.matrix(xi))

@@ -12,9 +12,15 @@ chosen point.
 
 The builders use slicecert itself (``Poly.gradient``, ``nullspace``), so a
 rounding-level change there would change the systems under test.  The
-suite is therefore frozen in ``suite_systems.json`` and loaded from it;
-``python tests/systems.py`` rebuilds that file, which a change must do only
-on purpose and say so in CHANGES.md.
+suite is therefore frozen in ``suite_systems.json`` and loaded from it, and
+that committed file is the reference.  The builders no longer reproduce it:
+``python tests/systems.py`` writes a file that differs from it on 388
+lines.  Rewrite it only on purpose, and say so in CHANGES.md.
+
+Polynomial products, powers and linear substitutions are the plain
+functions ``poly_mul``, ``poly_pow`` and ``compose_linear`` below: the
+builders and the tests need them, the pipeline never multiplies
+polynomials, so ``Poly`` has no product of its own.
 """
 
 import json
@@ -52,6 +58,58 @@ def random_unitary(rng, k):
     z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# -- polynomial arithmetic ------------------------------------------------------
+
+
+def poly_mul(a, b):
+    """a * b for a polynomial a and a polynomial or scalar b."""
+    if not isinstance(b, Poly):
+        return Poly(a.nvars, {e: c * float(b) for e, c in a.terms.items()})
+    if b.nvars != a.nvars:
+        raise ValueError("polynomials over different variable counts")
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            terms[key] = terms.get(key, 0.0) + c1 * c2
+    return Poly(a.nvars, terms)
+
+
+def poly_pow(a, exponent):
+    """a ** exponent for a non-negative integer exponent."""
+    out = Poly.constant(a.nvars, 1.0)
+    for _ in range(exponent):
+        out = poly_mul(out, a)
+    return out
+
+
+def compose_linear(a, matrix):
+    """Substitute x -> M y in the polynomial a, expanded in y."""
+    m = np.asarray(matrix, dtype=float)
+    if m.shape[0] != a.nvars:
+        raise ValueError(f"matrix with {m.shape[0]} rows, expected {a.nvars}")
+    k = m.shape[1]
+    linear = [
+        Poly(k, {tuple(int(c == j) for c in range(k)): m[i, j] for j in range(k) if m[i, j] != 0.0})
+        for i in range(a.nvars)
+    ]
+    powers = {}
+
+    def lin_pow(i, e):
+        if (i, e) not in powers:
+            powers[i, e] = poly_pow(linear[i], e)
+        return powers[i, e]
+
+    out = Poly.zero(k)
+    for exps, coeff in a.terms.items():
+        term = Poly.constant(k, coeff)
+        for i, e in enumerate(exps):
+            if e:
+                term = poly_mul(term, lin_pow(i, e))
+        out = out + term
+    return out
 
 
 # -- example systems ----------------------------------------------------------
@@ -106,7 +164,7 @@ def torus_generators(weights):
 def _cmul(a, b):
     ar, ai = a
     br, bi = b
-    return (ar * br - ai * bi, ar * bi + ai * br)
+    return (poly_mul(ar, br) - poly_mul(ai, bi), poly_mul(ar, bi) + poly_mul(ai, br))
 
 
 def complex_monomial(nvars, a_exp, b_exp):
@@ -168,8 +226,8 @@ def hermitian_pairing(nvars, blocks, r, s):
         yr = Poly.coordinate(nvars, 2 * (2 * r + j) + 1)
         xs = Poly.coordinate(nvars, 2 * (2 * s + j))
         ys = Poly.coordinate(nvars, 2 * (2 * s + j) + 1)
-        re = re + xr * xs + yr * ys
-        im = im + xr * ys - yr * xs
+        re = re + poly_mul(xr, xs) + poly_mul(yr, ys)
+        im = im + poly_mul(xr, ys) - poly_mul(yr, xs)
     return re, im
 
 
@@ -186,11 +244,11 @@ def su2_invariant_polys(space, algebra, blocks):
     out = list(quadratics)
     for i in range(len(quadratics)):
         for j in range(i, len(quadratics)):
-            out.append(quadratics[i] * quadratics[j])
+            out.append(poly_mul(quadratics[i], quadratics[j]))
     mm = MomentumMap(space, algebra)
     casimir = Poly.zero(nvars)
     for a in range(algebra.dim):
-        casimir = casimir + mm.component(a) * mm.component(a)
+        casimir = casimir + poly_mul(mm.component(a), mm.component(a))
     out.append(casimir)
     return out
 
@@ -223,7 +281,7 @@ def solve_hamiltonian_at(space, algebra, basis_polys, p, rng, tries=50):
     xi = xi / scale
     h = Poly.zero(space.dim)
     for ci, basis in zip(c, basis_polys):
-        h = h + ci * basis
+        h = h + poly_mul(basis, ci)
     return h, xi
 
 
@@ -259,7 +317,7 @@ def _torus_system(rng, weights, conjugate, structured_support=None):
     if conjugate:
         rot = realify(random_unitary(rng, n))
         gens = np.array([rot @ g @ rot.T for g in gens])
-        polys = [b.compose_linear(rot.T) for b in polys]
+        polys = [compose_linear(b, rot.T) for b in polys]
         p = rot @ p
     from slicecert.symmetry import LieAlgebraBasis
 

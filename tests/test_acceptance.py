@@ -15,7 +15,6 @@ from slicecert import (
     Poly,
     SymplecticSpace,
     LieAlgebraBasis,
-    descent_residual,
     integrate,
     momentum_isotropy_algebra,
     orthogonal_velocity,
@@ -28,6 +27,7 @@ from slicecert.certify import DEFINITENESS_TOL
 from slicecert.cli import cmd_certify, load_system
 from slicecert.linalg import inertia
 
+from reference import descent_residual
 from systems import random_system_suite
 
 

@@ -8,7 +8,6 @@ from slicecert import (
     Poly,
     SymplecticSpace,
     definiteness_search,
-    group_exp,
     orthogonal_velocity,
     restricted_hessian,
     solve_velocities,
@@ -19,6 +18,7 @@ from slicecert.errors import NotRelativeEquilibrium, PreconditionViolated
 from slicecert.linalg import inertia
 from slicecert.symmetry import Subalgebra, isotropy_algebra
 
+from reference import group_exp
 from systems import example1_generator, example1_hamiltonian, random_system_suite
 
 

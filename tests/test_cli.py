@@ -1,5 +1,6 @@
 """System files, reports, and exit codes."""
 
+import argparse
 import json
 import os
 import shutil
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import slicecert
-from slicecert import LieAlgebraBasis, MomentumMap, bundled_system, load_system, serialize_system, symmetry
+from slicecert import LieAlgebraBasis, MomentumMap, bundled_system, cli, load_system, serialize_system, symmetry
 from slicecert.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_NOT_RELATIVE_EQUILIBRIUM,
@@ -274,8 +275,11 @@ class TestInputValidation:
             (["probe", "example1", "--horizon", "1e300", "--dt", "1e-300"], "ValidationError"),
             (["probe", "example1", "--horizon", "0.05", "--seed", "-1"], "ValidationError"),
             (["certify", "example1", "--seed", "-1"], "ValidationError"),
+            (["probe", "example1", "--horizon", "1e20", "--dt", "1"], "ValidationError"),
+            (["probe", "example1", "--horizon", "1e9", "--dt", "1e-3"], "ValidationError"),
         ],
-        ids=["unwritable-csv", "overflowing-steps", "probe-negative-seed", "certify-negative-seed"],
+        ids=["unwritable-csv", "overflowing-steps", "probe-negative-seed", "certify-negative-seed",
+             "unallocatable-trajectory", "oversized-trajectory"],
     )
     def test_bad_command_argument(self, argv, kind, capsys):
         code = main(argv)
@@ -358,6 +362,23 @@ class TestMainExitCodes:
         code = main(["validate", "example1"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["valid"]
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        # count the top-level parsers built, not the subparsers
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            if kwargs.get("prog") == "slicecert":
+                built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        assert main(["validate", "example1"]) == 0
+        assert main(["validate", "saddle"]) == 0
+        capsys.readouterr()
+        assert len(built) == 1
 
     def test_inconclusive_is_two(self, capsys):
         code = main(["certify", "saddle"])
@@ -469,8 +490,10 @@ class TestEnvironment:
     )
     def test_scipy_optimize_is_not_imported(self, argv, tmp_path):
         # Only the Nelder-Mead orbit search for non-abelian K needs
-        # scipy.optimize.  example1's base point is K-fixed; at MOVED =
+        # scipy.optimize, and only an orbit that moves p needs
+        # scipy.linalg.  example1's base point is K-fixed; at MOVED =
         # (1, 0, 0, 0) its circle K moves p and takes the closed form.
+        moves_p = "MOVED" in argv
         data = example1_dict()
         data["point"] = [1.0, 0.0, 0.0, 0.0]
         moved = tmp_path / "example1_moved.json"
@@ -481,13 +504,21 @@ class TestEnvironment:
             "from slicecert.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = main({argv!r})\n"
-            "print(code, 'scipy.optimize' in sys.modules)\n"
+            "print(code, 'scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == [str(EXIT_STABLE), "False"]
+        assert result.stdout.split() == [str(EXIT_STABLE), "False", str(moves_p)]
+
+    def test_import_loads_no_scipy_linalg(self):
+        code = "import sys, slicecert\nprint(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_every_export_resolves(self):
         missing = [name for name in slicecert.__all__ if not hasattr(slicecert, name)]

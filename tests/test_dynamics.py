@@ -13,8 +13,6 @@ from slicecert import (
     Poly,
     SymplecticSpace,
     bundled_system,
-    group_exp,
-    hamiltonian_vector_field,
     integrate,
     momentum_isotropy_algebra,
     orbit_distance,
@@ -24,6 +22,7 @@ from slicecert.cli import main
 from slicecert.errors import SolverDiverged, ValidationError
 from slicecert.symmetry import Subalgebra
 
+from reference import group_exp, hamiltonian_vector_field
 from systems import (
     PAULI,
     example1_generator,

@@ -8,12 +8,12 @@ from slicecert import (
     MomentumMap,
     Poly,
     SymplecticSpace,
-    ad_star,
     invariance_residual,
     isotropy_algebra,
     momentum_isotropy_algebra,
 )
 
+from reference import ad_star, equivariance_residual
 from systems import example1_generator, random_system_suite, su2_generators
 
 
@@ -151,22 +151,22 @@ class TestEquivariance:
         for _ in range(10):
             x = rng.standard_normal(4)
             t = float(rng.uniform(-5, 5))
-            assert example1_mm.equivariance_residual(x, np.array([1.0]), t) <= 1e-10
+            assert equivariance_residual(example1_mm, x, np.array([1.0]), t) <= 1e-10
 
     def test_zero_time(self, su2_mm, rng):
         x = rng.standard_normal(4)
-        assert su2_mm.equivariance_residual(x, rng.standard_normal(3), 0.0) == 0.0
+        assert equivariance_residual(su2_mm, x, rng.standard_normal(3), 0.0) == 0.0
 
     def test_zero_direction(self, su2_mm, rng):
         x = rng.standard_normal(4)
-        assert su2_mm.equivariance_residual(x, np.zeros(3), 1.3) == 0.0
+        assert equivariance_residual(su2_mm, x, np.zeros(3), 1.3) == 0.0
 
     def test_su2_transport(self, su2_mm, rng):
         for _ in range(10):
             x = rng.standard_normal(4)
             eta = rng.standard_normal(3)
             t = float(rng.uniform(-2, 2))
-            assert su2_mm.equivariance_residual(x, eta, t) <= 1e-9
+            assert equivariance_residual(su2_mm, x, eta, t) <= 1e-9
 
 
 class TestSystemInvariants:

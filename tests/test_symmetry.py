@@ -8,13 +8,13 @@ from slicecert import (
     SymplecticSpace,
     compactness_certificate,
     derive_structure_constants,
-    group_exp,
     isotropy_algebra,
     normalizer_algebra,
 )
 from slicecert.errors import NotClosedUnderBracket, SubalgebraNotContained, ValidationError
 from slicecert.symmetry import Subalgebra
 
+from reference import group_exp
 from systems import example1_generator, su2_generators
 
 

@@ -7,16 +7,14 @@ from slicecert import (
     LieAlgebraBasis,
     MomentumMap,
     SymplecticSpace,
-    descent_residual,
     restricted_hessian,
-    slice_momentum_map,
-    slice_symplectic_form,
     solve_velocities,
     witt_artin_frame,
 )
 from slicecert.errors import PreconditionViolated
 from slicecert.linalg import inertia
 
+from reference import descent_residual, slice_momentum_map, slice_symplectic_form
 from systems import example1_generator, example1_hamiltonian, random_system_suite
 
 
