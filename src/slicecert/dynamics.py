@@ -10,10 +10,9 @@ to multi-start Nelder-Mead.  Either way the value is the distance to an
 actual orbit point, so it only ever overestimates, and probes err toward
 declaring escape, never toward confirming stability.  The fallback's random
 starts come from a child stream of the probe's generator, so the sampled
-initial conditions depend on the seed alone.  scipy is imported only where
-it is needed: ``scipy.linalg.expm`` once K moves p, ``scipy.optimize`` for
-the fallback.  So a probe at a K-fixed point, like every other command,
-loads neither.
+initial conditions depend on the seed alone.  scipy is imported only for
+the fallback (``scipy.linalg`` and ``scipy.optimize``), so a probe with
+abelian or trivial K, like every other command, loads neither.
 """
 
 import csv
@@ -35,67 +34,149 @@ PERIOD_MAX_DENOMINATOR = 100  # frequency ratios a circle period may have
 NEWTON_ITERS = 30  # Newton steps per checkpoint, and halvings per step
 NEWTON_EIG_FLOOR = 1e-8  # Hessian |eigenvalue| floor, relative to the largest
 NEWTON_TOL = 1e-15  # stop once a step promises less, relative to |x - q|^2
-MAX_TRAJECTORY_ENTRIES = 1 << 27  # (steps + 1) * dim floats a probe may hold: 1 GiB
+BLOCK = 64  # linear-path steps per propagator product
+MAX_TRAJECTORY_ENTRIES = 1 << 27  # trajectory floats a probe holds at once: 1 GiB
 
 
 def integrate(space, hamiltonian, x0, dt, steps, tol=MIDPOINT_TOL, max_newton=MAX_NEWTON):
-    """Implicit midpoint trajectory; returns an array of steps+1 points.
+    """Implicit midpoint trajectory of steps+1 points from x0.
 
-    Quadratic Hamiltonians reduce to one propagator, built once from the
-    midpoint equation (I - dt/2 L) x' = (I + dt/2 L) x + shift; otherwise
-    each step runs a Newton iteration to the stated residual and raises
-    SolverDiverged on failure.
+    x0 is one point, giving an array (steps + 1, dim), or a batch (S, dim)
+    of starts stepped together, giving (S, steps + 1, dim); a batch row
+    holds the same bits as the 1-D call from that start.  Quadratic
+    Hamiltonians reduce to one propagator, built once from the midpoint
+    equation (I - dt/2 L) x' = (I + dt/2 L) x + shift and applied BLOCK
+    steps per product.  Otherwise each step runs a Newton iteration per
+    start to the stated residual; a start whose iteration fails raises
+    SolverDiverged in the 1-D call, and in a batch its whole trajectory is
+    NaN while the other starts go on.
     """
-    x0 = space.check_point(x0)
+    x0 = np.asarray(x0, dtype=float)
+    batch = x0.ndim == 2
+    starts = np.array([space.check_point(x) for x in x0]) if batch else space.check_point(x0)[None]
     dt = float(dt)
     if dt <= 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
     steps = int(steps)
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
+    if hamiltonian.degree() <= 2:
+        traj = _linear_steps(space, hamiltonian, starts, dt, steps)
+        failed = np.full(len(starts), -1)
+    else:
+        traj, failed = _newton_steps(space, hamiltonian, starts, dt, steps, tol, max_newton)
+    if batch:
+        traj[failed >= 0] = np.nan
+        return traj
+    if failed[0] >= 0:
+        raise SolverDiverged(f"implicit midpoint failed to converge at step {failed[0]}")
+    return traj[0]
+
+
+def _linear_steps(space, hamiltonian, starts, dt, steps):
+    """Trajectories of a quadratic h.
+
+    With D = A-^{-1} A+ - I = A-^{-1} dt L and c the shift, one step is
+    x + (D x + c).  Kept apart from I, D is rounded relative to dt L rather
+    than to 1, so h drifts less.  j steps are x + (D_j x + c_j) with
+    D_{j+1} = D_j + (D + D D_j) and c_{j+1} = c_j + (c + D c_j), so one
+    product with the stacked D_j, c_j advances a block of steps.
+    """
     n = space.dim
     omega_inv = space.omega_inverse()
-    traj = np.empty((steps + 1, n))
-    traj[0] = x0
+    origin = np.zeros(n)
+    lmat = omega_inv @ hamiltonian.hessian(origin)
+    shift = dt * (omega_inv @ hamiltonian.gradient(origin))
+    prop = np.linalg.solve(np.eye(n) - 0.5 * dt * lmat, np.column_stack([dt * lmat, shift]))
+    block = min(BLOCK, steps)
+    stack = np.empty((block, n, n + 1))
+    stack[0] = prop
+    for j in range(1, block):
+        stack[j] = stack[j - 1] + (prop + prop[:, :n] @ stack[j - 1])
+    mats = stack[:, :, :n].reshape(block * n, n)
+    consts = stack[:, :, n]
 
-    if hamiltonian.degree() <= 2:
-        origin = np.zeros(n)
-        lmat = omega_inv @ hamiltonian.hessian(origin)
-        shift = dt * (omega_inv @ hamiltonian.gradient(origin))
-        a_minus = np.eye(n) - 0.5 * dt * lmat
-        # Step x + (D x + c) with D = A-^{-1} A+ - I = A-^{-1} dt L.  Kept apart
-        # from I, D is rounded relative to dt L rather than to 1, so h drifts less.
-        prop = np.linalg.solve(a_minus, np.column_stack([dt * lmat, shift]))
-        mat, const = prop[:, :n], prop[:, n]
-        x = x0
-        for k in range(steps):
-            x = x + (mat @ x + const)
-            traj[k + 1] = x
-        return traj
-
-    eye = np.eye(n)
-    x = x0
-    for k in range(steps):
-        y = x + dt * (omega_inv @ hamiltonian.gradient(x))
-        converged = False
-        for _ in range(max_newton):
-            mid = 0.5 * (x + y)
-            res = y - x - dt * (omega_inv @ hamiltonian.gradient(mid))
-            if not np.all(np.isfinite(res)):
-                break
-            if np.abs(res).max() <= tol * (1.0 + np.abs(y).max()):
-                converged = True
-                break
-            jac = eye - 0.5 * dt * (omega_inv @ hamiltonian.hessian(mid))
-            try:
-                y = y - np.linalg.solve(jac, res)
-            except np.linalg.LinAlgError:
-                break
-        if not converged:
-            raise SolverDiverged(f"implicit midpoint failed to converge at step {k}")
-        x = y
-        traj[k + 1] = x
+    traj = np.empty((len(starts), steps + 1, n))
+    traj[:, 0] = x = starts
+    for k in range(0, steps, block):
+        size = min(block, steps - k)
+        # matrix-vector products per start: a batch row keeps the 1-D bits
+        moves = (mats[: size * n] @ x[:, :, None]).reshape(len(x), size, n) + consts[:size]
+        traj[:, k + 1 : k + 1 + size] = x[:, None, :] + moves
+        x = traj[:, k + size]
     return traj
+
+
+def _newton_steps(space, hamiltonian, starts, dt, steps, tol, max_newton):
+    """(trajectories, the step at which each start failed or -1).
+
+    Every start takes the Newton iteration it would take alone: a start
+    stops iterating once its residual is within tolerance, and fails at a
+    non-finite residual, a singular Jacobian or max_newton iterations.
+    While every start is still iterating, no rows are gathered.
+    """
+    omega_inv = space.omega_inverse()
+    eye = np.eye(space.dim)
+
+    def field(x):
+        # matrix-vector products per row: a batch row keeps the 1-D bits
+        return (omega_inv @ hamiltonian.gradient(x)[:, :, None])[:, :, 0]
+
+    traj = np.empty((len(starts), steps + 1, space.dim))
+    traj[:, 0] = x = starts
+    failed = np.full(len(starts), -1)
+    live = slice(None)  # the starts still stepping
+    for k in range(steps):
+        y = x + dt * field(x)
+        rows, lost = slice(None), []  # the rows of x still iterating, and failed
+        for _ in range(max_newton):
+            xs, ys = (x, y) if isinstance(rows, slice) else (x[rows], y[rows])
+            mid = 0.5 * (xs + ys)
+            res = ys - xs - dt * field(mid)
+            # excess <= 0 once converged; NaN or inf where res is not finite
+            excess = np.abs(res).max(axis=1) - tol * (1.0 + np.abs(ys).max(axis=1))
+            worst = excess.max()
+            if worst <= 0.0:
+                break
+            if not (excess.min() > 0.0 and worst < np.inf):
+                # drop the converged rows; a non-finite residual fails its row
+                rows = np.arange(len(x))[rows]
+                finite = np.isfinite(excess)
+                lost.extend(rows[~finite])
+                keep = finite & (excess > 0.0)
+                rows, mid, res, ys = rows[keep], mid[keep], res[keep], ys[keep]
+                if not len(rows):
+                    break
+            jac = eye - 0.5 * dt * (omega_inv @ hamiltonian.hessian(mid))
+            y[rows] = ys - _solve_rows(jac, res)
+        else:
+            lost.extend(np.arange(len(x))[rows])
+        if lost:
+            live = np.arange(len(starts))[live]
+            failed[live[lost]] = k
+            keep = np.ones(len(x), dtype=bool)
+            keep[lost] = False
+            live, x, y = live[keep], x[keep], y[keep]
+            if not len(live):
+                break
+        x = y
+        traj[live, k + 1] = x
+    return traj, failed
+
+
+def _solve_rows(jac, res):
+    """jac[i]^-1 res[i] for each row; NaN where jac[i] is singular, so that
+    row's next residual is not finite."""
+    try:
+        return np.linalg.solve(jac, res[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full(res.shape, np.nan)
+        for i, (j, r) in enumerate(zip(jac, res)):
+            try:
+                out[i] = np.linalg.solve(j, r)
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def _joint_diagonalization(amats, norms):
@@ -211,7 +292,6 @@ def _orbit_distance_to(space, algebra, p, sub_k):
     if not len(amats) or np.abs(amats @ p).max() <= 1e-13 * (1.0 + float(np.abs(p).max())):
         # K is trivial or fixes p: the orbit is the single point p.
         return lambda x, starts, rng, extra_start=None: (metric_dist(x, p), np.zeros(sub_k.dim))
-    from scipy.linalg import expm  # deferred: only an orbit that moves p needs it
 
     norms = np.array([np.linalg.norm(a, 2) for a in amats])
     box = math.pi * max(1.0, 1.0 / norms.min())
@@ -270,8 +350,7 @@ def _orbit_distance_to(space, algebra, p, sub_k):
             if found is None:
                 break
             t, (f, z, md) = found
-        q = expm(np.tensordot(t, amats, axes=1)) @ p
-        return min(metric_dist(x, q), metric_dist(x, p)), t
+        return min(math.sqrt(max(f, 0.0)), metric_dist(x, p)), t
 
     return distance
 
@@ -289,7 +368,8 @@ def orbit_distance(space, algebra, x, p, sub_k, starts=32, rng=None):
     Other K fall back to multi-start Nelder-Mead, ``starts`` starts drawn
     from ``rng``.  Either way the value is |x - exp(sum_i t_i A_i) p| at
     the found t, or |x - p| if that is smaller, so it never exceeds
-    |x - p|_metric.
+    |x - p|_metric.  For abelian K that orbit point is taken in the
+    eigenbasis, exact to rounding at any t, not from ``expm``.
     """
     distance = _orbit_distance_to(space, algebra, space.check_point(p), sub_k)
     rng = np.random.default_rng(0) if rng is None else rng
@@ -332,7 +412,9 @@ def stability_probe(
     trajectory exceeded escape_factor * epsilon.  Orbit distances are
     evaluated on a subsample of each trajectory, with evaluation points placed
     at the ambient-norm peaks of each window so excursions are not missed
-    between samples.
+    between samples.  The samples are integrated together, in batches of
+    at most MAX_TRAJECTORY_ENTRIES floats; a sample whose Newton solve
+    fails counts as one solver failure and the others go on.
     """
     for name, value in (("epsilon", epsilon), ("horizon", horizon), ("dt", dt),
                         ("escape_factor", escape_factor)):
@@ -360,6 +442,15 @@ def stability_probe(
     # depend on the seed alone, whichever orbit-distance method runs.
     search_rng = rng.spawn(1)[0]
 
+    # every start is drawn first, in the order a sample-by-sample loop draws them
+    starts = np.empty((samples, space.dim))
+    for sample in range(samples):
+        direction = rng.standard_normal(space.dim)
+        direction /= np.linalg.norm(direction)
+        radius = epsilon * rng.random() ** (1.0 / space.dim)
+        starts[sample] = p + radius * (inv_sqrt @ direction)
+    chunk = MAX_TRAJECTORY_ENTRIES // ((steps + 1) * space.dim)
+
     max_dist = 0.0
     energy_drift = 0.0
     momentum_drift = 0.0
@@ -378,44 +469,38 @@ def stability_probe(
         writer.writerow(header)
 
     try:
-        for sample in range(samples):
-            direction = rng.standard_normal(space.dim)
-            direction /= np.linalg.norm(direction)
-            radius = epsilon * rng.random() ** (1.0 / space.dim)
-            x0 = p + radius * (inv_sqrt @ direction)
-            try:
-                traj = integrate(space, hamiltonian, x0, dt, steps)
-            except SolverDiverged:
-                failures += 1
-                continue
+        for first in range(0, samples, chunk):
+            batch = integrate(space, hamiltonian, starts[first : first + chunk], dt, steps)
+            for sample, traj in enumerate(batch, first):
+                if np.isnan(traj[0, 0]):  # the Newton solve failed on this sample
+                    failures += 1
+                    continue
 
-            energies = np.atleast_1d(hamiltonian.value(traj))
-            energy_drift = max(energy_drift, float(np.abs(energies - energies[0]).max()))
-            if algebra.dim:
-                momenta = mm.value(traj)
-                momentum_drift = max(
-                    momentum_drift,
-                    float(np.abs(momenta - momenta[0]).max()),
-                )
-            else:
-                momenta = np.zeros((len(traj), 0))
+                energies = np.atleast_1d(hamiltonian.value(traj))
+                energy_drift = max(energy_drift, float(np.abs(energies - energies[0]).max()))
+                if algebra.dim:
+                    momenta = mm.value(traj)
+                    momentum_drift = max(
+                        momentum_drift,
+                        float(np.abs(momenta - momenta[0]).max()),
+                    )
+                else:
+                    momenta = np.zeros((len(traj), 0))
 
-            # ambient distances pick the evaluation points inside each window
-            diffs = traj - p
-            ambient = np.sqrt(np.einsum("ti,ij,tj->t", diffs, space.metric, diffs))
-            indices = {0, steps}
-            for lo in range(0, steps + 1, stride):
-                hi = min(lo + stride, steps + 1)
-                indices.add(lo + int(np.argmax(ambient[lo:hi])))
-            warm = None
-            for idx in sorted(indices):
-                dist, warm = distance(traj[idx], DISTANCE_STARTS, search_rng, warm)
-                max_dist = max(max_dist, dist)
-                if writer is not None:
-                    row = [sample, idx * dt]
-                    row += list(traj[idx])
-                    row += [energies[idx]] + list(momenta[idx]) + [dist]
-                    writer.writerow(row)
+                # the ambient-distance peak of each window of stride steps
+                diffs = traj - p
+                ambient = np.sqrt(np.einsum("ti,ij,tj->t", diffs, space.metric, diffs))
+                windows = np.pad(ambient, (0, -len(ambient) % stride), constant_values=-np.inf)
+                peaks = np.arange(0, steps + 1, stride) + windows.reshape(-1, stride).argmax(axis=1)
+                warm = None
+                for idx in np.union1d(peaks, [0, steps]).tolist():
+                    dist, warm = distance(traj[idx], DISTANCE_STARTS, search_rng, warm)
+                    max_dist = max(max_dist, dist)
+                    if writer is not None:
+                        row = [sample, idx * dt]
+                        row += list(traj[idx])
+                        row += [energies[idx]] + list(momenta[idx]) + [dist]
+                        writer.writerow(row)
     finally:
         if handle is not None:
             handle.close()

@@ -195,15 +195,21 @@ class Poly:
         return self._degree
 
     def _arrays(self):
-        """(positions of the monomials' factors in value's power table, coefficients)."""
+        """(each monomial's variable factors, padded with the index nvars of
+        value's extra 1.0 slot, coefficients)."""
         if self._index is None:
             exps = np.array(list(self._terms), dtype=np.int64).reshape(len(self._terms), self.nvars)
             self._store(exps, np.array(list(self._terms.values()), dtype=float))
         return self._index, self._coeffs
 
     def _store(self, exps, coeffs):
-        width = self.degree() + 1
-        object.__setattr__(self, "_index", exps + width * np.arange(self.nvars))
+        # x0^2 x2 -> [0, 0, 2, nvars, ...]: row r holds lengths[r] factors
+        lengths = exps.sum(axis=1)
+        rows = np.repeat(np.arange(len(exps)), lengths)
+        cols = np.arange(len(rows)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        index = np.full((len(exps), self.degree()), self.nvars, dtype=np.int64)
+        index[rows, cols] = np.repeat(np.tile(np.arange(self.nvars), len(exps)), exps.ravel())
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_coeffs", coeffs)
 
     @classmethod
@@ -226,7 +232,8 @@ class Poly:
         return table
 
     def _derivative_tables(self):
-        """(gradient table, upper-triangle Hessian table, its (rows, cols)), built once."""
+        """(gradient table, upper-triangle Hessian table, the position in
+        the upper triangle of each full Hessian entry), built once."""
         if self._tables is None:
             n = self.nvars
             grad = [{} for _ in range(n)]
@@ -243,7 +250,10 @@ class Poly:
                             d2 = list(d1)
                             d2[j] -= 1
                             hess[i, j][tuple(d2)] = coeff * exps[i] * d1[j]
-            tables = (Poly._table(n, grad), Poly._table(n, list(hess.values())), np.triu_indices(n))
+            rows, cols = np.triu_indices(n)
+            full = np.empty((n, n), dtype=np.int64)
+            full[rows, cols] = full[cols, rows] = np.arange(len(rows))
+            tables = (Poly._table(n, grad), Poly._table(n, list(hess.values())), full.ravel())
             object.__setattr__(self, "_tables", tables)
         return self._tables
 
@@ -252,17 +262,20 @@ class Poly:
     def value(self, x):
         """Evaluate at a point (last axis = variables; batches allowed).
 
-        Gathers the monomials from one power table x**k, k <= degree, then
-        multiplies and sums (not ``@``, whose BLAS kernels differ between a
-        point and a batch), so a batch gives the same bits as its rows.
+        Each monomial is the product of its variable factors, gathered from
+        x with a 1.0 appended for the padding; the monomials are then
+        multiplied by their coefficients and summed (not ``@``, whose BLAS
+        kernels differ between a point and a batch), so a batch gives the
+        same bits as its rows.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.nvars:
             raise DimensionMismatch(f"point of shape {x.shape}, expected last axis {self.nvars}")
         index, coeffs = self._arrays()
-        width = self.degree() + 1
-        powers = (x[..., None] ** np.arange(width)).reshape(x.shape[:-1] + (self.nvars * width,))
-        monomials = np.take(powers, index, axis=-1).prod(axis=-1)
+        padded = np.empty(x.shape[:-1] + (self.nvars + 1,))
+        padded[..., :-1] = x
+        padded[..., -1] = 1.0
+        monomials = np.take(padded, index, axis=-1).prod(axis=-1)
         if coeffs.ndim == 2:
             monomials = monomials[..., None, :]
         out = (monomials * coeffs).sum(axis=-1)
@@ -278,12 +291,9 @@ class Poly:
 
     def hessian(self, x):
         """Exact, exactly symmetric Hessian; batched like ``gradient``."""
-        _, table, (rows, cols) = self._derivative_tables()
+        _, table, full = self._derivative_tables()
         upper = table.value(x)
-        h = np.empty(upper.shape[:-1] + (self.nvars, self.nvars))
-        h[..., rows, cols] = upper
-        h[..., cols, rows] = upper
-        return h
+        return np.take(upper, full, axis=-1).reshape(upper.shape[:-1] + (self.nvars, self.nvars))
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -2,8 +2,9 @@
 
 These restate pieces of the theory (the slice form and slice momentum, the
 descent property, the coadjoint action, the group exponential, the
-Hamiltonian vector field) so that tests can check the pipeline against
-them.  Nothing in ``slicecert`` calls them.
+Hamiltonian vector field, the step-by-step linear midpoint rule) so that
+tests can check the pipeline against them.  Nothing in ``slicecert`` calls
+them.
 """
 
 import numpy as np
@@ -28,6 +29,23 @@ def hamiltonian_vector_field(space, hamiltonian, x):
     2d coordinates and conserves h and every momentum component."""
     x = space.check_point(x)
     return space.omega_inverse() @ hamiltonian.gradient(x)
+
+
+def linear_midpoint_steps(space, hamiltonian, x0, dt, steps):
+    """Implicit midpoint trajectory of a quadratic h, one step at a time:
+    x + (D x + c) with D = (I - dt/2 L)^-1 dt L and c the matching shift."""
+    n = space.dim
+    omega_inv = space.omega_inverse()
+    lmat = omega_inv @ hamiltonian.hessian(np.zeros(n))
+    shift = dt * (omega_inv @ hamiltonian.gradient(np.zeros(n)))
+    prop = np.linalg.solve(np.eye(n) - 0.5 * dt * lmat, np.column_stack([dt * lmat, shift]))
+    mat, const = prop[:, :n], prop[:, n]
+    traj = np.empty((steps + 1, n))
+    traj[0] = x = np.asarray(x0, dtype=float)
+    for k in range(steps):
+        x = x + (mat @ x + const)
+        traj[k + 1] = x
+    return traj
 
 
 def adstar_matrix(algebra, eta):

@@ -490,10 +490,9 @@ class TestEnvironment:
     )
     def test_scipy_optimize_is_not_imported(self, argv, tmp_path):
         # Only the Nelder-Mead orbit search for non-abelian K needs
-        # scipy.optimize, and only an orbit that moves p needs
-        # scipy.linalg.  example1's base point is K-fixed; at MOVED =
-        # (1, 0, 0, 0) its circle K moves p and takes the closed form.
-        moves_p = "MOVED" in argv
+        # scipy.optimize or scipy.linalg.  example1's base point is K-fixed;
+        # at MOVED = (1, 0, 0, 0) its circle K moves p and takes the closed
+        # form, whose orbit points come from the eigenbasis, not expm.
         data = example1_dict()
         data["point"] = [1.0, 0.0, 0.0, 0.0]
         moved = tmp_path / "example1_moved.json"
@@ -510,7 +509,7 @@ class TestEnvironment:
             [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == [str(EXIT_STABLE), "False", str(moves_p)]
+        assert result.stdout.split() == [str(EXIT_STABLE), "False", "False"]
 
     def test_import_loads_no_scipy_linalg(self):
         code = "import sys, slicecert\nprint(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"

@@ -18,11 +18,12 @@ from slicecert import (
     orbit_distance,
     stability_probe,
 )
+from slicecert import dynamics
 from slicecert.cli import main
 from slicecert.errors import SolverDiverged, ValidationError
 from slicecert.symmetry import Subalgebra
 
-from reference import group_exp, hamiltonian_vector_field
+from reference import group_exp, hamiltonian_vector_field, linear_midpoint_steps
 from systems import (
     PAULI,
     example1_generator,
@@ -149,6 +150,42 @@ class TestIntegrate:
         with pytest.raises(SolverDiverged):
             integrate(space2, h, np.array([10.0, 10.0]), 10.0, 1, max_newton=3)
 
+    @pytest.mark.parametrize(
+        "steps", [1, dynamics.BLOCK - 1, dynamics.BLOCK, dynamics.BLOCK + 1, 30_000]
+    )
+    def test_blocked_propagator_matches_step_by_step(self, rng, steps):
+        space = SymplecticSpace.canonical(6)
+        a = rng.standard_normal((6, 6))
+        h = Poly.quadratic_form(0.5 * (a @ a.T + np.eye(6)))
+        x0 = rng.standard_normal(6)
+        traj = integrate(space, h, x0, 1e-2, steps)
+        reference = linear_midpoint_steps(space, h, x0, 1e-2, steps)
+        assert traj.shape == (steps + 1, 6)
+        assert np.abs(traj - reference).max() <= 1e-12 * np.abs(reference).max()
+        energies = h.value(traj)
+        assert np.abs(energies - energies[0]).max() <= 1e-12 * abs(energies[0])
+
+    @pytest.mark.parametrize("case", ["quadratic", "quartic"])
+    def test_batched_starts_equal_single_starts(self, example1_parts, rng, case):
+        space, _, h = example1_parts
+        if case == "quartic":
+            h = h + Poly(4, {(4, 0, 0, 0): 0.3, (0, 2, 2, 0): 0.1})
+        starts = 0.5 * rng.standard_normal((3, 4))
+        batch = integrate(space, h, starts, 1e-2, dynamics.BLOCK + 7)
+        assert batch.shape == (3, dynamics.BLOCK + 8, 4)
+        for row, x0 in zip(batch, starts):
+            np.testing.assert_array_equal(row, integrate(space, h, x0, 1e-2, dynamics.BLOCK + 7))
+
+    def test_a_diverging_start_leaves_the_batch_going(self, space2):
+        # the Hamiltonian and step of test_solver_divergence_detected
+        h = Poly(2, {(4, 0): 1.0, (0, 4): 1.0})
+        starts = np.array([[0.01, 0.02], [10.0, 10.0], [-0.03, 0.01]])
+        batch = integrate(space2, h, starts, 10.0, 2, max_newton=3)
+        assert np.isnan(batch[1]).all()
+        for i in (0, 2):
+            single = integrate(space2, h, starts[i], 10.0, 2, max_newton=3)
+            np.testing.assert_array_equal(batch[i], single)
+
 
 # Abelian K, given by raw generators whose exponentials have period 2 pi:
 # example1's circle, the weights-(1, 2) circle, and a 2-torus whose second
@@ -242,6 +279,19 @@ class TestOrbitDistance:
             x = scipy.linalg.expm(np.tensordot(theta, gens, axes=1)) @ p
             assert orbit_distance(space, algebra, x, p, k) <= 1e-9
 
+    @pytest.mark.parametrize("t", np.linspace(-9.0, 9.0, 13))
+    def test_unit_rotation_matches_the_exact_orbit(self, t):
+        # The orbit of p under x -> (cos t, -sin t; sin t, cos t) x is the
+        # circle of radius |p|, so (1 + delta) R(t) p lies delta |p| from it.
+        space = SymplecticSpace.canonical(2)
+        algebra = LieAlgebraBasis.build(space, np.array([[[0.0, -1.0], [1.0, 0.0]]]))
+        k = Subalgebra.from_vectors(algebra, np.eye(1))
+        p = np.array([0.6, -0.8])
+        rotated = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]) @ p
+        for delta in (0.0, 1e-6, 1e-3):
+            dist = orbit_distance(space, algebra, (1.0 + delta) * rotated, p, k)
+            assert abs(dist - delta) <= 1e-14
+
     @pytest.mark.parametrize("starts", [4, 32])
     def test_circle_grid_spans_the_full_period(self, starts):
         # The box pi max(1, 1/|A|_2) of the normalized generator spans a third
@@ -331,6 +381,68 @@ class TestProbe:
         assert report.energy_drift == 0.0
         assert report.momentum_drift == 0.0
         assert not report.escaped
+
+    @pytest.mark.parametrize("case", ["quadratic", "quartic"])
+    def test_chunked_batches_give_the_same_report(
+        self, example1_parts, monkeypatch, tmp_path, case
+    ):
+        space, algebra, h = example1_parts
+        if case == "quartic":
+            h = h + Poly(4, {(4, 0, 0, 0): 0.3, (0, 2, 2, 0): 0.1})
+
+        def probe(name):
+            return stability_probe(space, algebra, h, np.zeros(4), epsilon=1e-2, horizon=1.0,
+                                   samples=7, rng=11, csv_path=tmp_path / name)
+
+        whole = probe("whole.csv")
+        sizes = []
+
+        def recording(space, hamiltonian, x0, *rest, **kwargs):
+            sizes.append(len(x0))
+            return integrate(space, hamiltonian, x0, *rest, **kwargs)
+
+        monkeypatch.setattr(dynamics, "integrate", recording)
+        monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_ENTRIES", 3 * 101 * 4)  # 3 trajectories
+        chunked = probe("chunked.csv")
+        assert sizes == [3, 3, 1]
+        for field in ("max_orbit_distance", "energy_drift", "momentum_drift"):
+            expected = getattr(whole, field)
+            assert getattr(chunked, field) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert (chunked.escaped, chunked.solver_failures) == (whole.escaped, whole.solver_failures)
+        tables = []
+        for name in ("whole.csv", "chunked.csv"):
+            with (tmp_path / name).open(newline="") as handle:
+                rows = list(csv.reader(handle))[1:]
+            tables.append(np.array([[float(v) for v in row] for row in rows]))
+        np.testing.assert_allclose(tables[1], tables[0], rtol=1e-12, atol=1e-15)
+        samples = tables[1][:, 0]
+        assert np.all(np.diff(samples) >= 0) and set(samples) == set(range(7))
+
+    def test_one_diverging_sample_is_one_failure(self, space2, tmp_path):
+        # test_solver_divergence_detected's Hamiltonian: at dt = 10 the
+        # Newton solve fails from the third of these four starts alone.
+        algebra = LieAlgebraBasis.build(space2, np.zeros((0, 2, 2)))
+        h = Poly(2, {(4, 0): 1.0, (0, 4): 1.0})
+        epsilon, dt, seed = 200.0, 10.0, 4
+        draws = np.random.default_rng(seed)
+        alone = []
+        for _ in range(4):
+            direction = draws.standard_normal(2)
+            direction /= np.linalg.norm(direction)
+            x0 = epsilon * draws.random() ** 0.5 * direction
+            try:
+                integrate(space2, h, x0, dt, 1)
+                alone.append(False)
+            except SolverDiverged:
+                alone.append(True)
+        assert alone == [False, False, True, False]
+        csv_file = tmp_path / "probe.csv"
+        report = stability_probe(space2, algebra, h, np.zeros(2), epsilon=epsilon, horizon=dt,
+                                 samples=4, dt=dt, rng=seed, csv_path=csv_file)
+        assert report.solver_failures == 1
+        with csv_file.open(newline="") as handle:
+            samples = [int(row[0]) for row in list(csv.reader(handle))[1:]]
+        assert samples == [0, 0, 1, 1, 3, 3]
 
     def test_rejects_bad_epsilon(self, example1_parts):
         # and every other out-of-range or non-finite probe argument
