@@ -65,15 +65,6 @@ class SystemDefinition:
     point: np.ndarray
     algebra_metric: np.ndarray
 
-    def with_point(self, p):
-        return SystemDefinition(
-            space=self.space,
-            algebra=self.algebra,
-            hamiltonian=self.hamiltonian,
-            point=self.space.check_point(p),
-            algebra_metric=self.algebra_metric,
-        )
-
 
 def bundled_system(name):
     """Path to a system file shipped with the package (e.g. 'example1')."""

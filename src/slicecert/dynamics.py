@@ -2,11 +2,14 @@
 
 The flow of X_h = Omega^{-1} grad h is integrated with the implicit midpoint
 rule, which conserves all quadratic first integrals (in particular every
-momentum component) up to solver residual.  The probe measures how far
-trajectories started near p wander from the K-orbit of p.  For abelian K
-the orbit is in closed form after one diagonalization of K's generators, and
-one grid pass plus Newton steps finds the nearest point; other K fall back
-to multi-start Nelder-Mead.  Either way the value is the distance to an
+momentum component) up to solver residual.  A quadratic h steps with one
+precomputed propagator; any other h solves each step's midpoint equation
+by simplified Newton, each start holding one inverse Jacobian across steps
+and starting each step from its last three points.  The probe measures
+how far trajectories started near p wander from the K-orbit of p.  For
+abelian K the orbit is in closed form after one diagonalization of K's
+generators, and one grid pass plus Newton steps finds the nearest point;
+other K fall back to multi-start Nelder-Mead.  Either way the value is the distance to an
 actual orbit point, so it only ever overestimates, and probes err toward
 declaring escape, never toward confirming stability.  The fallback's random
 starts come from a child stream of the probe's generator, so the sampled
@@ -46,10 +49,13 @@ def integrate(space, hamiltonian, x0, dt, steps, tol=MIDPOINT_TOL, max_newton=MA
     holds the same bits as the 1-D call from that start.  Quadratic
     Hamiltonians reduce to one propagator, built once from the midpoint
     equation (I - dt/2 L) x' = (I + dt/2 L) x + shift and applied BLOCK
-    steps per product.  Otherwise each step runs a Newton iteration per
-    start to the stated residual; a start whose iteration fails raises
-    SolverDiverged in the 1-D call, and in a batch its whole trajectory is
-    NaN while the other starts go on.
+    steps per product.  Otherwise each step solves the midpoint equation
+    per start to the stated residual by simplified Newton, from the
+    extrapolation of the last three points and with an inverse Jacobian
+    the start holds across steps (``_newton_steps``); at most ``max_newton``
+    residuals per step.  A start whose iteration fails raises SolverDiverged
+    in the 1-D call, and in a batch its whole trajectory is NaN while the
+    other starts go on.
     """
     x0 = np.asarray(x0, dtype=float)
     batch = x0.ndim == 2
@@ -110,26 +116,56 @@ def _linear_steps(space, hamiltonian, starts, dt, steps):
 def _newton_steps(space, hamiltonian, starts, dt, steps, tol, max_newton):
     """(trajectories, the step at which each start failed or -1).
 
-    Every start takes the Newton iteration it would take alone: a start
-    stops iterating once its residual is within tolerance, and fails at a
-    non-finite residual, a singular Jacobian or max_newton iterations.
-    While every start is still iterating, no rows are gathered.
+    Simplified Newton (Hairer & Wanner, Solving ODEs II, IV.8; Hairer,
+    Lubich & Wanner, Geometric Numerical Integration, VIII.6): each start
+    holds one inverse Jacobian of the midpoint equation and reuses it across
+    steps.  A step starts from the quadratic extrapolation of the last three
+    accepted points, which costs no gradient (the line through two at step
+    1; an Euler step at step 0, and after a step that needed three
+    corrections or more).  Its first correction uses the held factor unless
+    the previous step needed more than one; every further correction
+    refreshes the factor at the current midpoint.  Once the residual is
+    within tolerance, the correction computed from that residual is applied
+    too, at no further evaluation.  Every start takes the iteration it would
+    take alone: a start stops iterating once its residual is within
+    tolerance, and fails at a non-finite residual, a singular Jacobian or
+    max_newton residuals out of tolerance.  While every start is still
+    iterating, no rows are gathered.
     """
+    n = space.dim
     omega_inv = space.omega_inverse()
-    eye = np.eye(space.dim)
+    eye = np.eye(n)
 
     def field(x):
         # matrix-vector products per row: a batch row keeps the 1-D bits
         return (omega_inv @ hamiltonian.gradient(x)[:, :, None])[:, :, 0]
 
-    traj = np.empty((len(starts), steps + 1, space.dim))
+    def inverse_jacobian(mid):
+        return _invert_rows(eye - 0.5 * dt * (omega_inv @ hamiltonian.hessian(mid)))
+
+    traj = np.empty((len(starts), steps + 1, n))
     traj[:, 0] = x = starts
     failed = np.full(len(starts), -1)
     live = slice(None)  # the starts still stepping
+    # Each start's held factor and the corrections its last step needed.
+    # Before step 0 the factor is zero, so an acceptance there corrects by
+    # exactly 0, and the count is 2, so step 0's first correction refreshes.
+    inv = np.zeros((len(starts), n, n))
+    corrections = np.full(len(starts), 2)
     for k in range(steps):
-        y = x + dt * field(x)
+        most = corrections.max()
+        if k == 0:
+            y = x + dt * field(x)
+        else:
+            y = x + (x - prev) if k == 1 else prev2 + 3.0 * (x - prev)
+            if most > 2:
+                # Where the last step needed three corrections or more, dt
+                # barely resolves the flow and extrapolating starts farther
+                # off than an Euler step: those starts take the Euler step.
+                turning = corrections > 2
+                y[turning] = x[turning] + dt * field(x[turning])
         rows, lost = slice(None), []  # the rows of x still iterating, and failed
-        for _ in range(max_newton):
+        for it in range(max_newton):
             xs, ys = (x, y) if isinstance(rows, slice) else (x[rows], y[rows])
             mid = 0.5 * (xs + ys)
             res = ys - xs - dt * field(mid)
@@ -137,18 +173,31 @@ def _newton_steps(space, hamiltonian, starts, dt, steps, tol, max_newton):
             excess = np.abs(res).max(axis=1) - tol * (1.0 + np.abs(ys).max(axis=1))
             worst = excess.max()
             if worst <= 0.0:
+                y[rows] = ys - _apply_rows(inv[rows], res)
+                corrections[rows] = it
                 break
             if not (excess.min() > 0.0 and worst < np.inf):
-                # drop the converged rows; a non-finite residual fails its row
+                # accept the converged rows; a non-finite residual fails its row
                 rows = np.arange(len(x))[rows]
+                done = excess <= 0.0
+                accepted = rows[done]
+                y[accepted] = ys[done] - _apply_rows(inv[accepted], res[done])
+                corrections[accepted] = it
                 finite = np.isfinite(excess)
                 lost.extend(rows[~finite])
-                keep = finite & (excess > 0.0)
+                keep = finite & ~done
                 rows, mid, res, ys = rows[keep], mid[keep], res[keep], ys[keep]
                 if not len(rows):
                     break
-            jac = eye - 0.5 * dt * (omega_inv @ hamiltonian.hessian(mid))
-            y[rows] = ys - _solve_rows(jac, res)
+            if it:
+                inv[rows] = inverse_jacobian(mid)
+            elif most > 1:
+                stale = corrections[rows] > 1
+                if stale.all():
+                    inv[rows] = inverse_jacobian(mid)
+                elif stale.any():
+                    inv[np.arange(len(x))[rows][stale]] = inverse_jacobian(mid[stale])
+            y[rows] = ys - _apply_rows(inv[rows], res)
         else:
             lost.extend(np.arange(len(x))[rows])
         if lost:
@@ -157,23 +206,31 @@ def _newton_steps(space, hamiltonian, starts, dt, steps, tol, max_newton):
             keep = np.ones(len(x), dtype=bool)
             keep[lost] = False
             live, x, y = live[keep], x[keep], y[keep]
+            inv, corrections = inv[keep], corrections[keep]
+            if k:
+                prev = prev[keep]
             if not len(live):
                 break
-        x = y
+        prev2, prev, x = (prev if k else None), x, y
         traj[live, k + 1] = x
     return traj, failed
 
 
-def _solve_rows(jac, res):
-    """jac[i]^-1 res[i] for each row; NaN where jac[i] is singular, so that
-    row's next residual is not finite."""
+def _apply_rows(inv, res):
+    """inv[i] @ res[i] for each row, as matrix-vector products per row."""
+    return (inv @ res[:, :, None])[:, :, 0]
+
+
+def _invert_rows(jac):
+    """jac[i]^-1 for each row; NaN where jac[i] is singular, so that row's
+    next residual is not finite."""
     try:
-        return np.linalg.solve(jac, res[:, :, None])[:, :, 0]
+        return np.linalg.inv(jac)
     except np.linalg.LinAlgError:
-        out = np.full(res.shape, np.nan)
-        for i, (j, r) in enumerate(zip(jac, res)):
+        out = np.full(jac.shape, np.nan)
+        for i, j in enumerate(jac):
             try:
-                out[i] = np.linalg.solve(j, r)
+                out[i] = np.linalg.inv(j)
             except np.linalg.LinAlgError:
                 pass
         return out
@@ -437,6 +494,10 @@ def stability_probe(
     stride = max(1, steps // 200)
     inv_sqrt = metric_inv_sqrt(space.metric)
     mm = MomentumMap(space, algebra)
+    # J_i(x) = x^T Q_i x for all i as one product: x @ [Q_1 ... Q_d], then
+    # each block dotted with x
+    n, d = space.dim, algebra.dim
+    quads = 0.5 * mm.component_hessians().transpose(1, 0, 2).reshape(n, d * n)
     distance = _orbit_distance_to(space, algebra, p, momentum_isotropy_algebra(algebra, mm.value(p)))
     # A child stream for the Nelder-Mead starts, so the samples drawn below
     # depend on the seed alone, whichever orbit-distance method runs.
@@ -478,18 +539,19 @@ def stability_probe(
 
                 energies = np.atleast_1d(hamiltonian.value(traj))
                 energy_drift = max(energy_drift, float(np.abs(energies - energies[0]).max()))
-                if algebra.dim:
-                    momenta = mm.value(traj)
-                    momentum_drift = max(
-                        momentum_drift,
-                        float(np.abs(momenta - momenta[0]).max()),
-                    )
-                else:
-                    momenta = np.zeros((len(traj), 0))
+                # each product taken in place, so a sweep holds one
+                # trajectory-sized temporary
+                terms = (traj @ quads).reshape(len(traj), d, n)
+                terms *= traj[:, None]
+                momenta = terms.sum(axis=2)
+                if d:
+                    momentum_drift = max(momentum_drift, float(np.abs(momenta - momenta[0]).max()))
 
                 # the ambient-distance peak of each window of stride steps
                 diffs = traj - p
-                ambient = np.sqrt(np.einsum("ti,ij,tj->t", diffs, space.metric, diffs))
+                weighted = diffs @ space.metric
+                weighted *= diffs
+                ambient = np.sqrt(weighted.sum(axis=1))
                 windows = np.pad(ambient, (0, -len(ambient) % stride), constant_values=-np.inf)
                 peaks = np.arange(0, steps + 1, stride) + windows.reshape(-1, stride).argmax(axis=1)
                 warm = None

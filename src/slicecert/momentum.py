@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import nullspace, orthonormalize
-from .phase_space import Poly
 from .symmetry import Subalgebra
 
 INVARIANCE_SAMPLES = 100
@@ -44,10 +43,6 @@ class MomentumMap:
     @property
     def dim(self):
         return self.algebra.dim
-
-    def component(self, i):
-        """J_{e_i} as an exact polynomial."""
-        return Poly.quadratic_form(self._quad[i])
 
     def value(self, x):
         """J(x) in the dual-generator basis; batched over leading axes."""

@@ -134,20 +134,6 @@ class Poly:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars, {})
-
-    @classmethod
-    def constant(cls, nvars, value):
-        return cls(nvars, {tuple([0] * nvars): value})
-
-    @classmethod
-    def coordinate(cls, nvars, index, coeff=1.0):
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): coeff})
-
-    @classmethod
     def quadratic_form(cls, matrix):
         """Polynomial x^T Q x for a square matrix Q (need not be symmetric)."""
         q = np.asarray(matrix, dtype=float)
@@ -181,13 +167,6 @@ class Poly:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def terms(self):
-        return dict(self._terms)
-
-    def is_zero(self):
-        return not self._terms
-
     def degree(self):
         if self._degree is None:
             deg = max((sum(e) for e in self._terms), default=0)
@@ -195,19 +174,20 @@ class Poly:
         return self._degree
 
     def _arrays(self):
-        """(each monomial's variable factors, padded with the index nvars of
-        value's extra 1.0 slot, coefficients)."""
+        """(each monomial's variable factors, one column per monomial, padded
+        with the index nvars of value's extra 1.0 slot; coefficients)."""
         if self._index is None:
             exps = np.array(list(self._terms), dtype=np.int64).reshape(len(self._terms), self.nvars)
             self._store(exps, np.array(list(self._terms.values()), dtype=float))
         return self._index, self._coeffs
 
     def _store(self, exps, coeffs):
-        # x0^2 x2 -> [0, 0, 2, nvars, ...]: row r holds lengths[r] factors
+        # degree-major: x0^2 x2 -> column [0, 0, 2, nvars, ...], so column r
+        # holds lengths[r] factors and row d the d-th factor of every monomial
         lengths = exps.sum(axis=1)
-        rows = np.repeat(np.arange(len(exps)), lengths)
-        cols = np.arange(len(rows)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        index = np.full((len(exps), self.degree()), self.nvars, dtype=np.int64)
+        cols = np.repeat(np.arange(len(exps)), lengths)
+        rows = np.arange(len(cols)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        index = np.full((self.degree(), len(exps)), self.nvars, dtype=np.int64)
         index[rows, cols] = np.repeat(np.tile(np.arange(self.nvars), len(exps)), exps.ravel())
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_coeffs", coeffs)
@@ -263,10 +243,11 @@ class Poly:
         """Evaluate at a point (last axis = variables; batches allowed).
 
         Each monomial is the product of its variable factors, gathered from
-        x with a 1.0 appended for the padding; the monomials are then
-        multiplied by their coefficients and summed (not ``@``, whose BLAS
-        kernels differ between a point and a batch), so a batch gives the
-        same bits as its rows.
+        x with a 1.0 appended for the padding in one degree-major block and
+        multiplied down the degree axis; the monomials are then multiplied
+        by their coefficients and summed (not ``@``, whose BLAS kernels
+        differ between a point and a batch), so a batch gives the same bits
+        as its rows.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.nvars:
@@ -275,7 +256,7 @@ class Poly:
         padded = np.empty(x.shape[:-1] + (self.nvars + 1,))
         padded[..., :-1] = x
         padded[..., -1] = 1.0
-        monomials = np.take(padded, index, axis=-1).prod(axis=-1)
+        monomials = np.take(padded, index, axis=-1).prod(axis=-2)
         if coeffs.ndim == 2:
             monomials = monomials[..., None, :]
         out = (monomials * coeffs).sum(axis=-1)
@@ -294,33 +275,6 @@ class Poly:
         _, table, full = self._derivative_tables()
         upper = table.value(x)
         return np.take(upper, full, axis=-1).reshape(upper.shape[:-1] + (self.nvars, self.nvars))
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            if other.nvars != self.nvars:
-                raise DimensionMismatch("polynomials over different variable counts")
-            return other
-        return Poly.constant(self.nvars, other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            terms[exps] = terms.get(exps, 0.0) + coeff
-        return Poly(self.nvars, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(self.nvars, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
 
     # -- misc -----------------------------------------------------------------
 

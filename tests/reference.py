@@ -3,9 +3,11 @@
 These restate pieces of the theory (the slice form and slice momentum, the
 descent property, the coadjoint action, the group exponential, the
 Hamiltonian vector field, the step-by-step linear midpoint rule) so that
-tests can check the pipeline against them.  Nothing in ``slicecert`` calls
-them.
+tests can check the pipeline against them, and ``count_calls`` counts how
+often the pipeline calls a function.  Nothing in ``slicecert`` calls them.
 """
+
+import sys
 
 import numpy as np
 import scipy.linalg
@@ -17,6 +19,25 @@ from slicecert.symmetry import SUBALGEBRA_TOL
 from slicecert.witt_artin import SLICE_DET_TOL
 
 KERNEL_TOL = 1e-10
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count calls of ``owner.name``: on a class, or in every slicecert module
+    that imported the function by name."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, counted)
+    else:
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("slicecert") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def group_exp(algebra, xi, t=1.0):

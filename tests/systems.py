@@ -17,12 +17,15 @@ that committed file is the reference.  The builders no longer reproduce it:
 ``python tests/systems.py`` writes a file that differs from it on 388
 lines.  Rewrite it only on purpose, and say so in CHANGES.md.
 
-Polynomial products, powers and linear substitutions are the plain
-functions ``poly_mul``, ``poly_pow`` and ``compose_linear`` below: the
-builders and the tests need them, the pipeline never multiplies
-polynomials, so ``Poly`` has no product of its own.
+Polynomial constants, coordinates, terms, sums, products, powers and
+linear substitutions are the plain functions ``poly_constant``,
+``poly_coordinate``, ``poly_terms``, ``poly_add``, ``poly_mul``,
+``poly_pow`` and ``compose_linear`` below: the builders and the tests need
+them, the pipeline never builds polynomials from others, so ``Poly`` has no
+arithmetic of its own.  ``Poly(nvars)`` is the zero polynomial.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -63,15 +66,42 @@ def random_unitary(rng, k):
 # -- polynomial arithmetic ------------------------------------------------------
 
 
+def poly_terms(a):
+    """The polynomial a as a {exponents: coefficient} dict, in a's own term
+    order, so sums and products accumulate in the order they always have."""
+    return dict(a._terms)
+
+
+def poly_constant(nvars, value):
+    return Poly(nvars, {(0,) * nvars: value})
+
+
+def poly_coordinate(nvars, index, coeff=1.0):
+    """coeff * x_index."""
+    exps = [0] * nvars
+    exps[index] = 1
+    return Poly(nvars, {tuple(exps): coeff})
+
+
+def poly_add(a, b, scale=1.0):
+    """a + scale * b for polynomials a and b."""
+    if b.nvars != a.nvars:
+        raise ValueError("polynomials over different variable counts")
+    terms = poly_terms(a)
+    for exps, coeff in poly_terms(b).items():
+        terms[exps] = terms.get(exps, 0.0) + scale * coeff
+    return Poly(a.nvars, terms)
+
+
 def poly_mul(a, b):
     """a * b for a polynomial a and a polynomial or scalar b."""
     if not isinstance(b, Poly):
-        return Poly(a.nvars, {e: c * float(b) for e, c in a.terms.items()})
+        return Poly(a.nvars, {e: c * float(b) for e, c in poly_terms(a).items()})
     if b.nvars != a.nvars:
         raise ValueError("polynomials over different variable counts")
     terms = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
+    for e1, c1 in poly_terms(a).items():
+        for e2, c2 in poly_terms(b).items():
             key = tuple(x + y for x, y in zip(e1, e2))
             terms[key] = terms.get(key, 0.0) + c1 * c2
     return Poly(a.nvars, terms)
@@ -79,7 +109,7 @@ def poly_mul(a, b):
 
 def poly_pow(a, exponent):
     """a ** exponent for a non-negative integer exponent."""
-    out = Poly.constant(a.nvars, 1.0)
+    out = poly_constant(a.nvars, 1.0)
     for _ in range(exponent):
         out = poly_mul(out, a)
     return out
@@ -102,14 +132,24 @@ def compose_linear(a, matrix):
             powers[i, e] = poly_pow(linear[i], e)
         return powers[i, e]
 
-    out = Poly.zero(k)
-    for exps, coeff in a.terms.items():
-        term = Poly.constant(k, coeff)
+    out = Poly(k)
+    for exps, coeff in poly_terms(a).items():
+        term = poly_constant(k, coeff)
         for i, e in enumerate(exps):
             if e:
                 term = poly_mul(term, lin_pow(i, e))
-        out = out + term
+        out = poly_add(out, term)
     return out
+
+
+def momentum_component(mm, i):
+    """J_{e_i} of the momentum map mm as an exact polynomial."""
+    return Poly.quadratic_form(0.5 * mm.component_hessians()[i])
+
+
+def with_point(system, p):
+    """The system with its base point moved to p."""
+    return dataclasses.replace(system, point=system.space.check_point(p))
 
 
 # -- example systems ----------------------------------------------------------
@@ -164,19 +204,19 @@ def torus_generators(weights):
 def _cmul(a, b):
     ar, ai = a
     br, bi = b
-    return (poly_mul(ar, br) - poly_mul(ai, bi), poly_mul(ar, bi) + poly_mul(ai, br))
+    return (poly_add(poly_mul(ar, br), poly_mul(ai, bi), -1.0), poly_add(poly_mul(ar, bi), poly_mul(ai, br)))
 
 
 def complex_monomial(nvars, a_exp, b_exp):
     """(Re, Im) of prod_j z_j^{a_j} zbar_j^{b_j} as real polynomials."""
-    re = Poly.constant(nvars, 1.0)
-    im = Poly.zero(nvars)
+    re = poly_constant(nvars, 1.0)
+    im = Poly(nvars)
     for j, e in enumerate(a_exp):
-        zj = (Poly.coordinate(nvars, 2 * j), Poly.coordinate(nvars, 2 * j + 1))
+        zj = (poly_coordinate(nvars, 2 * j), poly_coordinate(nvars, 2 * j + 1))
         for _ in range(int(e)):
             re, im = _cmul((re, im), zj)
     for j, e in enumerate(b_exp):
-        zbar = (Poly.coordinate(nvars, 2 * j), Poly.coordinate(nvars, 2 * j + 1, coeff=-1.0))
+        zbar = (poly_coordinate(nvars, 2 * j), poly_coordinate(nvars, 2 * j + 1, coeff=-1.0))
         for _ in range(int(e)):
             re, im = _cmul((re, im), zbar)
     return re, im
@@ -208,9 +248,9 @@ def torus_invariant_polys(weights, degrees=(2, 4), max_polys=18):
                     if any(int(w[i] @ diff) != 0 for i in range(d)):
                         continue
                     re, im = complex_monomial(2 * n, a, b)
-                    if not re.is_zero():
+                    if poly_terms(re):
                         out.append(re)
-                    if a != b and not im.is_zero():
+                    if a != b and poly_terms(im):
                         out.append(im)
                     if len(out) >= max_polys:
                         return out
@@ -219,15 +259,15 @@ def torus_invariant_polys(weights, degrees=(2, 4), max_polys=18):
 
 def hermitian_pairing(nvars, blocks, r, s):
     """(Re, Im) of <z_r, z_s> = sum_j conj(z_{r,j}) z_{s,j} on C^2 x blocks."""
-    re = Poly.zero(nvars)
-    im = Poly.zero(nvars)
+    re = Poly(nvars)
+    im = Poly(nvars)
     for j in range(2):
-        xr = Poly.coordinate(nvars, 2 * (2 * r + j))
-        yr = Poly.coordinate(nvars, 2 * (2 * r + j) + 1)
-        xs = Poly.coordinate(nvars, 2 * (2 * s + j))
-        ys = Poly.coordinate(nvars, 2 * (2 * s + j) + 1)
-        re = re + poly_mul(xr, xs) + poly_mul(yr, ys)
-        im = im + poly_mul(xr, ys) - poly_mul(yr, xs)
+        xr = poly_coordinate(nvars, 2 * (2 * r + j))
+        yr = poly_coordinate(nvars, 2 * (2 * r + j) + 1)
+        xs = poly_coordinate(nvars, 2 * (2 * s + j))
+        ys = poly_coordinate(nvars, 2 * (2 * s + j) + 1)
+        re = poly_add(poly_add(re, poly_mul(xr, xs)), poly_mul(yr, ys))
+        im = poly_add(poly_add(im, poly_mul(xr, ys)), poly_mul(yr, xs), -1.0)
     return re, im
 
 
@@ -246,9 +286,10 @@ def su2_invariant_polys(space, algebra, blocks):
         for j in range(i, len(quadratics)):
             out.append(poly_mul(quadratics[i], quadratics[j]))
     mm = MomentumMap(space, algebra)
-    casimir = Poly.zero(nvars)
+    casimir = Poly(nvars)
     for a in range(algebra.dim):
-        casimir = casimir + poly_mul(mm.component(a), mm.component(a))
+        j = momentum_component(mm, a)
+        casimir = poly_add(casimir, poly_mul(j, j))
     out.append(casimir)
     return out
 
@@ -279,9 +320,9 @@ def solve_hamiltonian_at(space, algebra, basis_polys, p, rng, tries=50):
         raise RuntimeError("degenerate coefficient draw")
     c = c / scale
     xi = xi / scale
-    h = Poly.zero(space.dim)
+    h = Poly(space.dim)
     for ci, basis in zip(c, basis_polys):
-        h = h + poly_mul(basis, ci)
+        h = poly_add(h, poly_mul(basis, ci))
     return h, xi
 
 

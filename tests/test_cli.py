@@ -27,6 +27,9 @@ from slicecert.cli import (
 )
 from slicecert.errors import ParseError, ValidationError
 
+from reference import count_calls
+from systems import with_point
+
 
 def example1_dict():
     return json.loads(bundled_system("example1").read_text())
@@ -287,25 +290,6 @@ class TestInputValidation:
         assert (code, out["type"]) == (EXIT_VALIDATION, kind)
 
 
-def _count_calls(monkeypatch, owner, name):
-    """Count calls of ``owner.name``: on a class, or in every slicecert module
-    that imported the function by name."""
-    original = getattr(owner, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    if isinstance(owner, type):
-        monkeypatch.setattr(owner, name, counted)
-    else:
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("slicecert") and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 class TestPointObjectsBuiltOnce:
     @pytest.mark.parametrize("system_name, point", [
         ("example1", None), ("example1", [1.0, 0.0, 0.0, 0.0]), ("saddle", None),
@@ -313,22 +297,22 @@ class TestPointObjectsBuiltOnce:
     def test_certify(self, monkeypatch, system_name, point):
         system = load_system(system_name)
         if point is not None:
-            system = system.with_point(np.array(point))
-        maps = _count_calls(monkeypatch, MomentumMap, "__init__")
-        isotropy = _count_calls(monkeypatch, symmetry, "isotropy_algebra")
+            system = with_point(system, np.array(point))
+        maps = count_calls(monkeypatch, MomentumMap, "__init__")
+        isotropy = count_calls(monkeypatch, symmetry, "isotropy_algebra")
         cmd_certify(system)
         assert (len(maps), len(isotropy)) == (1, 1)
 
     def test_probe_builds_one_momentum_map(self, monkeypatch, example1):
-        maps = _count_calls(monkeypatch, MomentumMap, "__init__")
+        maps = count_calls(monkeypatch, MomentumMap, "__init__")
         cmd_probe(example1, horizon=0.05, samples=2)
         assert len(maps) == 1
 
     def test_probe_finds_k_generators_once(self, monkeypatch, example1):
         # the circle K moves p = (1, 0, 0, 0), so every checkpoint searches its orbit
-        system = example1.with_point(np.array([1.0, 0.0, 0.0, 0.0]))
+        system = with_point(example1, np.array([1.0, 0.0, 0.0, 0.0]))
         dim_k = slicecert.witt_artin_frame(system.space, system.algebra, system.point).momentum_isotropy.dim
-        matrices = _count_calls(monkeypatch, LieAlgebraBasis, "matrix")
+        matrices = count_calls(monkeypatch, LieAlgebraBasis, "matrix")
         report, _ = cmd_probe(system, horizon=0.05, samples=2)
         assert report["maxOrbitDistance"] > 0.0
         assert 1 <= dim_k and len(matrices) <= dim_k

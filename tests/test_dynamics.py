@@ -23,14 +23,52 @@ from slicecert.cli import main
 from slicecert.errors import SolverDiverged, ValidationError
 from slicecert.symmetry import Subalgebra
 
-from reference import group_exp, hamiltonian_vector_field, linear_midpoint_steps
+from reference import count_calls, group_exp, hamiltonian_vector_field, linear_midpoint_steps
 from systems import (
     PAULI,
     example1_generator,
     example1_hamiltonian,
+    poly_add,
+    random_system_suite,
     su2_generators,
     torus_generators,
 )
+
+# Newton-path cases: quartic suite fixtures, each started at p + epsilon u
+# and stepped NEWTON_STEPS times with dt = 0.01.  The unit direction u is
+# drawn once from default_rng(18): from most directions suite0's trajectory
+# reaches, within 300 steps, a region where dt = 0.01 is too coarse, and the
+# Newton solve there rightly fails; from this one all fourteen exist.
+NEWTON_FIXTURES = (0, 1, 3, 5, 6, 7, 8)
+NEWTON_EPSILONS = (1e-3, 0.3)
+NEWTON_STEPS = 300
+
+# Gradient and Hessian calls over those steps of plain Newton (an Euler
+# predictor and a fresh Jacobian at every correction), from the same starts.
+PLAIN_NEWTON_WORK = {
+    (0, 1e-3): (1352, 752),
+    (0, 0.3): (1529, 929),
+    (1, 1e-3): (900, 300),
+    (1, 0.3): (900, 300),
+    (3, 1e-3): (1200, 600),
+    (3, 0.3): (1200, 600),
+    (5, 1e-3): (900, 300),
+    (5, 0.3): (1200, 600),
+    (6, 1e-3): (900, 300),
+    (6, 0.3): (1200, 600),
+    (7, 1e-3): (900, 300),
+    (7, 0.3): (1200, 600),
+    (8, 1e-3): (1200, 600),
+    (8, 0.3): (1200, 600),
+}
+
+
+def _newton_case(fixture):
+    """(system, the starts p + epsilon u for each of NEWTON_EPSILONS)."""
+    system = random_system_suite()[fixture]
+    u = np.random.default_rng(18).standard_normal(system.space.dim)
+    u /= np.linalg.norm(u)
+    return system, np.array([system.point + eps * u for eps in NEWTON_EPSILONS])
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +97,7 @@ class TestVectorField:
 
     def test_zero_hamiltonian(self, space2, rng):
         np.testing.assert_array_equal(
-            hamiltonian_vector_field(space2, Poly.zero(2), rng.standard_normal(2)), np.zeros(2)
+            hamiltonian_vector_field(space2, Poly(2), rng.standard_normal(2)), np.zeros(2)
         )
 
     def test_derivative_of_h_along_field_vanishes(self, example1_parts, rng):
@@ -169,7 +207,7 @@ class TestIntegrate:
     def test_batched_starts_equal_single_starts(self, example1_parts, rng, case):
         space, _, h = example1_parts
         if case == "quartic":
-            h = h + Poly(4, {(4, 0, 0, 0): 0.3, (0, 2, 2, 0): 0.1})
+            h = poly_add(h, Poly(4, {(4, 0, 0, 0): 0.3, (0, 2, 2, 0): 0.1}))
         starts = 0.5 * rng.standard_normal((3, 4))
         batch = integrate(space, h, starts, 1e-2, dynamics.BLOCK + 7)
         assert batch.shape == (3, dynamics.BLOCK + 8, 4)
@@ -185,6 +223,43 @@ class TestIntegrate:
         for i in (0, 2):
             single = integrate(space2, h, starts[i], 10.0, 2, max_newton=3)
             np.testing.assert_array_equal(batch[i], single)
+
+
+class TestNewtonPath:
+    @pytest.mark.parametrize("fixture", NEWTON_FIXTURES)
+    def test_every_step_meets_the_residual_tolerance(self, fixture):
+        # The correction applied once a residual passes is not checked
+        # again; every step of the returned trajectory must still satisfy
+        # the midpoint equation to the stated tolerance, in the 1-D and the
+        # batch call.
+        system, starts = _newton_case(fixture)
+        space, h, dt = system.space, system.hamiltonian, 1e-2
+        batch = integrate(space, h, starts, dt, NEWTON_STEPS)
+        singles = [integrate(space, h, x0, dt, NEWTON_STEPS) for x0 in starts]
+        for traj in list(batch) + singles:
+            x, y = traj[:-1], traj[1:]
+            field = h.gradient(0.5 * (x + y)) @ space.omega_inverse().T
+            residual = np.abs(y - x - dt * field).max(axis=1)
+            assert np.all(residual <= dynamics.MIDPOINT_TOL * (1.0 + np.abs(y).max(axis=1)))
+
+    @pytest.mark.parametrize("fixture", NEWTON_FIXTURES)
+    @pytest.mark.parametrize("epsilon", NEWTON_EPSILONS)
+    def test_work_is_no_more_than_plain_newton(self, monkeypatch, fixture, epsilon):
+        system, starts = _newton_case(fixture)
+        gradients, hessians = (count_calls(monkeypatch, Poly, name) for name in ("gradient", "hessian"))
+        integrate(system.space, system.hamiltonian, starts[NEWTON_EPSILONS.index(epsilon)], 1e-2, NEWTON_STEPS)
+        plain_gradients, plain_hessians = PLAIN_NEWTON_WORK[fixture, epsilon]
+        assert len(gradients) <= plain_gradients
+        assert len(hessians) <= plain_hessians
+
+    def test_near_the_origin_one_factor_serves_every_step(self, monkeypatch):
+        # suite5's quartic at its origin: one correction per step from the
+        # extrapolated start, with the factor it holds
+        system, starts = _newton_case(5)
+        gradients, hessians = (count_calls(monkeypatch, Poly, name) for name in ("gradient", "hessian"))
+        integrate(system.space, system.hamiltonian, starts[0], 1e-2, NEWTON_STEPS)
+        assert len(gradients) <= 2.01 * NEWTON_STEPS
+        assert len(hessians) <= 0.01 * NEWTON_STEPS
 
 
 # Abelian K, given by raw generators whose exponentials have period 2 pi:
@@ -375,7 +450,7 @@ class TestProbe:
         space = SymplecticSpace.canonical(2)
         algebra = LieAlgebraBasis.build(space, np.zeros((0, 2, 2)))
         report = stability_probe(
-            space, algebra, Poly.zero(2), np.zeros(2), epsilon=1e-3, horizon=5.0, samples=4, rng=11
+            space, algebra, Poly(2), np.zeros(2), epsilon=1e-3, horizon=5.0, samples=4, rng=11
         )
         assert report.max_orbit_distance <= 1e-3
         assert report.energy_drift == 0.0
@@ -388,7 +463,7 @@ class TestProbe:
     ):
         space, algebra, h = example1_parts
         if case == "quartic":
-            h = h + Poly(4, {(4, 0, 0, 0): 0.3, (0, 2, 2, 0): 0.1})
+            h = poly_add(h, Poly(4, {(4, 0, 0, 0): 0.3, (0, 2, 2, 0): 0.1}))
 
         def probe(name):
             return stability_probe(space, algebra, h, np.zeros(4), epsilon=1e-2, horizon=1.0,

@@ -8,7 +8,15 @@ import pytest
 from slicecert import Poly, SymplecticSpace, canonical_omega
 from slicecert.errors import DimensionMismatch, ValidationError
 
-from systems import compose_linear, example1_hamiltonian, poly_mul, random_system_suite
+from systems import (
+    compose_linear,
+    example1_hamiltonian,
+    poly_add,
+    poly_constant,
+    poly_mul,
+    poly_terms,
+    random_system_suite,
+)
 
 
 def random_poly(rng, nvars, max_degree=4, terms=6):
@@ -27,7 +35,7 @@ class TestEval:
         assert h.value(np.zeros(4)) == 0.0
 
     def test_constant(self):
-        one = Poly.constant(4, 1.0)
+        one = poly_constant(4, 1.0)
         assert one.value(np.array([3.0, -1.0, 2.0, 5.0])) == 1.0
 
     def test_hand_evaluation(self):
@@ -50,7 +58,7 @@ class TestGradient:
         np.testing.assert_allclose(h.gradient(np.array([1.0, 0, 0, 0])), [2.0, 0, 0, 0])
 
     def test_zero_polynomial(self):
-        z = Poly.zero(4)
+        z = Poly(4)
         np.testing.assert_array_equal(z.gradient(np.ones(4)), np.zeros(4))
 
     def test_product_rule(self):
@@ -109,7 +117,7 @@ def exact_derivatives(f, x):
     x = [float(v) for v in x]
     grad = [[] for _ in range(n)]
     hess = [[[] for _ in range(n)] for _ in range(n)]
-    for exps, coeff in f.terms.items():
+    for exps, coeff in poly_terms(f).items():
         for i in range(n):
             if not exps[i]:
                 continue
@@ -159,7 +167,19 @@ class TestDerivativeTables:
             grid = pts[:6].reshape(2, 3, f.nvars)
             np.testing.assert_array_equal(f.hessian(grid), f.hessian(pts[:6]).reshape(2, 3, f.nvars, f.nvars))
 
-    @pytest.mark.parametrize("f", [Poly.zero(3), Poly.constant(3, 2.5)], ids=["zero", "constant"])
+    @pytest.mark.parametrize("degree", range(5))
+    def test_large_batches_equal_stacked_points(self, rng, degree):
+        # past a thousand points, where a batch kernel could block or reorder
+        # its sums, each batch row still holds its point's bits
+        for nvars in (3, 6):
+            top = tuple([degree] + [0] * (nvars - 1))
+            f = poly_add(random_poly(rng, nvars, max_degree=degree, terms=40), Poly(nvars, {top: 1.5}))
+            assert f.degree() == degree
+            pts = rng.standard_normal((1031, nvars))
+            for method in (f.value, f.gradient, f.hessian):
+                np.testing.assert_array_equal(method(pts), np.array([method(x) for x in pts]))
+
+    @pytest.mark.parametrize("f", [Poly(3), poly_constant(3, 2.5)], ids=["zero", "constant"])
     def test_zero_and_constant_give_zero_derivatives(self, f):
         np.testing.assert_array_equal(f.gradient(np.ones(3)), np.zeros(3))
         np.testing.assert_array_equal(f.hessian(np.ones(3)), np.zeros((3, 3)))
@@ -179,8 +199,8 @@ class TestAlgebra:
         f = random_poly(rng, 3)
         g = random_poly(rng, 3)
         x = rng.standard_normal(3)
-        assert (f + g).value(x) == pytest.approx(f.value(x) + g.value(x), rel=1e-12, abs=1e-12)
-        assert (f - g).value(x) == pytest.approx(f.value(x) - g.value(x), rel=1e-12, abs=1e-12)
+        assert poly_add(f, g).value(x) == pytest.approx(f.value(x) + g.value(x), rel=1e-12, abs=1e-12)
+        assert poly_add(f, g, -1.0).value(x) == pytest.approx(f.value(x) - g.value(x), rel=1e-12, abs=1e-12)
         assert poly_mul(f, g).value(x) == pytest.approx(f.value(x) * g.value(x), rel=1e-10, abs=1e-10)
         assert poly_mul(f, 2.5).value(x) == pytest.approx(2.5 * f.value(x), rel=1e-12, abs=1e-12)
 
