@@ -3,14 +3,15 @@
 The flow of X_h = Omega^{-1} grad h is integrated with the implicit midpoint
 rule, which conserves all quadratic first integrals (in particular every
 momentum component) up to solver residual.  A quadratic h steps with one
-precomputed propagator; any other h solves each step's midpoint equation
-by simplified Newton, each start holding one inverse Jacobian across steps
-and starting each step from its last three points.  The probe measures
-how far trajectories started near p wander from the K-orbit of p.  For
-abelian K the orbit is in closed form after one diagonalization of K's
-generators, and one grid pass plus Newton steps finds the nearest point;
-other K fall back to multi-start Nelder-Mead.  Either way the value is the distance to an
-actual orbit point, so it only ever overestimates, and probes err toward
+precomputed propagator; any other h solves the midpoint equations of a
+window of up to 64 steps at once by simplified Newton, one gradient call
+per sweep over the window, with a Jacobian each start holds across
+windows.  The probe measures how far trajectories started near p wander
+from the K-orbit of p.  For abelian K the orbit is in closed form after
+one diagonalization of K's generators, and one grid pass plus Newton
+steps finds the nearest point; other K fall back to multi-start
+Nelder-Mead.  Either way the value is the distance to an actual orbit
+point, so it only ever overestimates, and probes err toward
 declaring escape, never toward confirming stability.  The fallback's random
 starts come from a child stream of the probe's generator, so the sampled
 initial conditions depend on the seed alone.  scipy is imported only for
@@ -37,7 +38,8 @@ PERIOD_MAX_DENOMINATOR = 100  # frequency ratios a circle period may have
 NEWTON_ITERS = 30  # Newton steps per checkpoint, and halvings per step
 NEWTON_EIG_FLOOR = 1e-8  # Hessian |eigenvalue| floor, relative to the largest
 NEWTON_TOL = 1e-15  # stop once a step promises less, relative to |x - q|^2
-BLOCK = 64  # linear-path steps per propagator product
+BLOCK = 64  # linear-path steps per propagator product, and Newton-path window width
+STALE_RATE = 0.01  # a sweep contracting the residual less than this marks J stale
 MAX_TRAJECTORY_ENTRIES = 1 << 27  # trajectory floats a probe holds at once: 1 GiB
 
 
@@ -49,11 +51,13 @@ def integrate(space, hamiltonian, x0, dt, steps, tol=MIDPOINT_TOL, max_newton=MA
     holds the same bits as the 1-D call from that start.  Quadratic
     Hamiltonians reduce to one propagator, built once from the midpoint
     equation (I - dt/2 L) x' = (I + dt/2 L) x + shift and applied BLOCK
-    steps per product.  Otherwise each step solves the midpoint equation
-    per start to the stated residual by simplified Newton, from the
-    extrapolation of the last three points and with an inverse Jacobian
-    the start holds across steps (``_newton_steps``); at most ``max_newton``
-    residuals per step.  A start whose iteration fails raises SolverDiverged
+    steps per product.  Otherwise every step meets its midpoint equation
+    to the stated residual, solved a window of up to BLOCK steps at a time
+    by simplified Newton: a prediction from h's linearization, then sweeps
+    of one gradient call each, with a Jacobian the start holds across
+    windows (``_newton_steps``).  A window that does not converge is
+    halved, down to one step; at most ``max_newton`` residuals per try.
+    A start whose one-step window fails raises SolverDiverged at that step
     in the 1-D call, and in a batch its whole trajectory is NaN while the
     other starts go on.
     """
@@ -116,21 +120,41 @@ def _linear_steps(space, hamiltonian, starts, dt, steps):
 def _newton_steps(space, hamiltonian, starts, dt, steps, tol, max_newton):
     """(trajectories, the step at which each start failed or -1).
 
-    Simplified Newton (Hairer & Wanner, Solving ODEs II, IV.8; Hairer,
-    Lubich & Wanner, Geometric Numerical Integration, VIII.6): each start
-    holds one inverse Jacobian of the midpoint equation and reuses it across
-    steps.  A step starts from the quadratic extrapolation of the last three
-    accepted points, which costs no gradient (the line through two at step
-    1; an Euler step at step 0, and after a step that needed three
-    corrections or more).  Its first correction uses the held factor unless
-    the previous step needed more than one; every further correction
-    refreshes the factor at the current midpoint.  Once the residual is
-    within tolerance, the correction computed from that residual is applied
-    too, at no further evaluation.  Every start takes the iteration it would
-    take alone: a start stops iterating once its residual is within
-    tolerance, and fails at a non-finite residual, a singular Jacobian or
-    max_newton residuals out of tolerance.  While every start is still
-    iterating, no rows are gathered.
+    Simplified Newton (Hairer & Wanner, Solving ODEs II, IV.8) on a window
+    of up to BLOCK midpoint equations at once.  Each start holds one
+    Jacobian J of the field f = Omega^-1 grad h, as M = (I - dt/2 J)^-1 and
+    the Cayley factor P = M (I + dt/2 J) = 2M - I.
+
+    - **Prediction.** Midpoint steps of h's linearization at the window's
+      first point x0, f(x0) + J (x - x0), with the held J: the correction
+      below for the residual r_j = -dt f(x0) of the constant guess x0.
+    - **Sweep.** One gradient call gives the residual r_j of every step
+      still iterating, and the corrections d solve d_{j+1} = P d_j - M r_j
+      with d_0 = 0 by a doubling scan (``_propagate``).  The steps up to
+      the first one out of tolerance have converged; they join converged
+      points only, so later sweeps neither evaluate nor move them.  Once
+      every step has converged the window is accepted, with that sweep's
+      correction applied too.
+    - **Held J.** Within a window, J is refreshed, at the central
+      midpoint of the steps still iterating, only when a sweep does not
+      halve the largest residual of the one before.  A window that
+      stalls again after a refresh, meets a non-finite residual or
+      reaches max_newton sweeps ends at its converged steps, or is
+      predicted afresh if it has none, and the next window is half as
+      wide.  An accepted window doubles the next, up to BLOCK, unless J
+      went stale in it: some sweep left more than STALE_RATE of the last
+      largest residual (a test for a new Jacobian that Hairer & Wanner
+      use).  Then the next window keeps its width and starts with J
+      evaluated at its first point.
+    - **One step.** A one-step window is simplified Newton step by step:
+      it refreshes J from its second residual on.  After a window that took
+      three residuals or more (and at step 0) it starts from an Euler step
+      and refreshes J from its first residual, as plain Newton.  Here a
+      start fails: at a non-finite residual (a singular Jacobian gives
+      one) or after max_newton residuals out of tolerance.
+
+    Each start keeps its own window, all starts sweep together, and every
+    operation is row by row, so a batch row holds the 1-D call's bits.
     """
     n = space.dim
     omega_inv = space.omega_inverse()
@@ -138,87 +162,142 @@ def _newton_steps(space, hamiltonian, starts, dt, steps, tol, max_newton):
 
     def field(x):
         # matrix-vector products per row: a batch row keeps the 1-D bits
-        return (omega_inv @ hamiltonian.gradient(x)[:, :, None])[:, :, 0]
+        return (omega_inv @ hamiltonian.gradient(x)[..., None])[..., 0]
 
-    def inverse_jacobian(mid):
-        return _invert_rows(eye - 0.5 * dt * (omega_inv @ hamiltonian.hessian(mid)))
+    count = len(starts)
+    full = min(BLOCK, steps)
+    traj = np.empty((count, steps + 1, n))
+    traj[:, 0] = starts
+    failed = np.full(count, -1)
+    # Per live start: its index; its window's first point traj[live, pos],
+    # width and converged steps; the held M and P; f at the first point;
+    # whether J was evaluated in this try; whether the last window was
+    # hard; whether J went stale in this window; this try's residual count
+    # and its last largest residual; and the window: its first point,
+    # then the iterate.
+    live = np.arange(count)
+    pos = np.zeros(count, dtype=np.int64)
+    width = np.full(count, full)
+    done = np.zeros(count, dtype=np.int64)
+    inv = np.empty((count, n, n))
+    cayley = np.empty((count, n, n))
+    f0 = np.empty((count, n))
+    fresh = np.ones(count, dtype=bool)
+    hard = np.ones(count, dtype=bool)
+    stale = np.zeros(count, dtype=bool)
+    sweeps = np.zeros(count, dtype=np.int64)
+    last = np.full(count, np.inf)
+    win = np.empty((count, full + 1, n))
+    win[:, 0] = starts
+    step = np.arange(full)
 
-    traj = np.empty((len(starts), steps + 1, n))
-    traj[:, 0] = x = starts
-    failed = np.full(len(starts), -1)
-    live = slice(None)  # the starts still stepping
-    # Each start's held factor and the corrections its last step needed.
-    # Before step 0 the factor is zero, so an acceptance there corrects by
-    # exactly 0, and the count is 2, so step 0's first correction refreshes.
-    inv = np.zeros((len(starts), n, n))
-    corrections = np.full(len(starts), 2)
-    for k in range(steps):
-        most = corrections.max()
-        if k == 0:
-            y = x + dt * field(x)
-        else:
-            y = x + (x - prev) if k == 1 else prev2 + 3.0 * (x - prev)
-            if most > 2:
-                # Where the last step needed three corrections or more, dt
-                # barely resolves the flow and extrapolating starts farther
-                # off than an Euler step: those starts take the Euler step.
-                turning = corrections > 2
-                y[turning] = x[turning] + dt * field(x[turning])
-        rows, lost = slice(None), []  # the rows of x still iterating, and failed
-        for it in range(max_newton):
-            xs, ys = (x, y) if isinstance(rows, slice) else (x[rows], y[rows])
-            mid = 0.5 * (xs + ys)
-            res = ys - xs - dt * field(mid)
-            # excess <= 0 once converged; NaN or inf where res is not finite
-            excess = np.abs(res).max(axis=1) - tol * (1.0 + np.abs(ys).max(axis=1))
-            worst = excess.max()
-            if worst <= 0.0:
-                y[rows] = ys - _apply_rows(inv[rows], res)
-                corrections[rows] = it
-                break
-            if not (excess.min() > 0.0 and worst < np.inf):
-                # accept the converged rows; a non-finite residual fails its row
-                rows = np.arange(len(x))[rows]
-                done = excess <= 0.0
-                accepted = rows[done]
-                y[accepted] = ys[done] - _apply_rows(inv[accepted], res[done])
-                corrections[accepted] = it
-                finite = np.isfinite(excess)
-                lost.extend(rows[~finite])
-                keep = finite & ~done
-                rows, mid, res, ys = rows[keep], mid[keep], res[keep], ys[keep]
-                if not len(rows):
-                    break
-            if it:
-                inv[rows] = inverse_jacobian(mid)
-            elif most > 1:
-                stale = corrections[rows] > 1
-                if stale.all():
-                    inv[rows] = inverse_jacobian(mid)
-                elif stale.any():
-                    inv[np.arange(len(x))[rows][stale]] = inverse_jacobian(mid[stale])
-            y[rows] = ys - _apply_rows(inv[rows], res)
-        else:
-            lost.extend(np.arange(len(x))[rows])
-        if lost:
-            live = np.arange(len(starts))[live]
-            failed[live[lost]] = k
-            keep = np.ones(len(x), dtype=bool)
-            keep[lost] = False
-            live, x, y = live[keep], x[keep], y[keep]
-            inv, corrections = inv[keep], corrections[keep]
-            if k:
-                prev = prev[keep]
-            if not len(live):
-                break
-        prev2, prev, x = (prev if k else None), x, y
-        traj[live, k + 1] = x
+    def refresh(rows, points):
+        inv[rows] = factor = _invert_rows(eye - 0.5 * dt * (omega_inv @ hamiltonian.hessian(points)))
+        cayley[rows] = 2.0 * factor - eye
+
+    refresh(live, starts)
+    begin = predict = np.ones(count, dtype=bool)  # a new window; a new prediction
+    with np.errstate(over="ignore", invalid="ignore"):  # failure is read off the residual
+        while len(live):
+            cols = int(width.max())
+            if begin.any():
+                f0[begin] = field(win[begin, 0])
+                again = np.flatnonzero(begin & stale)
+                if len(again):
+                    refresh(again, win[again, 0])
+                    fresh[again] = True
+                stale[begin] = False
+            if predict.any():
+                # dt M f(x0) per step; dt f(x0), an Euler step, for a
+                # one-step window after a hard one
+                shift = dt * f0[predict]
+                linear = (width[predict] > 1) | ~hard[predict]
+                shift[linear] = _apply_rows(inv[predict][linear], shift[linear])
+                moves = _propagate(cayley[predict], np.repeat(shift[:, None], cols, axis=1))
+                win[predict, 1 : cols + 1] = win[predict, :1] + moves
+                begin = predict = np.zeros(len(live), dtype=bool)
+            prev, y = win[:, :cols], win[:, 1 : cols + 1]
+            lo = int(done.min())  # every row has converged before this step
+            used = (step[:cols] >= done[:, None]) & (step[:cols] < width[:, None])
+            ys, xs = y[used], prev[used]
+            mids = 0.5 * (xs + ys)
+            res = np.zeros_like(y)
+            res[used] = found = ys - xs - dt * field(mids)
+            size = np.zeros(used.shape)
+            size[used] = over = np.abs(found).max(axis=1)
+            # NaN compares false: a non-finite residual is out of tolerance
+            out = np.zeros(used.shape, dtype=bool)
+            out[used] = ~(over <= tol * (1.0 + np.abs(ys).max(axis=1)))
+            done = np.where(out.any(axis=1), out.argmax(axis=1), width)
+            largest = size.max(axis=1)
+            sweeps += 1
+            accept = done == width
+            stalled = ~accept & ~(largest <= 0.5 * last)
+            stale |= largest > STALE_RATE * last
+            retry = ~np.isfinite(largest) | ~accept & (sweeps >= max_newton)
+            retry |= stalled & fresh & (width > 1)
+            renew = ~retry & (stalled | ~accept & (width == 1) & ((sweeps > 1) | hard))
+            if renew.any():
+                rows = np.flatnonzero(renew)
+                centre = (done[rows] + width[rows] - 1) // 2
+                refresh(rows, 0.5 * (prev[rows, centre] + y[rows, centre]))
+                fresh[rows] = True
+            # causal, so it moves no converged step; it is added only to the
+            # steps iterating, since a singular J makes it NaN throughout
+            tail = y[:, lo:]
+            np.add(tail, _propagate(cayley, -_apply_rows(inv[:, None], res[:, lo:])), out=tail,
+                   where=used[:, lo:, None])
+            last = largest
+            ends = accept | retry & (done > 0)
+            if not (ends | retry).any():
+                continue
+
+            lost = retry & ~ends & (width == 1)
+            failed[live[lost]] = pos[lost]
+            rows, cols_done = np.nonzero(ends[:, None] & (step[:cols] < done[:, None]))
+            traj[live[rows], pos[rows] + 1 + cols_done] = y[rows, cols_done]
+            win[ends, 0] = y[ends, done[ends] - 1]
+            pos[ends] += done[ends]
+            width[accept & ~stale] *= 2
+            width[retry] = np.maximum(width[retry] // 2, 1)
+            width[ends] = np.minimum(np.minimum(width[ends], BLOCK), steps - pos[ends])
+            hard[ends] = sweeps[ends] >= 3
+            begin, predict = ends, ends | retry & ~lost
+            fresh[predict] = False
+            done[predict] = 0
+            sweeps[predict] = 0
+            last[predict] = np.inf
+
+            keep = ~lost & (pos < steps)
+            if not keep.all():
+                live, pos, width, done, inv, cayley, f0, fresh, hard, stale, sweeps, last, win, begin, predict = (
+                    a[keep] for a in (live, pos, width, done, inv, cayley, f0, fresh, hard, stale,
+                                      sweeps, last, win, begin, predict)
+                )
     return traj, failed
+
+
+def _propagate(cayley, b):
+    """z with z_0 = b_0 and z_j = P z_{j-1} + b_j along axis 1, P = cayley[i]
+    for row i.
+
+    A doubling scan: after the pass with span s each z_j sums P^k b_{j-k}
+    over k < 2s, so ceil(log2 W) passes, each one batch of matrix-vector
+    products with P^s, solve a window of W; P^s is squared as s doubles.
+    """
+    z = b.copy()
+    power, span = cayley, 1
+    while span < z.shape[1]:
+        z[:, span:] += (power[:, None] @ z[:, :-span, :, None])[..., 0]
+        span *= 2
+        if span < z.shape[1]:
+            power = power @ power
+    return z
 
 
 def _apply_rows(inv, res):
     """inv[i] @ res[i] for each row, as matrix-vector products per row."""
-    return (inv @ res[:, :, None])[:, :, 0]
+    return (inv @ res[..., None])[..., 0]
 
 
 def _invert_rows(jac):
@@ -471,7 +550,8 @@ def stability_probe(
     at the ambient-norm peaks of each window so excursions are not missed
     between samples.  The samples are integrated together, in batches of
     at most MAX_TRAJECTORY_ENTRIES floats; a sample whose Newton solve
-    fails counts as one solver failure and the others go on.
+    fails counts as one solver failure and the others go on.  When every
+    sample fails, nothing was measured and the probe reports escape.
     """
     for name, value in (("epsilon", epsilon), ("horizon", horizon), ("dt", dt),
                         ("escape_factor", escape_factor)):
@@ -574,7 +654,8 @@ def stability_probe(
         max_orbit_distance=max_dist,
         energy_drift=energy_drift,
         momentum_drift=momentum_drift,
-        escaped=bool(max_dist > escape_factor * epsilon),
+        # a probe that measured no trajectory confirms no bound
+        escaped=bool(max_dist > escape_factor * epsilon or failures == samples),
         solver_failures=failures,
         dt=float(dt),
         escape_factor=float(escape_factor),

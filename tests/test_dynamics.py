@@ -19,7 +19,7 @@ from slicecert import (
     stability_probe,
 )
 from slicecert import dynamics
-from slicecert.cli import main
+from slicecert.cli import cmd_probe, main
 from slicecert.errors import SolverDiverged, ValidationError
 from slicecert.symmetry import Subalgebra
 
@@ -213,6 +213,42 @@ class TestIntegrate:
         assert batch.shape == (3, dynamics.BLOCK + 8, 4)
         for row, x0 in zip(batch, starts):
             np.testing.assert_array_equal(row, integrate(space, h, x0, 1e-2, dynamics.BLOCK + 7))
+
+    def test_mixed_windows_keep_each_rows_bits(self, monkeypatch):
+        # suite5's quartic at its origin from three starts in one batch: at
+        # 1e-3 every window converges after one correction sweep, at 2.0
+        # windows stall and are halved, and at 100 the one-step solve
+        # fails within max_newton = 6 residuals.
+        system = random_system_suite()[5]
+        space, h = system.space, system.hamiltonian
+        u = np.random.default_rng(18).standard_normal(space.dim)
+        u /= np.linalg.norm(u)
+        starts = system.point + np.array([1e-3, 2.0, 100.0])[:, None] * u
+        steps, max_newton = 2 * dynamics.BLOCK, 6
+        propagate, widths = dynamics._propagate, []
+
+        def recording(powers, b):
+            if np.array_equal(b, np.broadcast_to(b[:, :1], b.shape)):  # a prediction
+                widths.append(b.shape[1])
+            return propagate(powers, b)
+
+        monkeypatch.setattr(dynamics, "_propagate", recording)
+        gradients = count_calls(monkeypatch, Poly, "gradient")
+        batch = integrate(space, h, starts, 1e-2, steps, max_newton=max_newton)
+        predicted, evaluations = [], []
+        for row, x0 in zip(batch[:2], starts):
+            widths.clear()
+            gradients.clear()
+            np.testing.assert_array_equal(row, integrate(space, h, x0, 1e-2, steps, max_newton=max_newton))
+            predicted.append(list(widths))
+            evaluations.append(len(gradients))
+        # per window: f at its first point, a residual sweep that fails,
+        # and the one after the correction that passes
+        assert predicted[0] == [dynamics.BLOCK, dynamics.BLOCK] and evaluations[0] == 6
+        assert min(predicted[1]) < dynamics.BLOCK
+        with pytest.raises(SolverDiverged):
+            integrate(space, h, starts[2], 1e-2, steps, max_newton=max_newton)
+        assert np.isnan(batch[2]).all()
 
     def test_a_diverging_start_leaves_the_batch_going(self, space2):
         # the Hamiltonian and step of test_solver_divergence_detected
@@ -518,6 +554,15 @@ class TestProbe:
         with csv_file.open(newline="") as handle:
             samples = [int(row[0]) for row in list(csv.reader(handle))[1:]]
         assert samples == [0, 0, 1, 1, 3, 3]
+
+    def test_no_measured_trajectory_reads_as_escape(self):
+        # suite0 at the default dt: the first sample's Newton solve fails
+        # at step 189, so the probe measured nothing and must not report
+        # a bound
+        report, code = cmd_probe(random_system_suite()[0], horizon=10, samples=1)
+        assert code == 0
+        assert report["solverFailures"] == 1
+        assert report["escaped"] is True
 
     def test_rejects_bad_epsilon(self, example1_parts):
         # and every other out-of-range or non-finite probe argument
