@@ -14,11 +14,13 @@ from .momentum import MomentumMap, invariance_residual, momentum_isotropy_algebr
 from .witt_artin import WittArtinFrame, witt_artin_frame
 from .certify import (
     DEFINITENESS_TOL,
+    SlicePencil,
     StabilityCertificate,
     VelocityFamily,
     definiteness_search,
     orthogonal_velocity,
     restricted_hessian,
+    slice_pencil,
     solve_velocities,
     velocity_certificate,
     velocity_residual,
@@ -45,6 +47,8 @@ __all__ = [
     "witt_artin_frame",
     "VelocityFamily",
     "StabilityCertificate",
+    "SlicePencil",
+    "slice_pencil",
     "solve_velocities",
     "velocity_residual",
     "restricted_hessian",

@@ -1,10 +1,14 @@
-"""Velocity families, restricted Hessians, and the definiteness search.
+"""Velocity families, the slice-Hessian pencil, and the definiteness search.
 
 A point p is a relative equilibrium when grad h(p) = grad J_xi(p) for some
 algebra element xi; the solution set is the affine family xi_1 + h, with h
-the isotropy algebra of p.  The certificate searches that family for a
-velocity whose Hessian restricted to the symplectic slice is definite.  The
-criterion is sufficient only: INCONCLUSIVE never asserts instability.
+the isotropy algebra of p.  Along family coordinates s the Hessians
+restricted to the symplectic slice form one affine pencil
+H(s) = H0 + sum_k s_k D_k, built once per point from one d2h(p) by
+``slice_pencil``.  The searched xi*, the baselines xiPerp and xi1, and a
+caller's fixed ``--velocity`` are all judged from it: the certificate is a
+velocity whose restricted Hessian is definite.  The criterion is
+sufficient only: INCONCLUSIVE never asserts instability.
 """
 
 from dataclasses import dataclass
@@ -14,7 +18,8 @@ import numpy as np
 from .errors import DimensionMismatch, NotRelativeEquilibrium, PreconditionViolated
 from .linalg import inertia
 from .momentum import MomentumMap
-from .symmetry import Subalgebra, compactness_certificate
+from .symmetry import Subalgebra
+from .witt_artin import WittArtinFrame
 
 # Definiteness threshold, applied to the spectrum after scaling the matrix
 # by 1/max(1, max|entry|); separates genuine definiteness from numerical zeros.
@@ -35,11 +40,13 @@ VERDICT_INCONCLUSIVE = "INCONCLUSIVE"
 
 @dataclass(frozen=True)
 class VelocityFamily:
-    """Affine family xi1 + span(directions) of velocities of one point."""
+    """Affine family xi1 + span(directions) of velocities of one point,
+    with the grad h(p) it was solved from."""
 
     xi1: np.ndarray
     directions: Subalgebra  # isotropy algebra at the point
     residual: float
+    gradient: np.ndarray
 
     @property
     def dim(self):
@@ -60,8 +67,6 @@ class StabilityCertificate:
     xi_star: np.ndarray
     spectrum: np.ndarray
     margin: float
-    compactness_verified: bool
-    inertia_at_xi1: tuple
     boundary_hit: bool = False
 
     @property
@@ -71,16 +76,17 @@ class StabilityCertificate:
 
 def velocity_residual(space, algebra, hamiltonian, p, xi):
     """Norm of grad h(p) - grad J_xi(p); zero iff xi is a velocity at p."""
-    return _velocity_residual(MomentumMap(space, algebra), hamiltonian, space.check_point(p), xi)
+    p = space.check_point(p)
+    return _velocity_residual(MomentumMap(space, algebra), hamiltonian.gradient(p), p, xi)
 
 
-def _velocity_residual(mm, hamiltonian, p, xi):
+def _velocity_residual(mm, gradient, p, xi):
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (mm.dim,):
         raise DimensionMismatch(f"velocity of shape {xi.shape}, expected ({mm.dim},)")
     with np.errstate(invalid="ignore"):  # a non-finite xi gives a NaN or infinite residual
         predicted = mm.differential_rows(p).T @ xi
-    return float(np.linalg.norm(hamiltonian.gradient(p) - predicted))
+    return float(np.linalg.norm(gradient - predicted))
 
 
 def solve_velocities(hamiltonian, frame):
@@ -99,21 +105,25 @@ def solve_velocities(hamiltonian, frame):
             f"critical-point residual {residual:.3e} exceeds tolerance; "
             "the point is not a relative equilibrium"
         )
-    return VelocityFamily(xi1=xi1, directions=frame.isotropy, residual=residual)
+    return VelocityFamily(xi1=xi1, directions=frame.isotropy, residual=residual, gradient=target)
 
 
-def require_velocity(mm, hamiltonian, p, xi):
-    """Raise PreconditionViolated unless xi is a velocity of p for momentum map ``mm``."""
-    res = _velocity_residual(mm, hamiltonian, p, xi)
-    bound = VELOCITY_TOL * (1.0 + float(np.linalg.norm(hamiltonian.gradient(p))))
+def require_velocity(mm, gradient, p, xi):
+    """Raise PreconditionViolated unless xi is a velocity of p for momentum
+    map ``mm``, given ``gradient`` = grad h(p)."""
+    res = _velocity_residual(mm, gradient, p, xi)
+    bound = VELOCITY_TOL * (1.0 + float(np.linalg.norm(gradient)))
     if not res <= bound:  # a NaN residual is rejected too
         raise PreconditionViolated(f"xi is not a velocity of p (residual {res:.3e} > {bound:.3e})")
 
 
-def augmented_hessian(mm, hamiltonian, p, xi):
-    """d2h(p) - d2J_xi(p) on the whole phase space, for momentum map ``mm``."""
-    d2j = np.einsum("i,imn->mn", np.asarray(xi, dtype=float), mm.component_hessians())
-    return hamiltonian.hessian(p) - d2j
+def _restrict(frame, hessian, xi):
+    """B^T (hessian - d2J_xi) B, symmetrized, for B the slice basis of
+    ``frame``, whose momentum map supplies d2J."""
+    d2j = np.einsum("i,imn->mn", np.asarray(xi, dtype=float), frame.momentum_map.component_hessians())
+    b = frame.basis_n
+    h = b.T @ (hessian - d2j) @ b
+    return 0.5 * (h + h.T)
 
 
 def restricted_hessian(space, algebra, hamiltonian, p, xi, frame, check=True):
@@ -121,11 +131,41 @@ def restricted_hessian(space, algebra, hamiltonian, p, xi, frame, check=True):
     momentum map supplies d2J."""
     p = space.check_point(p)
     if check:
-        require_velocity(frame.momentum_map, hamiltonian, p, xi)
-    q = augmented_hessian(frame.momentum_map, hamiltonian, p, xi)
+        require_velocity(frame.momentum_map, hamiltonian.gradient(p), p, xi)
+    return _restrict(frame, hamiltonian.hessian(p), xi)
+
+
+@dataclass(frozen=True)
+class SlicePencil:
+    """Restricted Hessians of one point's velocity family: at the member
+    xi1 + sum_k s_k eta_k, eta_k the family's directions, the restricted
+    Hessian is H(s) = h0 + sum_k s_k directions[k]."""
+
+    frame: WittArtinFrame
+    family: VelocityFamily
+    hessian: np.ndarray  # d2h(p) on the whole phase space
+    h0: np.ndarray  # H at xi1
+    directions: np.ndarray  # (family.dim, r, r), symmetric
+
+    def at(self, xi):
+        """The restricted Hessian at velocity xi; no velocity check."""
+        return _restrict(self.frame, self.hessian, xi)
+
+
+def slice_pencil(hamiltonian, frame, family):
+    """The pencil of ``family`` (from ``solve_velocities`` on ``frame``),
+    from one evaluation of d2h at the frame's point."""
+    hessian = hamiltonian.hessian(frame.point)
     b = frame.basis_n
-    h = b.T @ q @ b
-    return 0.5 * (h + h.T)
+    hessians = frame.momentum_map.component_hessians()
+    d = -(b.T @ np.einsum("ki,imn->kmn", family.directions.basis, hessians) @ b)
+    return SlicePencil(
+        frame=frame,
+        family=family,
+        hessian=hessian,
+        h0=_restrict(frame, hessian, family.xi1),
+        directions=0.5 * (d + d.transpose(0, 2, 1)),
+    )
 
 
 def orthogonal_velocity(family, algebra_metric):
@@ -166,12 +206,9 @@ def _combine(h0, mats, s):
     return h
 
 
-def _certificate(hm, xi, h0, compact, boundary=False):
-    """The verdict rule: STABLE when hm is definite, vacuously so on an empty slice.
-
-    ``hm`` is the restricted Hessian at velocity ``xi`` and ``h0`` the one at
-    the family's base velocity xi1.
-    """
+def _certificate(hm, xi, boundary=False):
+    """The verdict rule: STABLE when hm, the restricted Hessian at velocity
+    ``xi``, is definite; vacuously so on an empty slice."""
     n_plus, n_minus, _ = inertia(hm, DEFINITENESS_TOL)
     if n_plus == hm.shape[0]:
         verdict = VERDICT_POS
@@ -185,8 +222,6 @@ def _certificate(hm, xi, h0, compact, boundary=False):
         xi_star=xi,
         spectrum=spectrum,
         margin=float(np.abs(spectrum).min()) if spectrum.size else np.inf,
-        compactness_verified=compact,
-        inertia_at_xi1=inertia(h0, DEFINITENESS_TOL),
         boundary_hit=boundary,
     )
 
@@ -233,27 +268,21 @@ def _ascend_lambda_min(h0, direction_mats, rng, restarts, box, max_iter):
     return best_s, best_val, boundary
 
 
-def definiteness_search(hamiltonian, family, frame, rng=None):
-    """Search the affine family for a definite restricted Hessian.
+def definiteness_search(pencil, rng=None):
+    """Search the pencil's family for a definite restricted Hessian.
 
     Maximizes lambda_min(H(s)) and lambda_min(-H(s)) separately by projected
     supergradient ascent with random restarts (s = 0 always included), keeps
     the optimum with the larger scaled value, and judges it by the verdict
-    rule of ``_certificate``.  ``family`` comes from ``solve_velocities`` on
-    the same frame, which has already checked xi1.  INCONCLUSIVE makes no
-    instability claim (the criterion is sufficient only).
+    rule of ``_certificate``.  ``solve_velocities`` has already checked xi1.
+    INCONCLUSIVE makes no instability claim (the criterion is sufficient
+    only).
     """
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(42 if rng is None else int(rng))
-    mm = frame.momentum_map
-    h0 = restricted_hessian(mm.space, mm.algebra, hamiltonian, frame.point, family.xi1, frame, check=False)
-    compact = compactness_certificate(mm.algebra, mm.space.metric)
+    h0, direction_mats, family = pencil.h0, pencil.directions, pencil.family
     if h0.shape[0] == 0:
-        return _certificate(h0, family.xi1.copy(), h0, compact)
-
-    hessians = mm.component_hessians()
-    d = -(frame.basis_n.T @ np.einsum("ki,imn->kmn", family.directions.basis, hessians) @ frame.basis_n)
-    direction_mats = 0.5 * (d + d.transpose(0, 2, 1))
+        return _certificate(h0, family.xi1.copy())
 
     def scaled(optimum):
         s, value, _ = optimum
@@ -262,18 +291,16 @@ def definiteness_search(hamiltonian, family, frame, rng=None):
     pos = _ascend_lambda_min(h0, direction_mats, rng, SEARCH_RESTARTS, SEARCH_BOX, SEARCH_MAX_ITER)
     neg = _ascend_lambda_min(-h0, -direction_mats, rng, SEARCH_RESTARTS, SEARCH_BOX, SEARCH_MAX_ITER)
     s_best, _, boundary = pos if scaled(pos) >= scaled(neg) else neg
-    hm = _combine(h0, direction_mats, s_best)
-    return _certificate(hm, family.member(s_best), h0, compact, boundary)
+    return _certificate(_combine(h0, direction_mats, s_best), family.member(s_best), boundary)
 
 
-def velocity_certificate(hamiltonian, family, frame, xi):
-    """Certificate at one fixed velocity xi of ``family``, without a search.
+def velocity_certificate(pencil, xi):
+    """Certificate at one fixed velocity xi of the pencil's family, without a search.
 
     Raises DimensionMismatch when xi has the wrong length and
     PreconditionViolated when it is not a velocity of the frame's point.
     """
-    mm = frame.momentum_map
     xi = np.asarray(xi, dtype=float)
-    hm = restricted_hessian(mm.space, mm.algebra, hamiltonian, frame.point, xi, frame)
-    h0 = restricted_hessian(mm.space, mm.algebra, hamiltonian, frame.point, family.xi1, frame, check=False)
-    return _certificate(hm, xi, h0, compactness_certificate(mm.algebra, mm.space.metric))
+    frame = pencil.frame
+    require_velocity(frame.momentum_map, pencil.family.gradient, frame.point, xi)
+    return _certificate(pencil.at(xi), xi)

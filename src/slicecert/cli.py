@@ -5,7 +5,8 @@ generators, structureConstants (optional), hamiltonian (monomial records),
 point, algebraMetric (optional).  Reports are JSON on stdout with a short
 human summary on stderr.  Exit codes: 0 = STABLE certificate (or a
 non-certify command that succeeded), 2 = INCONCLUSIVE, 3 = not a relative
-equilibrium (or a rejected --velocity), 4 = validation or parse failure.
+equilibrium (or a rejected --velocity), 4 = validation or parse failure,
+command-line usage errors included.
 """
 
 import argparse
@@ -23,7 +24,7 @@ from .certify import (
     DEFINITENESS_TOL,
     definiteness_search,
     orthogonal_velocity,
-    restricted_hessian,
+    slice_pencil,
     solve_velocities,
     velocity_certificate,
 )
@@ -251,28 +252,26 @@ def _seeded_rng(seed):
 
 
 def cmd_certify(system, velocity=None, seed=42):
-    space, algebra, h = system.space, system.algebra, system.hamiltonian
-    p = system.point
     rng = _seeded_rng(seed)
-    frame = witt_artin_frame(space, algebra, p)
-    family = solve_velocities(h, frame)
+    frame = witt_artin_frame(system.space, system.algebra, system.point)
+    family = solve_velocities(system.hamiltonian, frame)
+    pencil = slice_pencil(system.hamiltonian, frame, family)
     xi_perp = orthogonal_velocity(family, system.algebra_metric)
-    h_perp = restricted_hessian(space, algebra, h, p, xi_perp, frame, check=False)
     if velocity is None:
-        cert = definiteness_search(h, family, frame, rng=rng)
+        cert = definiteness_search(pencil, rng=rng)
     else:
-        cert = velocity_certificate(h, family, frame, velocity)
+        cert = velocity_certificate(pencil, velocity)
     report = {
         "verdict": cert.verdict,
         "xiStar": cert.xi_star,
         "spectrum": cert.spectrum,
         "margin": cert.margin,
-        "inertiaAtXi1": list(cert.inertia_at_xi1),
+        "inertiaAtXi1": list(inertia(pencil.h0, DEFINITENESS_TOL)),
         "boundaryHit": cert.boundary_hit,
         "searchDisabled": velocity is not None,
         "xiPerp": xi_perp,
-        "inertiaAtXiPerp": list(inertia(h_perp, DEFINITENESS_TOL)),
-        "compactnessVerified": cert.compactness_verified,
+        "inertiaAtXiPerp": list(inertia(pencil.at(xi_perp), DEFINITENESS_TOL)),
+        "compactnessVerified": compactness_certificate(system.algebra, system.space.metric),
         "velocityResidual": family.residual,
         "familyDim": family.dim,
         "note": CERTIFICATE_NOTE,
@@ -317,10 +316,18 @@ def _parse_vector(text):
     return np.array([float(part) for part in text.split(",")])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ParseError (exit 4), not argparse's exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParseError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser():
     """The command-line parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slicecert",
         description="Certify Lyapunov stability of relative equilibria in "
         "symmetric Hamiltonian systems.",
@@ -374,8 +381,8 @@ def _summary(command, report):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         system = load_system(args.file)
         if args.command == "validate":
             report, code = cmd_validate(system)
@@ -394,21 +401,13 @@ def main(argv=None):
                 seed=args.seed,
                 csv_path=args.csv,
             )
-    except NotRelativeEquilibrium as exc:
-        print(json.dumps({"error": str(exc), "type": "NotRelativeEquilibrium"}))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_RELATIVE_EQUILIBRIUM
-    except PreconditionViolated as exc:
-        print(json.dumps({"error": str(exc), "type": "PreconditionViolated"}))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_RELATIVE_EQUILIBRIUM
-    except (ParseError, ValidationError, DimensionMismatch) as exc:
-        print(json.dumps({"error": str(exc), "type": type(exc).__name__}))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except SliceCertError as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}))
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, (NotRelativeEquilibrium, PreconditionViolated)):
+            return EXIT_NOT_RELATIVE_EQUILIBRIUM
+        if isinstance(exc, (ParseError, ValidationError, DimensionMismatch)):
+            return EXIT_VALIDATION
         return 1
 
     if report.get("boundaryHit"):

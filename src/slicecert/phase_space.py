@@ -68,24 +68,6 @@ class SymplecticSpace:
         object.__setattr__(self, "metric", metric)
         object.__setattr__(self, "_omega_inv", None)
 
-    @classmethod
-    def canonical(cls, dim, omega=None, metric=None):
-        if omega is None:
-            omega = canonical_omega(dim)
-        if metric is None:
-            metric = np.eye(dim)
-        return cls(dim=dim, omega=np.asarray(omega, dtype=float), metric=np.asarray(metric, dtype=float))
-
-    def omega_form(self, u, v):
-        """omega(u, v)."""
-        return float(np.asarray(u) @ self.omega @ np.asarray(v))
-
-    def inner(self, u, v):
-        return float(np.asarray(u) @ self.metric @ np.asarray(v))
-
-    def norm(self, v):
-        return float(np.sqrt(max(self.inner(v, v), 0.0)))
-
     def omega_inverse(self):
         if self._omega_inv is None:
             object.__setattr__(self, "_omega_inv", np.linalg.inv(self.omega))
@@ -132,23 +114,6 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def quadratic_form(cls, matrix):
-        """Polynomial x^T Q x for a square matrix Q (need not be symmetric)."""
-        q = np.asarray(matrix, dtype=float)
-        n = q.shape[0]
-        terms = {}
-        for i in range(n):
-            for j in range(n):
-                if q[i, j] == 0.0:
-                    continue
-                exps = [0] * n
-                exps[i] += 1
-                exps[j] += 1
-                key = tuple(exps)
-                terms[key] = terms.get(key, 0.0) + q[i, j]
-        return cls(n, terms)
 
     @classmethod
     def from_records(cls, nvars, records):
@@ -243,11 +208,13 @@ class Poly:
         """Evaluate at a point (last axis = variables; batches allowed).
 
         Each monomial is the product of its variable factors, gathered from
-        x with a 1.0 appended for the padding in one degree-major block and
-        multiplied down the degree axis; the monomials are then multiplied
-        by their coefficients and summed (not ``@``, whose BLAS kernels
-        differ between a point and a batch), so a batch gives the same bits
-        as its rows.
+        x with a 1.0 appended for the padding one degree row at a time and
+        multiplied into one C-ordered array in degree order: the products
+        of ``prod`` down the degree axis of the whole gathered block,
+        without that (points, degree, monomials) temporary.  The monomials
+        are then multiplied by their coefficients and summed (not ``@``,
+        whose BLAS kernels differ between a point and a batch), so a batch
+        gives the same bits as its rows.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.nvars:
@@ -256,7 +223,9 @@ class Poly:
         padded = np.empty(x.shape[:-1] + (self.nvars + 1,))
         padded[..., :-1] = x
         padded[..., -1] = 1.0
-        monomials = np.take(padded, index, axis=-1).prod(axis=-2)
+        monomials = np.ones(x.shape[:-1] + index.shape[1:])
+        for factors in index:
+            monomials *= np.take(padded, factors, axis=-1)
         if coeffs.ndim == 2:
             monomials = monomials[..., None, :]
         out = (monomials * coeffs).sum(axis=-1)

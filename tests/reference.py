@@ -1,10 +1,12 @@
 """Reference computations that only the tests use.
 
-These restate pieces of the theory (the slice form and slice momentum, the
-descent property, the coadjoint action, the group exponential, the
-Hamiltonian vector field, the step-by-step linear midpoint rule) so that
-tests can check the pipeline against them, and ``count_calls`` counts how
-often the pipeline calls a function.  Nothing in ``slicecert`` calls them.
+These restate pieces of the theory (the symplectic form and metric norm of
+a space, polynomial evaluation as one gathered product, the augmented
+Hessian, the slice form and slice momentum, the descent property, the
+coadjoint action, the group exponential, the Hamiltonian vector field, the
+step-by-step linear midpoint rule) so that tests can check the pipeline
+against them, and ``count_calls`` counts how often the pipeline calls a
+function.  Nothing in ``slicecert`` calls them.
 """
 
 import sys
@@ -12,7 +14,7 @@ import sys
 import numpy as np
 import scipy.linalg
 
-from slicecert.certify import augmented_hessian, require_velocity
+from slicecert.certify import require_velocity
 from slicecert.errors import DegenerateSliceForm, DimensionMismatch, PreconditionViolated
 from slicecert.momentum import MomentumMap, momentum_isotropy_algebra
 from slicecert.symmetry import SUBALGEBRA_TOL
@@ -38,6 +40,35 @@ def count_calls(monkeypatch, owner, name):
             if module_name.startswith("slicecert") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def omega_form(space, u, v):
+    """omega(u, v) = u^T Omega v."""
+    return float(np.asarray(u) @ space.omega @ np.asarray(v))
+
+
+def metric_norm(space, v):
+    """sqrt(v^T M v) for the metric M of ``space``."""
+    return float(np.sqrt(max(float(np.asarray(v) @ space.metric @ np.asarray(v)), 0.0)))
+
+
+def gathered_product_value(poly, x):
+    """``poly.value(x)`` from one gathered (points, degree, monomials) block
+    reduced by ``prod(axis=-2)``; ``Poly.value`` multiplies the degree rows
+    in place instead and must give the same bits."""
+    index, coeffs = poly._arrays()
+    padded = np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
+    monomials = np.take(padded, index, axis=-1).prod(axis=-2)
+    if coeffs.ndim == 2:
+        monomials = monomials[..., None, :]
+    out = (monomials * coeffs).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+def augmented_hessian(mm, hamiltonian, p, xi):
+    """d2h(p) - d2J_xi(p) on the whole phase space, for momentum map ``mm``."""
+    d2j = np.einsum("i,imn->mn", np.asarray(xi, dtype=float), mm.component_hessians())
+    return hamiltonian.hessian(p) - d2j
 
 
 def group_exp(algebra, xi, t=1.0):
@@ -141,7 +172,7 @@ def descent_residual(space, algebra, hamiltonian, p, xi, v, eta):
         kr = float(np.linalg.norm(rows @ v))
         if kr > KERNEL_TOL * (1.0 + float(np.linalg.norm(v))):
             raise PreconditionViolated(f"v is outside ker dJ(p) (residual {kr:.3e})")
-    require_velocity(mm, hamiltonian, p, xi)
+    require_velocity(mm, hamiltonian.gradient(p), p, xi)
     sub_k = momentum_isotropy_algebra(algebra, mm.value(p))
     if sub_k.containment_residual(algebra, eta) > SUBALGEBRA_TOL * (1.0 + float(np.linalg.norm(eta))):
         raise PreconditionViolated("eta is outside the momentum isotropy algebra")

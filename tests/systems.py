@@ -14,7 +14,7 @@ The builders use slicecert itself (``Poly.gradient``, ``nullspace``), so a
 rounding-level change there would change the systems under test.  The
 suite is therefore frozen in ``suite_systems.json`` and loaded from it, and
 that committed file is the reference.  The builders no longer reproduce it:
-``python tests/systems.py`` writes a file that differs from it on 388
+``python tests/systems.py`` writes a file that differs from it on 420
 lines.  Rewrite it only on purpose, and say so in CHANGES.md.
 
 Polynomial constants, coordinates, terms, sums, products, powers and
@@ -22,7 +22,9 @@ linear substitutions are the plain functions ``poly_constant``,
 ``poly_coordinate``, ``poly_terms``, ``poly_add``, ``poly_mul``,
 ``poly_pow`` and ``compose_linear`` below: the builders and the tests need
 them, the pipeline never builds polynomials from others, so ``Poly`` has no
-arithmetic of its own.  ``Poly(nvars)`` is the zero polynomial.
+arithmetic of its own.  ``Poly(nvars)`` is the zero polynomial.  Likewise
+``quadratic_form`` builds x^T Q x and ``canonical_space`` the space with the
+canonical omega and the identity metric.
 """
 
 import dataclasses
@@ -31,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from slicecert import MomentumMap, Poly, SymplecticSpace
+from slicecert import MomentumMap, Poly, SymplecticSpace, canonical_omega
 from slicecert.cli import serialize_system, system_from_dict
 from slicecert.linalg import nullspace
 
@@ -142,9 +144,31 @@ def compose_linear(a, matrix):
     return out
 
 
+def canonical_space(dim):
+    """R^dim with the canonical omega and the identity metric."""
+    return SymplecticSpace(dim=dim, omega=canonical_omega(dim), metric=np.eye(dim))
+
+
+def quadratic_form(matrix):
+    """Polynomial x^T Q x for a square matrix Q (need not be symmetric)."""
+    q = np.asarray(matrix, dtype=float)
+    n = q.shape[0]
+    terms = {}
+    for i in range(n):
+        for j in range(n):
+            if q[i, j] == 0.0:
+                continue
+            exps = [0] * n
+            exps[i] += 1
+            exps[j] += 1
+            key = tuple(exps)
+            terms[key] = terms.get(key, 0.0) + q[i, j]
+    return Poly(n, terms)
+
+
 def momentum_component(mm, i):
     """J_{e_i} of the momentum map mm as an exact polynomial."""
-    return Poly.quadratic_form(0.5 * mm.component_hessians()[i])
+    return quadratic_form(0.5 * mm.component_hessians()[i])
 
 
 def with_point(system, p):
@@ -345,7 +369,7 @@ def _finish(space, gens, h, point, structure=None):
 def _torus_system(rng, weights, conjugate, structured_support=None):
     w = np.asarray(weights, dtype=int)
     d, n = w.shape
-    space = SymplecticSpace.canonical(2 * n)
+    space = canonical_space(2 * n)
     gens = torus_generators(w)
     polys = torus_invariant_polys(w)
     if structured_support is not None:
@@ -368,7 +392,7 @@ def _torus_system(rng, weights, conjugate, structured_support=None):
 
 
 def _su2_system(rng, blocks, at_origin):
-    space = SymplecticSpace.canonical(4 * blocks)
+    space = canonical_space(4 * blocks)
     gens = su2_generators(blocks)
     from slicecert.symmetry import LieAlgebraBasis
 

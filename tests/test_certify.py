@@ -6,25 +6,25 @@ import pytest
 from slicecert import (
     LieAlgebraBasis,
     Poly,
-    SymplecticSpace,
     definiteness_search,
     orthogonal_velocity,
     restricted_hessian,
+    slice_pencil,
     solve_velocities,
     witt_artin_frame,
 )
 from slicecert.certify import DEFINITENESS_TOL, VelocityFamily
 from slicecert.errors import NotRelativeEquilibrium, PreconditionViolated
 from slicecert.linalg import inertia
-from slicecert.symmetry import Subalgebra, isotropy_algebra
+from slicecert.symmetry import Subalgebra, compactness_certificate, isotropy_algebra
 
 from reference import group_exp
-from systems import example1_generator, example1_hamiltonian, random_system_suite
+from systems import canonical_space, example1_generator, example1_hamiltonian, random_system_suite
 
 
 @pytest.fixture(scope="module")
 def parts():
-    space = SymplecticSpace.canonical(4)
+    space = canonical_space(4)
     algebra = LieAlgebraBasis.build(space, example1_generator()[None, :, :])
     return space, algebra, example1_hamiltonian()
 
@@ -121,23 +121,23 @@ class TestDefinitenessSearch:
     def test_example1_origin(self, parts):
         space, algebra, h = parts
         frame = witt_artin_frame(space, algebra, np.zeros(4))
-        family = solve_velocities(h, frame)
-        cert = definiteness_search(h, family, frame, rng=0)
+        pencil = slice_pencil(h, frame, solve_velocities(h, frame))
+        cert = definiteness_search(pencil, rng=0)
         assert cert.verdict == "STABLE_NEG_DEF"
         assert abs(cert.xi_star[0] - 3.0) <= 1e-6
         assert abs(cert.margin - 1.0) <= 1e-6
         np.testing.assert_allclose(cert.spectrum, [-1.0, -1.0, -1.0, -1.0], atol=1e-6)
-        assert cert.inertia_at_xi1 == (2, 2, 0)
+        assert inertia(pencil.h0, DEFINITENESS_TOL) == (2, 2, 0)
         assert not cert.boundary_hit
-        assert cert.compactness_verified
+        assert compactness_certificate(algebra, space.metric)
 
     def test_zero_dimensional_family_indefinite(self):
-        space = SymplecticSpace.canonical(2)
+        space = canonical_space(2)
         algebra = LieAlgebraBasis.build(space, np.zeros((0, 2, 2)))
         h = Poly(2, {(1, 1): 1.0})
         frame = witt_artin_frame(space, algebra, np.zeros(2))
         family = solve_velocities(h, frame)
-        cert = definiteness_search(h, family, frame, rng=0)
+        cert = definiteness_search(slice_pencil(h, frame, family), rng=0)
         assert cert.verdict == "INCONCLUSIVE"
         assert family.dim == 0
 
@@ -146,7 +146,7 @@ class TestDefinitenessSearch:
         p = np.array([1.0, 0, 0, 0])
         frame = witt_artin_frame(space, algebra, p)
         family = solve_velocities(h, frame)
-        cert = definiteness_search(h, family, frame, rng=0)
+        cert = definiteness_search(slice_pencil(h, frame, family), rng=0)
         assert cert.verdict == "STABLE_NEG_DEF"
         np.testing.assert_allclose(cert.xi_star, [2.0], atol=1e-12)
         assert abs(cert.margin - 2.0) <= 1e-12
@@ -154,7 +154,7 @@ class TestDefinitenessSearch:
     def test_indefinite_for_every_velocity(self):
         # weight-(1,1,0) circle action on R^6; the weight-zero block carries a
         # saddle term no velocity can cure, so the whole family is indefinite
-        space = SymplecticSpace.canonical(6)
+        space = canonical_space(6)
         from systems import torus_generators
 
         algebra = LieAlgebraBasis.build(space, torus_generators([[1, 1, 0]]))
@@ -171,7 +171,7 @@ class TestDefinitenessSearch:
         frame = witt_artin_frame(space, algebra, np.zeros(6))
         family = solve_velocities(h, frame)
         assert family.dim == 1
-        cert = definiteness_search(h, family, frame, rng=0)
+        cert = definiteness_search(slice_pencil(h, frame, family), rng=0)
         assert cert.verdict == "INCONCLUSIVE"
         assert cert.boundary_hit is False
 
@@ -179,7 +179,7 @@ class TestDefinitenessSearch:
         for system in random_system_suite()[:6]:
             frame = witt_artin_frame(system.space, system.algebra, system.point)
             family = solve_velocities(system.hamiltonian, frame)
-            cert = definiteness_search(system.hamiltonian, family, frame, rng=1)
+            cert = definiteness_search(slice_pencil(system.hamiltonian, frame, family), rng=1)
             if cert.stable and cert.spectrum.size:
                 scale = max(1.0, float(np.abs(cert.spectrum).max()))
                 assert cert.margin / scale > DEFINITENESS_TOL
@@ -188,7 +188,7 @@ class TestDefinitenessSearch:
         system = random_system_suite()[4]
         frame = witt_artin_frame(system.space, system.algebra, system.point)
         family = solve_velocities(system.hamiltonian, frame)
-        cert = definiteness_search(system.hamiltonian, family, frame, rng=2)
+        cert = definiteness_search(slice_pencil(system.hamiltonian, frame, family), rng=2)
         frame_k = frame.momentum_isotropy
         for _ in range(3):
             eta = frame_k.basis.T @ rng.standard_normal(frame_k.dim)
@@ -196,7 +196,7 @@ class TestDefinitenessSearch:
             moved = group_exp(system.algebra, eta, t) @ system.point
             frame2 = witt_artin_frame(system.space, system.algebra, moved)
             fam2 = solve_velocities(system.hamiltonian, frame2)
-            cert2 = definiteness_search(system.hamiltonian, fam2, frame2, rng=2)
+            cert2 = definiteness_search(slice_pencil(system.hamiltonian, frame2, fam2), rng=2)
             assert cert2.verdict == cert.verdict
 
 
@@ -217,7 +217,7 @@ class TestOrthogonalVelocity:
     def test_particular_inside_isotropy_projects_to_zero(self, parts):
         space, algebra, _ = parts
         sub = Subalgebra.from_vectors(algebra, np.eye(1))
-        family = VelocityFamily(xi1=np.array([5.0]), directions=sub, residual=0.0)
+        family = VelocityFamily(xi1=np.array([5.0]), directions=sub, residual=0.0, gradient=np.zeros(4))
         np.testing.assert_allclose(orthogonal_velocity(family, np.eye(1)), [0.0], atol=1e-12)
 
     def test_baseline_dominated_by_search(self):
@@ -239,7 +239,7 @@ class TestOrthogonalVelocity:
             baseline_margin = max(w.min(), -w.max())
             if baseline_margin / scale <= DEFINITENESS_TOL:
                 continue
-            cert = definiteness_search(system.hamiltonian, family, frame, rng=3)
+            cert = definiteness_search(slice_pencil(system.hamiltonian, frame, family), rng=3)
             assert cert.stable
             assert cert.margin >= baseline_margin - 1e-6
             nontrivial += 1

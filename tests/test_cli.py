@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import slicecert
-from slicecert import LieAlgebraBasis, MomentumMap, bundled_system, cli, load_system, serialize_system, symmetry
+from slicecert import LieAlgebraBasis, MomentumMap, Poly, bundled_system, cli, load_system, serialize_system, symmetry
 from slicecert.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_NOT_RELATIVE_EQUILIBRIUM,
@@ -303,6 +303,21 @@ class TestPointObjectsBuiltOnce:
         cmd_certify(system)
         assert (len(maps), len(isotropy)) == (1, 1)
 
+    @pytest.mark.parametrize("system_name, point", [
+        ("example1", None), ("example1", [1.0, 0.0, 0.0, 0.0]), ("saddle", None),
+    ])
+    @pytest.mark.parametrize("velocity", [None, "xiStar", "xiPerp"])
+    def test_certify_evaluates_each_derivative_once(self, monkeypatch, system_name, point, velocity):
+        system = load_system(system_name)
+        if point is not None:
+            system = with_point(system, np.array(point))
+        if velocity is not None:
+            velocity = cmd_certify(system)[0][velocity]
+        hessians = count_calls(monkeypatch, Poly, "hessian")
+        gradients = count_calls(monkeypatch, Poly, "gradient")
+        cmd_certify(system, velocity=velocity)
+        assert (len(hessians), len(gradients)) == (1, 1)
+
     def test_probe_builds_one_momentum_map(self, monkeypatch, example1):
         maps = count_calls(monkeypatch, MomentumMap, "__init__")
         cmd_probe(example1, horizon=0.05, samples=2)
@@ -363,6 +378,29 @@ class TestMainExitCodes:
         assert main(["validate", "saddle"]) == 0
         capsys.readouterr()
         assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "example1", "--velocity", "abc"],
+            ["probe", "example1", "--samples", "x"],
+            ["frobnicate", "example1"],
+            ["certify"],
+            [],
+        ],
+        ids=["bad-velocity", "bad-samples", "unknown-command", "missing-file", "no-command"],
+    )
+    def test_usage_error_is_four(self, argv, capsys):
+        code = main(argv)
+        out = json.loads(capsys.readouterr().out)
+        assert (code, out["type"]) == (EXIT_VALIDATION, "ParseError")
+        assert out["error"]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--help"])
+        assert exc.value.code == 0
+        assert "--velocity" in capsys.readouterr().out
 
     def test_inconclusive_is_two(self, capsys):
         code = main(["certify", "saddle"])

@@ -11,7 +11,6 @@ from slicecert import (
     LieAlgebraBasis,
     MomentumMap,
     Poly,
-    SymplecticSpace,
     bundled_system,
     integrate,
     momentum_isotropy_algebra,
@@ -23,12 +22,14 @@ from slicecert.cli import cmd_probe, main
 from slicecert.errors import SolverDiverged, ValidationError
 from slicecert.symmetry import Subalgebra
 
-from reference import count_calls, group_exp, hamiltonian_vector_field, linear_midpoint_steps
+from reference import count_calls, group_exp, hamiltonian_vector_field, linear_midpoint_steps, metric_norm
 from systems import (
     PAULI,
+    canonical_space,
     example1_generator,
     example1_hamiltonian,
     poly_add,
+    quadratic_form,
     random_system_suite,
     su2_generators,
     torus_generators,
@@ -73,12 +74,12 @@ def _newton_case(fixture):
 
 @pytest.fixture(scope="module")
 def space2():
-    return SymplecticSpace.canonical(2)
+    return canonical_space(2)
 
 
 @pytest.fixture(scope="module")
 def example1_parts():
-    space = SymplecticSpace.canonical(4)
+    space = canonical_space(4)
     algebra = LieAlgebraBasis.build(space, example1_generator()[None, :, :])
     return space, algebra, example1_hamiltonian()
 
@@ -163,9 +164,9 @@ class TestIntegrate:
         if case == "example1":
             space, _, h = example1_parts
         else:
-            space = SymplecticSpace.canonical(6)
+            space = canonical_space(6)
             a = rng.standard_normal((6, 6))
-            h = Poly.quadratic_form(0.5 * (a @ a.T + np.eye(6)))
+            h = quadratic_form(0.5 * (a @ a.T + np.eye(6)))
         n, dt, steps = space.dim, 1e-2, 10_000
         x0 = rng.standard_normal(n)
         lmat = space.omega_inverse() @ h.hessian(np.zeros(n))
@@ -192,9 +193,9 @@ class TestIntegrate:
         "steps", [1, dynamics.BLOCK - 1, dynamics.BLOCK, dynamics.BLOCK + 1, 30_000]
     )
     def test_blocked_propagator_matches_step_by_step(self, rng, steps):
-        space = SymplecticSpace.canonical(6)
+        space = canonical_space(6)
         a = rng.standard_normal((6, 6))
-        h = Poly.quadratic_form(0.5 * (a @ a.T + np.eye(6)))
+        h = quadratic_form(0.5 * (a @ a.T + np.eye(6)))
         x0 = rng.standard_normal(6)
         traj = integrate(space, h, x0, 1e-2, steps)
         reference = linear_midpoint_steps(space, h, x0, 1e-2, steps)
@@ -311,7 +312,7 @@ ABELIAN_CASES = {
 def _abelian_case(name):
     """(space, algebra, K, raw generators, p); K is the whole algebra."""
     gens, p = ABELIAN_CASES[name]
-    space = SymplecticSpace.canonical(gens.shape[1])
+    space = canonical_space(gens.shape[1])
     algebra = LieAlgebraBasis.build(space, gens)
     return space, algebra, Subalgebra.from_vectors(algebra, np.eye(len(gens))), gens, np.array(p)
 
@@ -344,7 +345,7 @@ class TestOrbitDistance:
             assert orbit_distance(space, algebra, x, p, k, rng=rng) <= 1e-6
 
     def test_su2_orbit(self, rng):
-        space = SymplecticSpace.canonical(4)
+        space = canonical_space(4)
         algebra = LieAlgebraBasis.build(space, su2_generators(blocks=1))
         p = np.array([0.8, -0.1, 0.5, 0.3])
         mm = MomentumMap(space, algebra)
@@ -354,7 +355,7 @@ class TestOrbitDistance:
         assert orbit_distance(space, algebra, x, p, k, rng=rng) <= 1e-6
 
     def test_trivial_group_exact(self):
-        space = SymplecticSpace.canonical(2)
+        space = canonical_space(2)
         algebra = LieAlgebraBasis.build(space, np.zeros((0, 2, 2)))
         k = Subalgebra(basis=np.zeros((0, 0)))
         x, p = np.array([3.0, 4.0]), np.zeros(2)
@@ -366,7 +367,7 @@ class TestOrbitDistance:
         p = np.array([1.0, 0, 0.5, 0])
         for _ in range(5):
             x = rng.standard_normal(4)
-            assert orbit_distance(space, algebra, x, p, k, rng=rng) <= space.norm(x - p) + 1e-12
+            assert orbit_distance(space, algebra, x, p, k, rng=rng) <= metric_norm(space, x - p) + 1e-12
 
     @pytest.mark.parametrize("name", sorted(ABELIAN_CASES))
     def test_no_worse_than_dense_reference(self, name, rng):
@@ -380,7 +381,7 @@ class TestOrbitDistance:
             reference = np.linalg.norm(reference_points - x, axis=1).min()
             dist = orbit_distance(space, algebra, x, p, k)
             assert dist <= reference * (1 + 1e-9)
-            assert dist <= space.norm(x - p)
+            assert dist <= metric_norm(space, x - p)
 
     @pytest.mark.parametrize("name", sorted(ABELIAN_CASES))
     def test_group_translates_are_on_the_orbit(self, name, rng):
@@ -394,7 +395,7 @@ class TestOrbitDistance:
     def test_unit_rotation_matches_the_exact_orbit(self, t):
         # The orbit of p under x -> (cos t, -sin t; sin t, cos t) x is the
         # circle of radius |p|, so (1 + delta) R(t) p lies delta |p| from it.
-        space = SymplecticSpace.canonical(2)
+        space = canonical_space(2)
         algebra = LieAlgebraBasis.build(space, np.array([[[0.0, -1.0], [1.0, 0.0]]]))
         k = Subalgebra.from_vectors(algebra, np.eye(1))
         p = np.array([0.6, -0.8])
@@ -408,7 +409,7 @@ class TestOrbitDistance:
         # The box pi max(1, 1/|A|_2) of the normalized generator spans a third
         # of this circle's period; a 2.5 rad turn of the raw generator lies
         # outside it, yet on the orbit.
-        space = SymplecticSpace.canonical(4)
+        space = canonical_space(4)
         gens = torus_generators([[1, 3]])
         algebra = LieAlgebraBasis.build(space, gens)
         k = Subalgebra.from_vectors(algebra, np.eye(1))
@@ -419,7 +420,7 @@ class TestOrbitDistance:
     def test_non_abelian_k_falls_back_to_nelder_mead(self):
         # p = (z, i sigma_y conj(z)) on two spin-1/2 blocks has J(p) = 0
         # exactly (dyadic entries), so K is all of su(2) and moves p.
-        space = SymplecticSpace.canonical(8)
+        space = canonical_space(8)
         algebra = LieAlgebraBasis.build(space, su2_generators(blocks=2))
         z = np.array([0.5 - 0.25j, 0.375 + 0.5j])
         zc = np.concatenate([z, 1j * PAULI[1] @ z.conj()])
@@ -474,7 +475,7 @@ class TestProbe:
         assert report.solver_failures == 0
 
     def test_saddle_escapes(self):
-        space = SymplecticSpace.canonical(2)
+        space = canonical_space(2)
         algebra = LieAlgebraBasis.build(space, np.zeros((0, 2, 2)))
         h = Poly(2, {(1, 1): 1.0})
         report = stability_probe(
@@ -483,7 +484,7 @@ class TestProbe:
         assert report.escaped
 
     def test_frozen_flow(self):
-        space = SymplecticSpace.canonical(2)
+        space = canonical_space(2)
         algebra = LieAlgebraBasis.build(space, np.zeros((0, 2, 2)))
         report = stability_probe(
             space, algebra, Poly(2), np.zeros(2), epsilon=1e-3, horizon=5.0, samples=4, rng=11

@@ -2,11 +2,12 @@
 
 ``golden_reports.json`` holds the JSON reports and exit codes of
 ``cmd_certify``, ``cmd_analyze`` and ``cmd_probe(horizon=0.05, samples=2)``
-over ``example1``, ``saddle`` and the ten suite systems.  A refactor must
-reproduce them: verdicts, strings, booleans, integers, exit codes and key
-order exactly, floats to 1e-12.  Rewrite the file (``python
-tests/test_golden.py``) only for a change that is meant to alter a report,
-and say so in CHANGES.md.
+over ``example1``, ``saddle`` and the ten suite systems, and those of
+``cmd_certify`` with ``--velocity`` set to the searched ``xiStar`` and to
+``xiPerp``.  A refactor must reproduce them: verdicts, strings, booleans,
+integers, exit codes and key order exactly, floats to 1e-12.  Rewrite the
+file (``python tests/test_golden.py``) only for a change that is meant to
+alter a report, and say so in CHANGES.md.
 """
 
 import json
@@ -23,10 +24,22 @@ from systems import random_system_suite
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 FLOAT_TOL = 1e-12
 
+
+def _record(report, code):
+    return {"exitCode": code, "report": json.loads(json.dumps(_jsonable(report)))}
+
+
+def _certify_at_velocities(system):
+    """certify --velocity at the searched xiStar and at xiPerp, one record each."""
+    searched, _ = cmd_certify(system)
+    return {key: _record(*cmd_certify(system, velocity=searched[key])) for key in ("xiStar", "xiPerp")}
+
+
 COMMANDS = {
-    "certify": cmd_certify,
-    "analyze": cmd_analyze,
-    "probe": lambda system: cmd_probe(system, horizon=0.05, samples=2),
+    "certify": lambda system: _record(*cmd_certify(system)),
+    "analyze": lambda system: _record(*cmd_analyze(system)),
+    "probe": lambda system: _record(*cmd_probe(system, horizon=0.05, samples=2)),
+    "certifyVelocity": _certify_at_velocities,
 }
 
 
@@ -34,11 +47,6 @@ def _systems():
     named = {"example1": load_system("example1"), "saddle": load_system("saddle")}
     named.update({f"suite{i}": s for i, s in enumerate(random_system_suite())})
     return named
-
-
-def _run(system, command):
-    report, code = COMMANDS[command](system)
-    return {"exitCode": code, "report": json.loads(json.dumps(_jsonable(report)))}
 
 
 def _mismatch(expected, actual, path="$"):
@@ -87,7 +95,7 @@ CASES = [
 
 @pytest.mark.parametrize("name,command", CASES, ids=[f"{n}-{c}" for n, c in CASES])
 def test_report_matches_golden(golden, systems, name, command):
-    msg = _mismatch(golden[name][command], _run(systems[name], command))
+    msg = _mismatch(golden[name][command], COMMANDS[command](systems[name]))
     assert msg is None, msg
 
 
@@ -106,7 +114,7 @@ def test_mismatch_is_strict_on_types_order_and_floats():
 
 if __name__ == "__main__":
     reports = {
-        name: {command: _run(system, command) for command in COMMANDS}
+        name: {command: run(system) for command, run in COMMANDS.items()}
         for name, system in _systems().items()
     }
     GOLDEN.write_text(json.dumps(reports, indent=1) + "\n")

@@ -8,13 +8,16 @@ import pytest
 from slicecert import Poly, SymplecticSpace, canonical_omega
 from slicecert.errors import DimensionMismatch, ValidationError
 
+from reference import gathered_product_value
 from systems import (
+    canonical_space,
     compose_linear,
     example1_hamiltonian,
     poly_add,
     poly_constant,
     poly_mul,
     poly_terms,
+    quadratic_form,
     random_system_suite,
 )
 
@@ -167,6 +170,15 @@ class TestDerivativeTables:
             grid = pts[:6].reshape(2, 3, f.nvars)
             np.testing.assert_array_equal(f.hessian(grid), f.hessian(pts[:6]).reshape(2, 3, f.nvars, f.nvars))
 
+    def test_value_matches_gathered_product_reference(self, rng):
+        polys = [s.hamiltonian for s in random_system_suite()]
+        polys += [random_poly(rng, int(rng.integers(1, 7)), terms=12) for _ in range(20)] + [Poly(3)]
+        for f in polys:
+            for table in (f, *f._derivative_tables()[:2]):
+                for shape in ((), (7,), (2, 3), (1500,)):
+                    x = rng.standard_normal(shape + (f.nvars,))
+                    np.testing.assert_array_equal(table.value(x), gathered_product_value(table, x))
+
     @pytest.mark.parametrize("degree", range(5))
     def test_large_batches_equal_stacked_points(self, rng, degree):
         # past a thousand points, where a batch kernel could block or reorder
@@ -214,7 +226,7 @@ class TestAlgebra:
 
     def test_quadratic_form(self, rng):
         q = rng.standard_normal((4, 4))
-        f = Poly.quadratic_form(q)
+        f = quadratic_form(q)
         x = rng.standard_normal(4)
         assert f.value(x) == pytest.approx(float(x @ q @ x), rel=1e-12, abs=1e-12)
 
@@ -243,7 +255,7 @@ class TestSymplecticSpace:
 
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValidationError):
-            SymplecticSpace.canonical(3)
+            canonical_space(3)
 
     def test_rejects_non_antisymmetric_omega(self):
         with pytest.raises(ValidationError):
@@ -254,5 +266,5 @@ class TestSymplecticSpace:
             SymplecticSpace(dim=2, omega=canonical_omega(2), metric=np.diag([1.0, -1.0]))
 
     def test_omega_inverse(self):
-        space = SymplecticSpace.canonical(4)
+        space = canonical_space(4)
         np.testing.assert_allclose(space.omega_inverse() @ space.omega, np.eye(4), atol=1e-14)

@@ -6,7 +6,6 @@ import pytest
 from slicecert import (
     LieAlgebraBasis,
     MomentumMap,
-    SymplecticSpace,
     restricted_hessian,
     solve_velocities,
     witt_artin_frame,
@@ -15,12 +14,12 @@ from slicecert.errors import PreconditionViolated
 from slicecert.linalg import inertia
 
 from reference import descent_residual, slice_momentum_map, slice_symplectic_form
-from systems import example1_generator, example1_hamiltonian, random_system_suite
+from systems import canonical_space, example1_generator, example1_hamiltonian, random_system_suite
 
 
 @pytest.fixture(scope="module")
 def example1_parts():
-    space = SymplecticSpace.canonical(4)
+    space = canonical_space(4)
     algebra = LieAlgebraBasis.build(space, example1_generator()[None, :, :])
     return space, algebra, example1_hamiltonian()
 
@@ -40,7 +39,7 @@ class TestFrame:
         assert np.abs(frame.basis_n[:2, :]).max() <= 1e-12
 
     def test_trivial_group(self):
-        space = SymplecticSpace.canonical(6)
+        space = canonical_space(6)
         algebra = LieAlgebraBasis.build(space, np.zeros((0, 6, 6)))
         frame = witt_artin_frame(space, algebra, np.ones(6))
         assert frame.dims == (0, 0, 6, 0)
