@@ -2,21 +2,25 @@
 
 The flow of X_h = Omega^{-1} grad h is integrated with the implicit midpoint
 rule, which conserves all quadratic first integrals (in particular every
-momentum component) up to solver residual.  A quadratic h steps with one
-precomputed propagator; any other h solves the midpoint equations of a
-window of up to 64 steps at once by simplified Newton, one gradient call
-per sweep over the window, with a Jacobian each start holds across
+momentum component) up to solver residual.  A quadratic h steps with
+precomputed maps of 1..64 and of 64, 128, ..., 4032 steps, two products
+per start for every 4096 steps; any other h solves the midpoint equations
+of a window of up to 64 steps at once by simplified Newton, one gradient
+call per sweep over the window, with a Jacobian each start holds across
 windows.  The probe measures how far trajectories started near p wander
-from the K-orbit of p.  For abelian K the orbit is in closed form after
-one diagonalization of K's generators, and one grid pass plus Newton
-steps finds the nearest point; other K fall back to multi-start
-Nelder-Mead.  Either way the value is the distance to an actual orbit
-point, so it only ever overestimates, and probes err toward
-declaring escape, never toward confirming stability.  The fallback's random
-starts come from a child stream of the probe's generator, so the sampled
-initial conditions depend on the seed alone.  scipy is imported only for
-the fallback (``scipy.linalg`` and ``scipy.optimize``), so a probe with
-abelian or trivial K, like every other command, loads neither.
+from the K-orbit of p, and for a quadratic h takes the energy as one
+quadratic form over the trajectory.  When K fixes p the orbit is {p},
+and every checkpoint distance is one metric norm, all rows at once.  For
+abelian K the orbit is in closed form after one diagonalization of K's
+generators, and one grid pass plus Newton steps finds the nearest point;
+other K fall back to multi-start Nelder-Mead.  Either way the value is
+the distance to an actual orbit point, so it only ever overestimates, and
+probes err toward declaring escape, never toward confirming stability.
+The fallback's random starts come from a child stream of the probe's
+generator, so the sampled initial conditions depend on the seed alone.
+scipy is imported only for the fallback (``scipy.linalg`` and
+``scipy.optimize``), so a probe with abelian or trivial K, like every
+other command, loads neither.
 """
 
 import csv
@@ -50,10 +54,11 @@ def integrate(space, hamiltonian, x0, dt, steps, tol=MIDPOINT_TOL, max_newton=MA
     of starts stepped together, giving (S, steps + 1, dim); a batch row
     holds the same bits as the 1-D call from that start.  Quadratic
     Hamiltonians reduce to one propagator, built once from the midpoint
-    equation (I - dt/2 L) x' = (I + dt/2 L) x + shift and applied BLOCK
-    steps per product.  Otherwise every step meets its midpoint equation
-    to the stated residual, solved a window of up to BLOCK steps at a time
-    by simplified Newton: a prediction from h's linearization, then sweeps
+    equation (I - dt/2 L) x' = (I + dt/2 L) x + shift, whose maps of up
+    to BLOCK and BLOCK^2 steps fill the trajectory (``_linear_steps``).
+    Otherwise every step meets its midpoint equation to the stated
+    residual, solved a window of up to BLOCK steps at a time by
+    simplified Newton: a prediction from h's linearization, then sweeps
     of one gradient call each, with a Jacobian the start holds across
     windows (``_newton_steps``).  A window that does not converge is
     halved, down to one step; at most ``max_newton`` residuals per try.
@@ -89,8 +94,21 @@ def _linear_steps(space, hamiltonian, starts, dt, steps):
     With D = A-^{-1} A+ - I = A-^{-1} dt L and c the shift, one step is
     x + (D x + c).  Kept apart from I, D is rounded relative to dt L rather
     than to 1, so h drifts less.  j steps are x + (D_j x + c_j) with
-    D_{j+1} = D_j + (D + D D_j) and c_{j+1} = c_j + (c + D c_j), so one
-    product with the stacked D_j, c_j advances a block of steps.
+    D_{j+1} = D_j + (D + D D_j) and c_{j+1} = c_j + (c + D c_j).  Two
+    stacks of such maps, both built by this recursion, advance the
+    trajectories (B = BLOCK, or steps if fewer):
+
+    - the inner stack holds the maps of j = 1..B steps;
+    - the outer stack holds those of B, 2B, ..., (B - 1) B steps, built
+      from the B-step map as the inner one is from one step.
+
+    A superblock of up to B^2 steps starts from the last point of the one
+    before.  Per start, one product with the outer stack gives the first
+    point of each of its blocks, and one product with the inner stack
+    fills every step of every block.  So a point is two maps from its
+    superblock's first point, and a map of j steps carries the rounding
+    of the j-step recursion that built it, ~j eps: the error grows like
+    steps * eps, as it does step by step.
     """
     n = space.dim
     omega_inv = space.omega_inverse()
@@ -99,22 +117,48 @@ def _linear_steps(space, hamiltonian, starts, dt, steps):
     shift = dt * (omega_inv @ hamiltonian.gradient(origin))
     prop = np.linalg.solve(np.eye(n) - 0.5 * dt * lmat, np.column_stack([dt * lmat, shift]))
     block = min(BLOCK, steps)
-    stack = np.empty((block, n, n + 1))
-    stack[0] = prop
-    for j in range(1, block):
-        stack[j] = stack[j - 1] + (prop + prop[:, :n] @ stack[j - 1])
-    mats = stack[:, :, :n].reshape(block * n, n)
-    consts = stack[:, :, n]
+    inner = _step_maps(prop, block)
+    outer = _step_maps(inner[-1], min(BLOCK, -(-steps // block)) - 1)
+    span = block * (len(outer) + 1)
+    # [D_j | c_j]^T side by side, so that [x, 1] @ it gives every D_j x + c_j
+    inner, outer = (maps.transpose(2, 0, 1).reshape(n + 1, len(maps) * n) for maps in (inner, outer))
 
-    traj = np.empty((len(starts), steps + 1, n))
-    traj[:, 0] = x = starts
-    for k in range(0, steps, block):
-        size = min(block, steps - k)
-        # matrix-vector products per start: a batch row keeps the 1-D bits
-        moves = (mats[: size * n] @ x[:, :, None]).reshape(len(x), size, n) + consts[:size]
-        traj[:, k + 1 : k + 1 + size] = x[:, None, :] + moves
-        x = traj[:, k + size]
+    count = len(starts)
+    traj = np.empty((count, steps + 1, n))
+    traj[:, 0] = starts
+    for k in range(0, steps, span):
+        size = min(span, steps - k)
+        blocks = -(-size // block)
+        # each block's first point, then a 1 for the c_j;
+        # vector-matrix products per start: a batch row keeps the 1-D bits
+        firsts = np.ones((count, blocks, n + 1))
+        firsts[:, 0, :n] = x = traj[:, k]
+        if blocks > 1:
+            moves = (firsts[:, :1] @ outer[:, : (blocks - 1) * n]).reshape(count, blocks - 1, n)
+            np.add(x[:, None], moves, out=firsts[:, 1:, :n])
+        full = size // block
+        for lo, rows, width in ((0, full, block), (full, 1, size - full * block)):
+            if rows and width:
+                first = k + 1 + lo * block
+                moves = traj[:, first : first + rows * width].reshape(count, rows, width * n)
+                np.matmul(firsts[:, lo : lo + rows], inner[:, : width * n], out=moves)
+                filled = moves.reshape(count, rows, width, n)
+                filled += firsts[:, lo : lo + rows, None, :n]
     return traj
+
+
+def _step_maps(prop, count):
+    """The maps [D_j | c_j] of j = 1..count steps of prop = [D | c], by the
+    recursion D_{j+1} = D_j + (D + D D_j), c_{j+1} = c_j + (c + D c_j)."""
+    mat = prop[:, : len(prop)]
+    stack = np.empty((count,) + prop.shape)
+    if count:
+        stack[0] = prop
+    for prev, cur in zip(stack, stack[1:]):
+        np.matmul(mat, prev, out=cur)
+        cur += prop
+        cur += prev
+    return stack
 
 
 def _newton_steps(space, hamiltonian, starts, dt, steps, tol, max_newton):
@@ -409,9 +453,21 @@ def _nelder_mead_distance(amats, p, metric, box):
     return distance
 
 
+def _metric_norms(diffs, metric):
+    """|d|_metric for each d along the last axis of diffs, by one
+    vector-matrix product per row, so a row's bits do not depend on the
+    rows beside it."""
+    weighted = (diffs[..., None, :] @ metric)[..., 0, :]
+    weighted *= diffs
+    return np.sqrt(np.maximum(weighted.sum(axis=-1), 0.0))
+
+
 def _orbit_distance_to(space, algebra, p, sub_k):
-    """The function (x, starts, rng, extra_start) -> (distance, t) for
-    min over g in exp(k) of |x - g.p|_metric, with g = exp(sum_i t_i A_i).
+    """The function (x, starts, rng, extra_start) -> (|x - g.p|_metric, t)
+    at the g = exp(sum_i t_i A_i) in exp(k) that its search finds, or None
+    when K is trivial or fixes p, so that the orbit is {p}.  Callers take
+    the smaller of that value and |x - p|_metric (``_metric_norms``, for
+    any number of rows), which is the distance itself when K fixes p.
 
     Everything that depends on p and K alone is settled here, once per
     point: K's generator matrices, whether K fixes p, and for abelian K the
@@ -419,15 +475,9 @@ def _orbit_distance_to(space, algebra, p, sub_k):
     ``extra_start`` feed only the Nelder-Mead fallback.
     """
     metric = space.metric
-
-    def metric_dist(x, q):
-        d = x - q
-        return float(np.sqrt(max(d @ metric @ d, 0.0)))
-
     amats = np.array([algebra.matrix(sub_k.basis[i]) for i in range(sub_k.dim)])
     if not len(amats) or np.abs(amats @ p).max() <= 1e-13 * (1.0 + float(np.abs(p).max())):
-        # K is trivial or fixes p: the orbit is the single point p.
-        return lambda x, starts, rng, extra_start=None: (metric_dist(x, p), np.zeros(sub_k.dim))
+        return None
 
     norms = np.array([np.linalg.norm(a, 2) for a in amats])
     box = math.pi * max(1.0, 1.0 / norms.min())
@@ -486,7 +536,7 @@ def _orbit_distance_to(space, algebra, p, sub_k):
             if found is None:
                 break
             t, (f, z, md) = found
-        return min(math.sqrt(max(f, 0.0)), metric_dist(x, p)), t
+        return math.sqrt(max(f, 0.0)), t
 
     return distance
 
@@ -507,9 +557,34 @@ def orbit_distance(space, algebra, x, p, sub_k, starts=32, rng=None):
     |x - p|_metric.  For abelian K that orbit point is taken in the
     eigenbasis, exact to rounding at any t, not from ``expm``.
     """
-    distance = _orbit_distance_to(space, algebra, space.check_point(p), sub_k)
+    p = space.check_point(p)
+    distance = _orbit_distance_to(space, algebra, p, sub_k)
+    x = space.check_point(x)
+    direct = float(_metric_norms(x - p, space.metric))
+    if distance is None:
+        return direct
     rng = np.random.default_rng(0) if rng is None else rng
-    return distance(space.check_point(x), starts, rng)[0]
+    return min(distance(x, starts, rng)[0], direct)
+
+
+def _energy(hamiltonian, dim):
+    """The function from a trajectory (points, dim) to h at each point.  A
+    quadratic h is one form, c + x . (g + H x / 2) from h, grad h and
+    d2h at 0, in place of a gather over every monomial."""
+    if hamiltonian.degree() > 2:
+        return hamiltonian.value
+    origin = np.zeros(dim)
+    half = 0.5 * hamiltonian.hessian(origin)
+    grad = hamiltonian.gradient(origin)
+    const = hamiltonian.value(origin)
+
+    def quadratic(traj):
+        energies = np.einsum("tn,tn->t", traj @ half, traj)
+        energies += traj @ grad
+        energies += const
+        return energies
+
+    return quadratic
 
 
 @dataclass(frozen=True)
@@ -578,6 +653,7 @@ def stability_probe(
     # each block dotted with x
     n, d = space.dim, algebra.dim
     quads = 0.5 * mm.component_hessians().transpose(1, 0, 2).reshape(n, d * n)
+    energy = _energy(hamiltonian, n)
     distance = _orbit_distance_to(space, algebra, p, momentum_isotropy_algebra(algebra, mm.value(p)))
     # A child stream for the Nelder-Mead starts, so the samples drawn below
     # depend on the seed alone, whichever orbit-distance method runs.
@@ -617,32 +693,32 @@ def stability_probe(
                     failures += 1
                     continue
 
-                energies = np.atleast_1d(hamiltonian.value(traj))
+                energies = energy(traj)
                 energy_drift = max(energy_drift, float(np.abs(energies - energies[0]).max()))
-                # each product taken in place, so a sweep holds one
-                # trajectory-sized temporary
-                terms = (traj @ quads).reshape(len(traj), d, n)
-                terms *= traj[:, None]
-                momenta = terms.sum(axis=2)
+                momenta = np.einsum("tdn,tn->td", (traj @ quads).reshape(len(traj), d, n), traj)
                 if d:
                     momentum_drift = max(momentum_drift, float(np.abs(momenta - momenta[0]).max()))
 
-                # the ambient-distance peak of each window of stride steps
+                # the ambient-distance peak of each window of stride steps,
+                # where its square peaks
                 diffs = traj - p
-                weighted = diffs @ space.metric
-                weighted *= diffs
-                ambient = np.sqrt(weighted.sum(axis=1))
-                windows = np.pad(ambient, (0, -len(ambient) % stride), constant_values=-np.inf)
+                squares = np.einsum("tn,tn->t", diffs @ space.metric, diffs)
+                windows = np.pad(squares, (0, -len(squares) % stride), constant_values=-np.inf)
                 peaks = np.arange(0, steps + 1, stride) + windows.reshape(-1, stride).argmax(axis=1)
-                warm = None
-                for idx in np.union1d(peaks, [0, steps]).tolist():
-                    dist, warm = distance(traj[idx], DISTANCE_STARTS, search_rng, warm)
-                    max_dist = max(max_dist, dist)
-                    if writer is not None:
-                        row = [sample, idx * dt]
-                        row += list(traj[idx])
-                        row += [energies[idx]] + list(momenta[idx]) + [dist]
-                        writer.writerow(row)
+                checkpoints = np.union1d(peaks, [0, steps])
+                # |x - p| at every checkpoint at once: the distance when K
+                # fixes p, and otherwise a bound on the orbit search
+                dists = _metric_norms(traj[checkpoints] - p, space.metric)
+                if distance is not None:
+                    warm = None
+                    for k, idx in enumerate(checkpoints.tolist()):
+                        found, warm = distance(traj[idx], DISTANCE_STARTS, search_rng, warm)
+                        dists[k] = min(found, dists[k])
+                max_dist = max(max_dist, *dists.tolist())
+                if writer is not None:
+                    table = np.column_stack([checkpoints * dt, traj[checkpoints], energies[checkpoints],
+                                             momenta[checkpoints], dists])
+                    writer.writerows([sample] + row for row in table.tolist())
     finally:
         if handle is not None:
             handle.close()

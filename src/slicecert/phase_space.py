@@ -6,10 +6,11 @@ rounding error rather than finite-difference error.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError
+from .errors import DimensionMismatch, ParseError, ValidationError
 
 # Coefficients at or below this magnitude are dropped when terms are collected
 # (only true zeros in practice; user coefficients are never rounded).
@@ -82,33 +83,70 @@ class SymplecticSpace:
         return x
 
 
+def _exponent_array(nvars, rows):
+    """Exponent rows as an int64 array of shape (len(rows), nvars).
+
+    Each entry must be a whole number, an int or a float such as 2.0: a
+    fraction, a boolean or a string raises ParseError.  A row of another
+    length raises DimensionMismatch, and a negative entry ValidationError.
+    """
+    try:
+        kinds = set(map(type, chain.from_iterable(rows)))
+    except TypeError as exc:
+        raise ParseError(f"exponents must be lists of whole numbers: {exc}") from exc
+    wrong = [k.__name__ for k in kinds
+             if k not in (int, float) and not issubclass(k, (np.integer, np.floating))]
+    if wrong:
+        raise ParseError(f"exponents must be whole numbers, got {', '.join(sorted(wrong))}")
+    lengths = set(map(len, rows)) - {nvars}
+    if lengths:
+        raise DimensionMismatch(f"exponent index of length {min(lengths)}, expected {nvars}")
+    try:
+        values = np.array(rows, dtype=float).reshape(len(rows), nvars)
+    except OverflowError as exc:
+        raise ParseError(f"exponent out of range: {exc}") from exc
+    whole = np.isfinite(values) & (values == np.trunc(values))
+    if not whole.all():
+        raise ParseError(f"exponents must be whole numbers, got {values[~whole][0]!r}")
+    if (values < 0).any():
+        raise ValidationError("negative exponent in polynomial term")
+    return values.astype(np.int64)
+
+
+def _first_appearance(rows):
+    """(first, slot) for the rows of an integer array: first[g] is the row
+    at which the g-th distinct row first appears, in order of first
+    appearance, and slot[r] is the position in ``first`` of row r's value."""
+    order = np.lexsort(rows.T)  # stable: equal rows keep their order
+    ranked = rows[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    # each run of equal rows starts at its first appearance; marking those
+    # rows puts them in order of appearance without a second sort
+    starts = order[new]
+    first = np.zeros(len(order), dtype=bool)
+    first[starts] = True
+    slot = np.empty_like(order)
+    slot[order] = (first.cumsum() - 1)[starts][new.cumsum() - 1]
+    return first.nonzero()[0], slot
+
+
 class Poly:
     """Sparse multivariate polynomial: exponent multi-index -> coefficient.
 
-    Immutable after construction.  Differentiation is exact; evaluation is
-    vectorized over trailing batches of points.
+    Stored as an exponent array, one row per distinct monomial in order of
+    first appearance, and its coefficients.  The constructors and the
+    derivative tables build these arrays with numpy passes over the
+    exponents, not term by term in Python.  Immutable after construction.
+    Differentiation is exact; evaluation is vectorized over trailing
+    batches of points.
     """
 
-    __slots__ = ("nvars", "_terms", "_index", "_coeffs", "_tables", "_degree")
+    __slots__ = ("nvars", "_exps", "_coeffs", "_index", "_tables", "_degree")
 
     def __init__(self, nvars, terms=None):
-        nvars = int(nvars)
-        if nvars <= 0:
-            raise ValidationError("polynomial needs at least one variable")
-        collected = {}
-        for exps, coeff in (terms or {}).items():
-            key = tuple(int(e) for e in exps)
-            if len(key) != nvars:
-                raise DimensionMismatch(f"exponent index of length {len(key)}, expected {nvars}")
-            if any(e < 0 for e in key):
-                raise ValidationError("negative exponent in polynomial term")
-            collected[key] = collected.get(key, 0.0) + float(coeff)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", {k: c for k, c in collected.items() if abs(c) > COEFF_DEDUP})
-        object.__setattr__(self, "_index", None)
-        object.__setattr__(self, "_coeffs", None)
-        object.__setattr__(self, "_tables", None)
-        object.__setattr__(self, "_degree", None)
+        terms = terms or {}
+        self._collect(nvars, list(terms), list(terms.values()))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -117,12 +155,41 @@ class Poly:
 
     @classmethod
     def from_records(cls, nvars, records):
-        """Build from a list of {"exponents": [...], "coeff": c} records."""
-        terms = {}
-        for rec in records:
-            key = tuple(int(e) for e in rec["exponents"])
-            terms[key] = terms.get(key, 0.0) + float(rec["coeff"])
-        return cls(nvars, terms)
+        """Build from a list of {"exponents": [...], "coeff": c} records.
+
+        Records with equal exponents add up, in record order.  Exponents
+        must be whole numbers (2.0 passes; 2.5, true and "2" raise
+        ParseError).
+        """
+        poly = cls.__new__(cls)
+        poly._collect(nvars, [rec["exponents"] for rec in records], [rec["coeff"] for rec in records])
+        return poly
+
+    def _collect(self, nvars, rows, coeffs):
+        """Set the terms: the coefficients of equal exponent rows summed in
+        the order given, and the sums at or below COEFF_DEDUP dropped."""
+        nvars = int(nvars)
+        if nvars <= 0:
+            raise ValidationError("polynomial needs at least one variable")
+        exps = _exponent_array(nvars, rows)
+        first, slot = _first_appearance(exps)
+        # astype: bincount of no rows gives int zeros
+        sums = np.bincount(slot, weights=np.array(coeffs, dtype=float), minlength=len(first)).astype(float)
+        keep = np.abs(sums) > COEFF_DEDUP
+        self._set(nvars, exps[first[keep]], sums[keep])
+
+    def _set(self, nvars, exps, coeffs):
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "_exps", exps)
+        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_index", None)
+        object.__setattr__(self, "_tables", None)
+        object.__setattr__(self, "_degree", None)
+
+    @property
+    def _terms(self):
+        """{exponent tuple: coefficient}, in monomial order."""
+        return dict(zip(map(tuple, self._exps.tolist()), self._coeffs.tolist()))
 
     def to_records(self):
         return [
@@ -134,72 +201,64 @@ class Poly:
 
     def degree(self):
         if self._degree is None:
-            deg = max((sum(e) for e in self._terms), default=0)
-            object.__setattr__(self, "_degree", deg)
+            object.__setattr__(self, "_degree", int(self._exps.sum(axis=1).max(initial=0)))
         return self._degree
 
     def _arrays(self):
         """(each monomial's variable factors, one column per monomial, padded
         with the index nvars of value's extra 1.0 slot; coefficients)."""
         if self._index is None:
-            exps = np.array(list(self._terms), dtype=np.int64).reshape(len(self._terms), self.nvars)
-            self._store(exps, np.array(list(self._terms.values()), dtype=float))
+            # degree-major: x0^2 x2 -> column [0, 0, 2, nvars, ...], so column r
+            # holds lengths[r] factors and row d the d-th factor of every monomial
+            exps = self._exps
+            lengths = exps.sum(axis=1)
+            cols = np.repeat(np.arange(len(exps)), lengths)
+            rows = np.arange(len(cols)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+            index = np.full((self.degree(), len(exps)), self.nvars, dtype=np.int64)
+            index[rows, cols] = np.repeat(np.arange(exps.size) % self.nvars, exps.ravel())
+            object.__setattr__(self, "_index", index)
         return self._index, self._coeffs
 
-    def _store(self, exps, coeffs):
-        # degree-major: x0^2 x2 -> column [0, 0, 2, nvars, ...], so column r
-        # holds lengths[r] factors and row d the d-th factor of every monomial
-        lengths = exps.sum(axis=1)
-        cols = np.repeat(np.arange(len(exps)), lengths)
-        rows = np.arange(len(cols)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        index = np.full((self.degree(), len(exps)), self.nvars, dtype=np.int64)
-        index[rows, cols] = np.repeat(np.tile(np.arange(self.nvars), len(exps)), exps.ravel())
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_coeffs", coeffs)
-
     @classmethod
-    def _table(cls, nvars, columns):
-        """Vector-valued polynomial: one output per entry of ``columns``, a
-        list of {exponents: coeff} dicts, stored as the distinct monomials and
-        one (outputs, monomials) coefficient matrix."""
-        rows = {}
-        for col in columns:
-            for key in col:
-                rows.setdefault(key, len(rows))
-        coeffs = np.zeros((len(columns), len(rows)))
-        for j, col in enumerate(columns):
-            for key, c in col.items():
-                coeffs[j, rows[key]] = c
-        exps = np.array(list(rows), dtype=np.int64).reshape(len(rows), nvars)
-        table = cls(nvars)
-        object.__setattr__(table, "_degree", int(exps.sum(axis=1).max(initial=0)))
-        table._store(exps, coeffs)
+    def _table(cls, nvars, outputs, out, exps, values):
+        """Vector-valued polynomial with ``outputs`` outputs, output out[r]
+        holding the term values[r] x^exps[r].  Stored as the distinct
+        monomials, in order of first appearance, and one (outputs,
+        monomials) coefficient matrix."""
+        first, slot = _first_appearance(exps)
+        coeffs = np.zeros((outputs, len(first)))
+        coeffs[out, slot] = values
+        table = cls.__new__(cls)
+        table._set(nvars, exps[first], coeffs)
         return table
 
     def _derivative_tables(self):
         """(gradient table, upper-triangle Hessian table, the position in
-        the upper triangle of each full Hessian entry), built once."""
+        the upper triangle of each full Hessian entry), built once.
+
+        The derivative terms are listed output by output (np.triu_indices
+        order for the Hessian), within an output in term order, and each
+        table holds its monomials in order of first appearance in that
+        list."""
         if self._tables is None:
             n = self.nvars
-            grad = [{} for _ in range(n)]
-            hess = {(i, j): {} for i in range(n) for j in range(i, n)}  # np.triu_indices order
-            for exps, coeff in self._terms.items():
-                for i in range(n):
-                    if not exps[i]:
-                        continue
-                    d1 = list(exps)
-                    d1[i] -= 1
-                    grad[i][tuple(d1)] = coeff * exps[i]
-                    for j in range(i, n):
-                        if d1[j]:
-                            d2 = list(d1)
-                            d2[j] -= 1
-                            hess[i, j][tuple(d2)] = coeff * exps[i] * d1[j]
-            rows, cols = np.triu_indices(n)
+            exps, coeffs = self._exps, self._coeffs
+            unit = np.eye(n, dtype=np.int64)
+            out, term = np.nonzero(exps.T)
+            grad = Poly._table(n, n, out, exps[term] - unit[out], coeffs[term] * exps[term, out])
+            rows, cols = np.nonzero(np.tri(n, dtype=bool).T)  # np.triu_indices(n)
+            present = exps.T > 0
+            twice = exps.T > 1
+            # x_i present, and x_j too, or x_i squared on the diagonal
+            pair, term = np.nonzero(present[rows] & np.where((rows == cols)[:, None], twice[cols], present[cols]))
+            i, j = rows[pair], cols[pair]
+            # d/dx_j of d/dx_i: x_j's exponent once x_i is differentiated
+            after = exps[term, j] - (i == j)
+            hess = Poly._table(n, len(rows), pair, exps[term] - unit[i] - unit[j],
+                               coeffs[term] * exps[term, i] * after)
             full = np.empty((n, n), dtype=np.int64)
             full[rows, cols] = full[cols, rows] = np.arange(len(rows))
-            tables = (Poly._table(n, grad), Poly._table(n, list(hess.values())), full.ravel())
-            object.__setattr__(self, "_tables", tables)
+            object.__setattr__(self, "_tables", (grad, hess, full.ravel()))
         return self._tables
 
     # -- evaluation ---------------------------------------------------------

@@ -1,7 +1,8 @@
 """Reference computations that only the tests use.
 
 These restate pieces of the theory (the symplectic form and metric norm of
-a space, polynomial evaluation as one gathered product, the augmented
+a space, polynomial evaluation as one gathered product, the term-by-term
+collection of polynomial records and build of derivative tables, the augmented
 Hessian, the slice form and slice momentum, the descent property, the
 coadjoint action, the group exponential, the Hamiltonian vector field, the
 step-by-step linear midpoint rule) so that tests can check the pipeline
@@ -17,6 +18,7 @@ import scipy.linalg
 from slicecert.certify import require_velocity
 from slicecert.errors import DegenerateSliceForm, DimensionMismatch, PreconditionViolated
 from slicecert.momentum import MomentumMap, momentum_isotropy_algebra
+from slicecert.phase_space import COEFF_DEDUP
 from slicecert.symmetry import SUBALGEBRA_TOL
 from slicecert.witt_artin import SLICE_DET_TOL
 
@@ -63,6 +65,67 @@ def gathered_product_value(poly, x):
         monomials = monomials[..., None, :]
     out = (monomials * coeffs).sum(axis=-1)
     return float(out) if out.ndim == 0 else out
+
+
+def records_by_terms(records):
+    """{exponent tuple: summed coefficient} of Poly records, summed term by
+    term in record order, in order of first appearance, with the sums at
+    or below COEFF_DEDUP dropped: what ``Poly.from_records`` must hold."""
+    terms = {}
+    for rec in records:
+        key = tuple(int(e) for e in rec["exponents"])
+        terms[key] = terms.get(key, 0.0) + float(rec["coeff"])
+    return {k: c for k, c in terms.items() if abs(c) > COEFF_DEDUP}
+
+
+def factor_index(nvars, monomials):
+    """The degree-major factor index ``Poly._arrays`` holds for a list of
+    monomials: column r lists monomial r's variables, each as often as its
+    exponent, padded with nvars."""
+    index = np.full((max((sum(m) for m in monomials), default=0), len(monomials)), nvars, dtype=np.int64)
+    for r, m in enumerate(monomials):
+        factors = [v for v, e in enumerate(m) for _ in range(e)]
+        index[: len(factors), r] = factors
+    return index
+
+
+def derivative_tables_by_terms(poly):
+    """(gradient table, upper-triangle Hessian table, full-Hessian map) of
+    ``poly``, each table as (factor index, coefficient matrix), built term
+    by term with dicts: the derivative terms output by output (np.triu_indices
+    order for the Hessian), within an output in term order, and each table's
+    monomials in order of first appearance."""
+    n = poly.nvars
+    grad = [{} for _ in range(n)]
+    hess = {(i, j): {} for i in range(n) for j in range(i, n)}
+    for exps, coeff in poly._terms.items():
+        for i in range(n):
+            if not exps[i]:
+                continue
+            d1 = list(exps)
+            d1[i] -= 1
+            grad[i][tuple(d1)] = coeff * exps[i]
+            for j in range(i, n):
+                if d1[j]:
+                    d2 = list(d1)
+                    d2[j] -= 1
+                    hess[i, j][tuple(d2)] = coeff * exps[i] * d1[j]
+
+    def table(columns):
+        rows = {}
+        for col in columns:
+            for key in col:
+                rows.setdefault(key, len(rows))
+        coeffs = np.zeros((len(columns), len(rows)))
+        for j, col in enumerate(columns):
+            for key, c in col.items():
+                coeffs[j, rows[key]] = c
+        return factor_index(n, list(rows)), coeffs
+
+    rows, cols = np.triu_indices(n)
+    full = np.empty((n, n), dtype=np.int64)
+    full[rows, cols] = full[cols, rows] = np.arange(len(rows))
+    return table(grad), table(list(hess.values())), full.ravel()
 
 
 def augmented_hessian(mm, hamiltonian, p, xi):

@@ -256,8 +256,13 @@ class TestInputValidation:
             (("hamiltonian", 0, "coeff"), "abc"),
             (("point",), "abc"),
             (("hamiltonian",), {"exponents": [2, 0, 0, 0], "coeff": 1.0}),
+            # each of these read as x0^2 when exponents were truncated to int
+            (("hamiltonian", 0, "exponents"), [2.5, 0, 0, 0]),
+            (("hamiltonian", 0, "exponents"), [2, 0, 0, False]),
+            (("hamiltonian", 0, "exponents"), ["2", 0, 0, 0]),
         ],
-        ids=["dim-nan", "ragged-generators", "string-coeff", "string-point", "hamiltonian-object"],
+        ids=["dim-nan", "ragged-generators", "string-coeff", "string-point", "hamiltonian-object",
+             "fractional-exponent", "boolean-exponent", "string-exponent"],
     )
     def test_malformed_system_entry(self, path, value, tmp_path, capsys):
         data = example1_dict()
@@ -270,6 +275,16 @@ class TestInputValidation:
         code = main(["validate", str(system_file)])
         out = json.loads(capsys.readouterr().out)
         assert (code, out["type"]) == (EXIT_VALIDATION, "ParseError")
+
+    def test_whole_float_exponents_are_accepted(self, tmp_path, capsys):
+        data = example1_dict()
+        data["hamiltonian"][0]["exponents"] = [2.0, 0.0, 0, 0]
+        system_file = tmp_path / "system.json"
+        system_file.write_text(json.dumps(data))
+        code = main(["validate", str(system_file)])
+        out = json.loads(capsys.readouterr().out)
+        assert (code, out["hamiltonianDegree"]) == (0, 2)
+        assert load_system(system_file).hamiltonian == load_system("example1").hamiltonian
 
     @pytest.mark.parametrize(
         "argv, kind",

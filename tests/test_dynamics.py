@@ -190,7 +190,11 @@ class TestIntegrate:
             integrate(space2, h, np.array([10.0, 10.0]), 10.0, 1, max_newton=3)
 
     @pytest.mark.parametrize(
-        "steps", [1, dynamics.BLOCK - 1, dynamics.BLOCK, dynamics.BLOCK + 1, 30_000]
+        "steps",
+        [1, dynamics.BLOCK - 1, dynamics.BLOCK, dynamics.BLOCK + 1, 30_000,
+         # superblock boundaries: one full superblock, one step into the
+         # next, and one step past the next's first block
+         dynamics.BLOCK ** 2, dynamics.BLOCK ** 2 + 1, dynamics.BLOCK * (dynamics.BLOCK + 1) + 1],
     )
     def test_blocked_propagator_matches_step_by_step(self, rng, steps):
         space = canonical_space(6)
@@ -204,16 +208,19 @@ class TestIntegrate:
         energies = h.value(traj)
         assert np.abs(energies - energies[0]).max() <= 1e-12 * abs(energies[0])
 
-    @pytest.mark.parametrize("case", ["quadratic", "quartic"])
+    @pytest.mark.parametrize("case", ["quadratic", "quartic", "long-quadratic"])
     def test_batched_starts_equal_single_starts(self, example1_parts, rng, case):
         space, _, h = example1_parts
         if case == "quartic":
             h = poly_add(h, Poly(4, {(4, 0, 0, 0): 0.3, (0, 2, 2, 0): 0.1}))
+        steps = dynamics.BLOCK + 7
+        if case == "long-quadratic":  # past one superblock, ending in a partial block
+            steps = dynamics.BLOCK ** 2 + 3 * dynamics.BLOCK + 5
         starts = 0.5 * rng.standard_normal((3, 4))
-        batch = integrate(space, h, starts, 1e-2, dynamics.BLOCK + 7)
-        assert batch.shape == (3, dynamics.BLOCK + 8, 4)
+        batch = integrate(space, h, starts, 1e-2, steps)
+        assert batch.shape == (3, steps + 1, 4)
         for row, x0 in zip(batch, starts):
-            np.testing.assert_array_equal(row, integrate(space, h, x0, 1e-2, dynamics.BLOCK + 7))
+            np.testing.assert_array_equal(row, integrate(space, h, x0, 1e-2, steps))
 
     def test_mixed_windows_keep_each_rows_bits(self, monkeypatch):
         # suite5's quartic at its origin from three starts in one batch: at
@@ -529,6 +536,23 @@ class TestProbe:
         np.testing.assert_allclose(tables[1], tables[0], rtol=1e-12, atol=1e-15)
         samples = tables[1][:, 0]
         assert np.all(np.diff(samples) >= 0) and set(samples) == set(range(7))
+
+    @pytest.mark.parametrize("point", ["fixed", "abelian"])
+    def test_csv_distances_are_the_per_row_distances(self, example1_parts, tmp_path, point):
+        # K fixes the origin, where every checkpoint row is measured at
+        # once; off it, K is a circle and each row is measured on its own
+        space, algebra, h = example1_parts
+        p = np.zeros(4) if point == "fixed" else np.array([1.0, 0.0, 0.5, 0.0])
+        k = momentum_isotropy_algebra(algebra, MomentumMap(space, algebra).value(p))
+        assert (dynamics._orbit_distance_to(space, algebra, p, k) is None) == (point == "fixed")
+        csv_file = tmp_path / "probe.csv"
+        report = stability_probe(space, algebra, h, p, epsilon=1e-2, horizon=3.0, samples=3, rng=11,
+                                 csv_path=csv_file)
+        with csv_file.open(newline="") as handle:
+            rows = np.array([[float(v) for v in row] for row in list(csv.reader(handle))[1:]])
+        per_row = [orbit_distance(space, algebra, x, p, k) for x in rows[:, 2:6]]
+        np.testing.assert_array_equal(rows[:, -1], per_row)
+        assert report.max_orbit_distance == rows[:, -1].max()
 
     def test_one_diverging_sample_is_one_failure(self, space2, tmp_path):
         # test_solver_divergence_detected's Hamiltonian: at dt = 10 the

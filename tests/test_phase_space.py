@@ -8,7 +8,7 @@ import pytest
 from slicecert import Poly, SymplecticSpace, canonical_omega
 from slicecert.errors import DimensionMismatch, ValidationError
 
-from reference import gathered_product_value
+from reference import derivative_tables_by_terms, factor_index, gathered_product_value, records_by_terms
 from systems import (
     canonical_space,
     compose_linear,
@@ -30,6 +30,24 @@ def random_poly(rng, nvars, max_degree=4, terms=6):
             continue
         out[exps] = float(rng.standard_normal())
     return Poly(nvars, out)
+
+
+def random_records(rng, nvars, count):
+    """Poly records of degree <= 4 with repeated monomials, plus a constant,
+    a linear term and a degree-5 monomial whose two records cancel."""
+    records = []
+    for _ in range(count):
+        exps = np.bincount(rng.integers(0, nvars, int(rng.integers(0, 5))), minlength=nvars)
+        records.append({"exponents": exps.tolist(), "coeff": float(rng.standard_normal())})
+    records += [dict(rec, coeff=0.25) for rec in records[: count // 3]]
+    cancelled = np.bincount(rng.integers(0, nvars, 5), minlength=nvars).tolist()
+    records += [
+        {"exponents": [0] * nvars, "coeff": 1.5},
+        {"exponents": np.eye(nvars, dtype=int)[int(rng.integers(nvars))].tolist(), "coeff": -2.0},
+        {"exponents": cancelled, "coeff": 0.7},
+        {"exponents": cancelled, "coeff": -0.7},
+    ]
+    return [records[i] for i in rng.permutation(len(records))]
 
 
 class TestEval:
@@ -146,6 +164,20 @@ def assert_exact_derivatives(f, x):
 
 
 class TestDerivativeTables:
+    @pytest.mark.parametrize("nvars", [1, 2, 5, 13, 32])
+    def test_array_build_matches_term_by_term_build(self, rng, nvars):
+        for _ in range(6):
+            records = random_records(rng, nvars, int(rng.integers(0, 30)))
+            f = Poly.from_records(nvars, records)
+            assert list(poly_terms(f).items()) == list(records_by_terms(records).items())
+            np.testing.assert_array_equal(f._arrays()[0], factor_index(nvars, list(poly_terms(f))), strict=True)
+            *tables, full = f._derivative_tables()
+            *expected, expected_full = derivative_tables_by_terms(f)
+            for table, (index, coeffs) in zip(tables, expected):
+                np.testing.assert_array_equal(table._arrays()[0], index, strict=True)
+                np.testing.assert_array_equal(table._arrays()[1], coeffs, strict=True)
+            np.testing.assert_array_equal(full, expected_full, strict=True)
+
     def test_random_polynomials_match_exact_reference(self, rng):
         for _ in range(60):
             nvars = int(rng.integers(1, 7))
