@@ -104,13 +104,19 @@ def _dimension(value):
     return int(value)
 
 
-def _records(value):
-    """The ``hamiltonian`` field: a list of {"exponents", "coeff"} objects."""
-    if not isinstance(value, list) or not all(
-        isinstance(rec, dict) and "exponents" in rec and "coeff" in rec for rec in value
-    ):
-        raise ParseError('hamiltonian must be a list of {"exponents": [...], "coeff": c} records')
-    return value
+def _terms(value):
+    """The ``hamiltonian`` field, a list of {"exponents", "coeff"} objects,
+    as (exponent rows, coefficients), read in one pass."""
+    if isinstance(value, list):
+        rows, coeffs = [], []
+        for rec in value:
+            if not (isinstance(rec, dict) and "exponents" in rec and "coeff" in rec):
+                break
+            rows.append(rec["exponents"])
+            coeffs.append(rec["coeff"])
+        else:
+            return rows, coeffs
+    raise ParseError('hamiltonian must be a list of {"exponents": [...], "coeff": c} records')
 
 
 def system_from_dict(data):
@@ -128,9 +134,8 @@ def system_from_dict(data):
         structure = _finite("structureConstants", structure)
     algebra = LieAlgebraBasis.build(space, _finite("generators", data["generators"]), structure=structure)
 
-    records = _records(data["hamiltonian"])
-    _finite("hamiltonian coefficients", [rec["coeff"] for rec in records])
-    hamiltonian = Poly.from_records(dim, records)
+    rows, coeffs = _terms(data["hamiltonian"])
+    hamiltonian = Poly.from_terms(dim, rows, _finite("hamiltonian coefficients", coeffs))
     point = space.check_point(_floats("point", data["point"]))
 
     if data.get("algebraMetric") is not None:

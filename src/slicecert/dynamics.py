@@ -8,12 +8,15 @@ per start for every 4096 steps; any other h solves the midpoint equations
 of a window of up to 64 steps at once by simplified Newton, one gradient
 call per sweep over the window, with a Jacobian each start holds across
 windows.  The probe measures how far trajectories started near p wander
-from the K-orbit of p, and for a quadratic h takes the energy as one
-quadratic form over the trajectory.  When K fixes p the orbit is {p},
-and every checkpoint distance is one metric norm, all rows at once.  For
-abelian K the orbit is in closed form after one diagonalization of K's
-generators, and one grid pass plus Newton steps finds the nearest point;
-other K fall back to multi-start Nelder-Mead.  Either way the value is
+from the K-orbit of p, reading each trajectory a block of rows at a time,
+and for a quadratic h takes the energy as one quadratic form.  When K
+fixes p the orbit is {p}, and every checkpoint distance is one metric
+norm, all rows at once.  For abelian K the orbit is in closed form after
+one diagonalization of K's generators.  A grid whose axes each span one
+period of their generator, its orbit points built from one table of
+exp(t_i lam_i) per axis, gives every checkpoint of a sample its start in
+one pass, and Newton steps run on all of them at once, row by row.
+Other K fall back to multi-start Nelder-Mead.  Either way the value is
 the distance to an actual orbit point, so it only ever overestimates, and
 probes err toward declaring escape, never toward confirming stability.
 The fallback's random starts come from a child stream of the probe's
@@ -38,6 +41,7 @@ MAX_NEWTON = 50
 DISTANCE_STARTS = 4  # Nelder-Mead starts per probe checkpoint (non-abelian K)
 GRID_STEP = math.pi / 16  # orbit grid spacing, in units of 1/|A_i|_2
 GRID_MAX_POINTS = 1 << 16  # wider spacing past this many grid points
+GRID_PASS_BYTES = 1 << 20  # grid-pass scores held at once, rows x grid points
 PERIOD_MAX_DENOMINATOR = 100  # frequency ratios a circle period may have
 NEWTON_ITERS = 30  # Newton steps per checkpoint, and halvings per step
 NEWTON_EIG_FLOOR = 1e-8  # Hessian |eigenvalue| floor, relative to the largest
@@ -45,6 +49,7 @@ NEWTON_TOL = 1e-15  # stop once a step promises less, relative to |x - q|^2
 BLOCK = 64  # linear-path steps per propagator product, and Newton-path window width
 STALE_RATE = 0.01  # a sweep contracting the residual less than this marks J stale
 MAX_TRAJECTORY_ENTRIES = 1 << 27  # trajectory floats a probe holds at once: 1 GiB
+SCAN_ROWS = 2048  # trajectory rows the probe's per-row stage takes at once
 
 
 def integrate(space, hamiltonian, x0, dt, steps, tol=MIDPOINT_TOL, max_newton=MAX_NEWTON):
@@ -395,7 +400,7 @@ def _circle_period(lam):
     freqs = np.abs(lam.imag)
     top = freqs.max()
     ratios = freqs[freqs > 1e-9 * top] / top
-    from fractions import Fraction  # deferred: only a circle K needs it
+    from fractions import Fraction  # deferred: only an abelian K's grid needs it
 
     fracs = [Fraction(r).limit_denominator(PERIOD_MAX_DENOMINATOR) for r in ratios]
     if any(abs(r - float(f)) > 1e-9 for r, f in zip(ratios, fracs)):
@@ -405,36 +410,54 @@ def _circle_period(lam):
     return 2.0 * math.pi * denom / (numer * top)
 
 
-def _grid(half, step):
-    """Points t with t_i = k step_i in [-half_i, half_i] for integer k, so
-    t = 0 is on the grid; the steps widen evenly past GRID_MAX_POINTS."""
+def _grid_axes(half, step):
+    """Per axis i, the values k step_i in [-half_i, half_i] for integer k,
+    so t = 0 is on the grid; the steps widen evenly once the grid, their
+    product, would pass GRID_MAX_POINTS."""
     counts = np.ceil(half / step)
     total = float(np.prod(2.0 * counts + 1.0))
     if total > GRID_MAX_POINTS:
         step = step * (total / GRID_MAX_POINTS) ** (1.0 / len(step))
         counts = np.ceil(half / step)
-    axes = [np.arange(-c, c + 1.0) * s for c, s in zip(counts, step)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(step))
+    return [np.arange(-c, c + 1.0) * s for c, s in zip(counts, step)]
+
+
+def _orbit_table(axes, lam, w, vecs):
+    """Re(V (exp(t . lam) * w)) at every t of the grid spanned by axes, in
+    row-major order.  exp(t . lam) is the product over i of exp(t_i lam_i),
+    and each factor is tabulated along its own axis from real exp, cos and
+    sin, so the transcendentals number sum_i len(axes[i]) * dim, not one
+    complex exp per grid point."""
+    z = w
+    for axis, row in zip(axes, lam):
+        growth = np.exp(np.multiply.outer(axis, row.real))
+        angle = np.multiply.outer(axis, row.imag)
+        table = np.empty(angle.shape, dtype=complex)
+        table.real = growth * np.cos(angle)
+        table.imag = growth * np.sin(angle)
+        z = (z[..., None, :] * table).reshape(-1, len(w))
+    return np.real(z @ vecs.T)
 
 
 def _nelder_mead_distance(amats, p, metric, box):
     """Multi-start Nelder-Mead over exponential coordinates of K, for K that
-    one eigenbasis does not diagonalize.  Starts: the identity, the caller's
-    warm start, then random points of [-box, box]^m from ``rng``."""
+    one eigenbasis does not diagonalize, row by row.  Starts: the identity,
+    the t the row before ended at, then random points of [-box, box]^m
+    from ``rng``."""
     import scipy.optimize  # only this search needs it; deferred to keep startup light
     from scipy.linalg import expm
 
     m = len(amats)
 
-    def distance(x, starts, rng, extra_start=None):
+    def search(x, starts, rng, warm):
         def objective(t):
             q = expm(np.tensordot(t, amats, axes=1)) @ p
             d = x - q
             return float(d @ metric @ d)
 
         start_list = [np.zeros(m)]
-        if extra_start is not None and len(extra_start) == m:
-            start_list.append(np.asarray(extra_start, dtype=float))
+        if warm is not None:
+            start_list.append(warm)
         start_list.extend(rng.uniform(-box, box, size=(max(0, starts - len(start_list)), m)))
 
         best_val = objective(np.zeros(m))
@@ -448,7 +471,14 @@ def _nelder_mead_distance(amats, p, metric, box):
             )
             if res.fun < best_val:
                 best_val, best_t = float(res.fun), np.asarray(res.x, dtype=float)
-        return float(np.sqrt(max(best_val, 0.0))), best_t
+        return math.sqrt(max(best_val, 0.0)), best_t
+
+    def distance(xs, starts, rng):
+        out = np.empty(len(xs))
+        warm = None
+        for k, x in enumerate(xs):
+            out[k], warm = search(x, starts, rng, warm)
+        return out
 
     return distance
 
@@ -463,16 +493,17 @@ def _metric_norms(diffs, metric):
 
 
 def _orbit_distance_to(space, algebra, p, sub_k):
-    """The function (x, starts, rng, extra_start) -> (|x - g.p|_metric, t)
-    at the g = exp(sum_i t_i A_i) in exp(k) that its search finds, or None
-    when K is trivial or fixes p, so that the orbit is {p}.  Callers take
-    the smaller of that value and |x - p|_metric (``_metric_norms``, for
-    any number of rows), which is the distance itself when K fixes p.
+    """The function (xs, starts, rng) -> |x - g.p|_metric for each row x of
+    xs, at the g = exp(sum_i t_i A_i) in exp(k) that its search finds, or
+    None when K is trivial or fixes p, so that the orbit is {p}.  Callers
+    take the smaller of that value and |x - p|_metric (``_metric_norms``),
+    which is the distance itself when K fixes p.
 
     Everything that depends on p and K alone is settled here, once per
     point: K's generator matrices, whether K fixes p, and for abelian K the
-    eigenbasis and the grid of orbit points.  ``starts``, ``rng`` and
-    ``extra_start`` feed only the Nelder-Mead fallback.
+    eigenbasis, each generator's period and the grid of orbit points.
+    ``starts`` and ``rng`` feed only the Nelder-Mead fallback, which also
+    warm-starts each row from the row before.
     """
     metric = space.metric
     amats = np.array([algebra.matrix(sub_k.basis[i]) for i in range(sub_k.dim)])
@@ -485,58 +516,80 @@ def _orbit_distance_to(space, algebra, p, sub_k):
     if diagonal is None:
         return _nelder_mead_distance(amats, p, metric, box)
 
-    # exp(sum_i t_i A_i) p = Re(V (exp(t . lam) * w)) with w = V^-1 p
+    # exp(sum_i t_i A_i) p = Re(V (exp(t . lam) * w)) with w = V^-1 p; the
+    # A_i commute, so each t_i need only span one period of its own A_i
     vecs, lam = diagonal
     w = np.linalg.solve(vecs, p.astype(complex))
-    period = _circle_period(lam[0]) if len(amats) == 1 else None
-    half = np.full(len(amats), box if period is None else 0.5 * period)
-    grid = _grid(half, GRID_STEP / norms)
-    points = np.real((np.exp(grid @ lam) * w) @ vecs.T)
+    periods = [_circle_period(row) for row in lam]
+    axes = _grid_axes(np.array([box if period is None else 0.5 * period for period in periods]),
+                      GRID_STEP / norms)
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    points = _orbit_table(axes, lam, w, vecs)
     mpoints = points @ metric
     squares = np.einsum("ij,ij->i", mpoints, points)
+    mpoints_t = np.ascontiguousarray(mpoints.T)
+    chunk = max(1, GRID_PASS_BYTES // (8 * len(grid)))
 
-    def parts(t, x):
-        """(f, z, M d) at t, where f = |d|^2_metric and d = Re(V z) - x."""
-        z = np.exp(t @ lam) * w
-        d = np.real(vecs @ z) - x
-        md = metric @ d
-        return float(d @ md), z, md
+    def parts(t, xs):
+        """(f, z, M d) per row at t, where f = |d|^2_metric and d = Re(V z) - x."""
+        z = np.exp((t[:, None, :] @ lam)[:, 0]) * w
+        d = np.real(z[:, None, :] @ vecs.T)[:, 0] - xs
+        md = (d[:, None, :] @ metric)[:, 0]
+        return (d[:, None, :] @ md[:, :, None])[:, 0, 0], z, md
 
-    def line_search(x, t, f, step, gain):
-        """(t + s, parts) for the first s of step, step/2, ... that lowers f,
-        or None once the gain the model promises (-grad . s, twice the
-        predicted decrease) falls to rounding level."""
+    def line_search(xs, t, f, z, md, rows, step, gain):
+        """Move each of rows to the first t + s, for s = step, step/2, ...,
+        that lowers f, with f, z and M d, until the gain the model promises
+        (-grad . s, twice the predicted decrease) falls to rounding level;
+        return the rows that moved."""
+        moved = np.zeros(len(rows), dtype=bool)
+        live = np.arange(len(rows))
         for _ in range(NEWTON_ITERS):
-            if not gain > NEWTON_TOL * f:
-                return None
-            trial = parts(t + step, x)
-            if trial[0] < f:
-                return t + step, trial
-            step, gain = 0.5 * step, 0.5 * gain
-        return None
-
-    def distance(x, starts=None, rng=None, extra_start=None):
-        # |x - q|^2 = |q|^2 - 2 <x, q> + |x|^2 over the grid, then Newton in t
-        t = grid[int(np.argmin(squares - 2.0 * (mpoints @ x)))]
-        f, z, md = parts(t, x)
-        for _ in range(NEWTON_ITERS):
-            lz = lam * z
-            dq = np.real(lz @ vecs.T)
-            ddq = np.real((lam[:, None, :] * lz) @ vecs.T)
-            grad = 2.0 * (dq @ md)
-            hess = 2.0 * (dq @ metric @ dq.T + ddq @ md)
-            ev, u = np.linalg.eigh(hess)
-            floor = NEWTON_EIG_FLOOR * np.abs(ev).max()
-            if not floor > 0.0:
+            live = live[gain[live] > NEWTON_TOL * f[rows[live]]]
+            if not len(live):
                 break
+            at = rows[live]
+            trial = t[at] + step[live]
+            found = parts(trial, xs[at])
+            lower = found[0] < f[at]
+            hit = at[lower]
+            t[hit] = trial[lower]
+            f[hit], z[hit], md[hit] = (a[lower] for a in found)
+            moved[live[lower]] = True
+            live = live[~lower]
+            step[live] *= 0.5
+            gain[live] *= 0.5
+        return rows[moved]
+
+    def distance(xs, starts=None, rng=None):
+        # |x - q|^2 = |q|^2 - 2 <x, q> + |x|^2 over the grid, a chunk of
+        # rows at a time, then Newton in t on the rows still improving
+        index = np.empty(len(xs), dtype=np.int64)
+        for lo in range(0, len(xs), chunk):
+            scores = (xs[lo : lo + chunk, None, :] @ mpoints_t)[:, 0]
+            index[lo : lo + chunk] = np.argmin(squares - 2.0 * scores, axis=1)
+        t = grid[index]
+        f, z, md = parts(t, xs)
+        rows = np.arange(len(xs))
+        for _ in range(NEWTON_ITERS):
+            if not len(rows):
+                break
+            lz = lam * z[rows, None, :]
+            dq = np.real(lz @ vecs.T)
+            ddq = np.real((lam[:, None, :] * lz[:, None]) @ vecs.T)
+            grad = 2.0 * (dq @ md[rows, :, None])[..., 0]
+            hess = 2.0 * (dq @ metric @ dq.transpose(0, 2, 1) + (ddq @ md[rows, None, :, None])[..., 0])
+            ev, u = np.linalg.eigh(hess)
+            floor = NEWTON_EIG_FLOOR * np.abs(ev).max(axis=1)
             # |eigenvalue|-floored steps descend even where the Hessian is
             # indefinite or singular, as when one generator fixes p
-            step = -u @ ((u.T @ grad) / np.maximum(np.abs(ev), floor))
-            found = line_search(x, t, f, step, -float(grad @ step))
-            if found is None:
-                break
-            t, (f, z, md) = found
-        return math.sqrt(max(f, 0.0)), t
+            keep = floor > 0.0
+            rows, grad, ev, u, floor = rows[keep], grad[keep], ev[keep], u[keep], floor[keep]
+            scaled = (u.transpose(0, 2, 1) @ grad[..., None])[..., 0] / np.maximum(np.abs(ev), floor[:, None])
+            step = -(u @ scaled[..., None])[..., 0]
+            gain = -(grad[:, None, :] @ step[..., None])[:, 0, 0]
+            rows = line_search(xs, t, f, z, md, rows, step, gain)
+        return np.sqrt(np.maximum(f, 0.0))
 
     return distance
 
@@ -545,12 +598,15 @@ def orbit_distance(space, algebra, x, p, sub_k, starts=32, rng=None):
     """Metric distance from x to the K-orbit of p, from above.
 
     For abelian K (one eigenbasis diagonalizes every generator) the orbit
-    point is exp(sum_i t_i A_i) p = Re(V (exp(t . lam) * w)): one pass over
-    a grid of t with spacing (pi/16)/|A_i|_2 finds the start, and damped
-    Newton steps in t refine it.  The grid spans one full period when
-    dim K = 1 and the frequencies have a common divisor; otherwise (dim K
-    >= 2, or no divisor) it spans [-box, box]^m with box = pi max(1,
-    1/min_i |A_i|_2), which is a full period only for unit frequencies.
+    point is exp(sum_i t_i A_i) p = Re(V (exp(t . lam) * w)).  Since the
+    A_i commute, t_i need only span one period of A_i: the grid spans that
+    period for each generator whose frequencies have a common divisor, and
+    [-box, box] with box = pi max(1, 1/min_i |A_i|_2) for any other.  The
+    grid's orbit points come from one table of exp(t_i lam_i) per axis,
+    combined by products; one pass over the grid, with spacing
+    (pi/16)/|A_i|_2, finds the start, and damped Newton steps in t refine
+    it.  The probe runs the same search on all of a sample's checkpoints at
+    once, every product row by row, so a row there holds this call's bits.
     Other K fall back to multi-start Nelder-Mead, ``starts`` starts drawn
     from ``rng``.  Either way the value is |x - exp(sum_i t_i A_i) p| at
     the found t, or |x - p| if that is smaller, so it never exceeds
@@ -564,7 +620,7 @@ def orbit_distance(space, algebra, x, p, sub_k, starts=32, rng=None):
     if distance is None:
         return direct
     rng = np.random.default_rng(0) if rng is None else rng
-    return min(distance(x, starts, rng)[0], direct)
+    return min(float(distance(x[None], starts, rng)[0]), direct)
 
 
 def _energy(hamiltonian, dim):
@@ -585,6 +641,43 @@ def _energy(hamiltonian, dim):
         return energies
 
     return quadratic
+
+
+def _scan(traj, p, metric, energy, quads, stride):
+    """(checkpoints, h and J at them, (energy drift, momentum drift)) of
+    one trajectory.
+
+    The checkpoints are its first and last rows and the ambient-distance
+    peak of each window of stride steps, where the square of |x - p|
+    peaks.  The rows are taken a block of whole windows at a time, at most
+    SCAN_ROWS rows or one window, so no temporary is as long as the
+    trajectory; the drifts from row 0 and the peaks carry across blocks.
+    """
+    n = traj.shape[1]
+    d = quads.shape[1] // n
+    last = len(traj) - 1
+    size = stride * max(1, SCAN_ROWS // stride)
+    picks, energies, momenta = [], [], []
+    drifts = [0.0, 0.0]
+    for lo in range(0, len(traj), size):
+        block = traj[lo : lo + size]
+        h = energy(block)
+        j = np.einsum("tdn,tn->td", (block @ quads).reshape(len(block), d, n), block)
+        if not lo:
+            h0, j0 = h[0], j[0]
+        drifts[0] = max(drifts[0], float(np.abs(h - h0).max()))
+        if d:
+            drifts[1] = max(drifts[1], float(np.abs(j - j0).max()))
+        diffs = block - p
+        squares = np.einsum("tn,tn->t", diffs @ metric, diffs)
+        windows = np.pad(squares, (0, -len(squares) % stride), constant_values=-np.inf)
+        pick = np.arange(0, len(block), stride) + windows.reshape(-1, stride).argmax(axis=1)
+        ends = np.array([0, last]) - lo
+        pick = np.union1d(pick, ends[(ends >= 0) & (ends < len(block))])
+        picks.append(lo + pick)
+        energies.append(h[pick])
+        momenta.append(j[pick])
+    return np.concatenate(picks), np.concatenate(energies), np.concatenate(momenta), drifts
 
 
 @dataclass(frozen=True)
@@ -693,31 +786,18 @@ def stability_probe(
                     failures += 1
                     continue
 
-                energies = energy(traj)
-                energy_drift = max(energy_drift, float(np.abs(energies - energies[0]).max()))
-                momenta = np.einsum("tdn,tn->td", (traj @ quads).reshape(len(traj), d, n), traj)
-                if d:
-                    momentum_drift = max(momentum_drift, float(np.abs(momenta - momenta[0]).max()))
-
-                # the ambient-distance peak of each window of stride steps,
-                # where its square peaks
-                diffs = traj - p
-                squares = np.einsum("tn,tn->t", diffs @ space.metric, diffs)
-                windows = np.pad(squares, (0, -len(squares) % stride), constant_values=-np.inf)
-                peaks = np.arange(0, steps + 1, stride) + windows.reshape(-1, stride).argmax(axis=1)
-                checkpoints = np.union1d(peaks, [0, steps])
-                # |x - p| at every checkpoint at once: the distance when K
-                # fixes p, and otherwise a bound on the orbit search
-                dists = _metric_norms(traj[checkpoints] - p, space.metric)
+                checkpoints, energies, momenta, drifts = _scan(traj, p, space.metric, energy, quads, stride)
+                energy_drift = max(energy_drift, drifts[0])
+                momentum_drift = max(momentum_drift, drifts[1])
+                # |x - p| at every checkpoint: the distance when K fixes p,
+                # and otherwise a bound on the orbit search
+                xs = traj[checkpoints]
+                dists = _metric_norms(xs - p, space.metric)
                 if distance is not None:
-                    warm = None
-                    for k, idx in enumerate(checkpoints.tolist()):
-                        found, warm = distance(traj[idx], DISTANCE_STARTS, search_rng, warm)
-                        dists[k] = min(found, dists[k])
+                    np.minimum(dists, distance(xs, DISTANCE_STARTS, search_rng), out=dists)
                 max_dist = max(max_dist, *dists.tolist())
                 if writer is not None:
-                    table = np.column_stack([checkpoints * dt, traj[checkpoints], energies[checkpoints],
-                                             momenta[checkpoints], dists])
+                    table = np.column_stack([checkpoints * dt, xs, energies, momenta, dists])
                     writer.writerows([sample] + row for row in table.tolist())
     finally:
         if handle is not None:

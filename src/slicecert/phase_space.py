@@ -161,8 +161,14 @@ class Poly:
         must be whole numbers (2.0 passes; 2.5, true and "2" raise
         ParseError).
         """
+        return cls.from_terms(nvars, [rec["exponents"] for rec in records], [rec["coeff"] for rec in records])
+
+    @classmethod
+    def from_terms(cls, nvars, rows, coeffs):
+        """Build from exponent rows and their coefficients, as
+        ``from_records`` does from records holding them."""
         poly = cls.__new__(cls)
-        poly._collect(nvars, [rec["exponents"] for rec in records], [rec["coeff"] for rec in records])
+        poly._collect(nvars, rows, coeffs)
         return poly
 
     def _collect(self, nvars, rows, coeffs):

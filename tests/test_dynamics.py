@@ -424,6 +424,56 @@ class TestOrbitDistance:
         x = scipy.linalg.expm(2.5 * gens[0]) @ p
         assert orbit_distance(space, algebra, x, p, k, starts=starts) <= 1e-9
 
+    @pytest.mark.parametrize("weights", [[[1, 3, 0], [0, 0, 1]], [[1, 2, 0], [0, 0, 1]]])
+    def test_torus_grid_spans_each_generators_period(self, weights):
+        # The box pi max(1, 1/min_i |A_i|_2) spans a full period only for
+        # unit frequencies; each axis must span its own generator's period.
+        space = canonical_space(6)
+        gens = torus_generators(weights)
+        algebra = LieAlgebraBasis.build(space, gens)
+        k = Subalgebra.from_vectors(algebra, np.eye(2))
+        p = np.array([1.0, 0.0, 0.7, 0.2, 0.5, 0.1])
+        for t in np.linspace(0.0, 2.0 * np.pi, 25):
+            x = scipy.linalg.expm(t * gens[0] + 0.3 * gens[1]) @ p
+            assert orbit_distance(space, algebra, x, p, k) <= 1e-9
+
+    def test_three_torus_orbit(self, rng):
+        gens = torus_generators(np.eye(3, dtype=int).tolist())
+        space = canonical_space(6)
+        algebra = LieAlgebraBasis.build(space, gens)
+        k = Subalgebra.from_vectors(algebra, np.eye(3))
+        p = np.array([0.9, -0.3, 0.5, 0.6, -0.4, 0.7])
+        for _ in range(4):
+            x = scipy.linalg.expm(np.tensordot(rng.uniform(-np.pi, np.pi, 3), gens, axes=1)) @ p
+            assert orbit_distance(space, algebra, x, p, k) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "gens, p, grid_bytes",
+        [
+            # a 33-point circle grid: 16 KB of scores holds 62 rows
+            (example1_generator()[None], [1.0, 0.2, -0.4, 0.3], 1 << 14),
+            # a 33 x 33 torus grid: the default holds 120 rows
+            (torus_generators([[1, 0], [0, 1]]), [0.8, -0.6, 0.3, 0.5], dynamics.GRID_PASS_BYTES),
+        ],
+        ids=["circle", "torus"],
+    )
+    def test_batched_rows_equal_one_row_calls(self, monkeypatch, rng, gens, p, grid_bytes):
+        # 201 rows take several grid-pass chunks and leave Newton at
+        # different steps; each must hold its one-row call's bits
+        monkeypatch.setattr(dynamics, "GRID_PASS_BYTES", grid_bytes)
+        space = canonical_space(gens.shape[1])
+        algebra = LieAlgebraBasis.build(space, gens)
+        k = Subalgebra.from_vectors(algebra, np.eye(len(gens)))
+        p = np.array(p)
+        xs = np.array([scipy.linalg.expm(np.tensordot(rng.uniform(-np.pi, np.pi, len(gens)), gens, axes=1)) @ p
+                       for _ in range(201)])
+        u = rng.standard_normal(xs.shape)
+        xs += 10 ** rng.uniform(-8, 0, (len(xs), 1)) * u / np.linalg.norm(u, axis=1, keepdims=True)
+        xs[:3] = p, 2.0 * p, np.zeros(len(p))
+        distance = dynamics._orbit_distance_to(space, algebra, p, k)
+        batch = np.minimum(distance(xs), dynamics._metric_norms(xs - p, space.metric))
+        np.testing.assert_array_equal(batch, [orbit_distance(space, algebra, x, p, k) for x in xs])
+
     def test_non_abelian_k_falls_back_to_nelder_mead(self):
         # p = (z, i sigma_y conj(z)) on two spin-1/2 blocks has J(p) = 0
         # exactly (dyadic entries), so K is all of su(2) and moves p.
@@ -553,6 +603,27 @@ class TestProbe:
         per_row = [orbit_distance(space, algebra, x, p, k) for x in rows[:, 2:6]]
         np.testing.assert_array_equal(rows[:, -1], per_row)
         assert report.max_orbit_distance == rows[:, -1].max()
+
+    def test_block_scan_gives_the_same_csv(self, example1_parts, monkeypatch, tmp_path):
+        # 1000 steps, stride 5: one block by default, and 2 windows a block
+        # (101 blocks, the last one row) when SCAN_ROWS is 12
+        space, algebra, h = example1_parts
+        p = np.array([1.0, 0.0, 0.5, 0.0])
+
+        def probe(name):
+            report = stability_probe(space, algebra, h, p, epsilon=1e-2, horizon=10.0, samples=2, rng=11,
+                                     csv_path=tmp_path / name)
+            with (tmp_path / name).open(newline="") as handle:
+                return report, np.array([[float(v) for v in row] for row in list(csv.reader(handle))[1:]])
+
+        whole, whole_rows = probe("whole.csv")
+        monkeypatch.setattr(dynamics, "SCAN_ROWS", 12)
+        blocks, block_rows = probe("blocks.csv")
+        np.testing.assert_array_equal(block_rows[:, :6], whole_rows[:, :6])
+        np.testing.assert_allclose(block_rows, whole_rows, rtol=1e-12, atol=1e-15)
+        assert len(whole_rows) == 2 * 202
+        for field in ("max_orbit_distance", "energy_drift", "momentum_drift"):
+            assert getattr(blocks, field) == pytest.approx(getattr(whole, field), rel=1e-12, abs=1e-15)
 
     def test_one_diverging_sample_is_one_failure(self, space2, tmp_path):
         # test_solver_divergence_detected's Hamiltonian: at dt = 10 the
