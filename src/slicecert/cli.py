@@ -372,11 +372,10 @@ def _summary(command, report):
             f"verdict={report['verdict']} margin={report['margin']} "
             f"xiStar={report['xiStar']} compact={report['compactnessVerified']}"
         )
-    if command == "probe":
-        return (
-            f"escaped={report['escaped']} maxOrbitDistance={report['maxOrbitDistance']:.3e} "
-            f"energyDrift={report['energyDrift']:.3e} momentumDrift={report['momentumDrift']:.3e}"
-        )
+    if command == "probe":  # a non-finite float is None here, null in the JSON
+        fields = [f"{key}={'null' if report[key] is None else format(report[key], '.3e')}"
+                  for key in ("maxOrbitDistance", "energyDrift", "momentumDrift")]
+        return " ".join([f"escaped={report['escaped']}", *fields])
     if command == "analyze":
         return (
             f"dims(h,k,n)={report['dimIsotropy']},{report['dimMomentumIsotropy']},"

@@ -8,22 +8,22 @@ per start for every 4096 steps; any other h solves the midpoint equations
 of a window of up to 64 steps at once by simplified Newton, one gradient
 call per sweep over the window, with a Jacobian each start holds across
 windows.  The probe measures how far trajectories started near p wander
-from the K-orbit of p, reading each trajectory a block of rows at a time,
-and for a quadratic h takes the energy as one quadratic form.  When K
-fixes p the orbit is {p}, and every checkpoint distance is one metric
-norm, all rows at once.  For abelian K the orbit is in closed form after
-one diagonalization of K's generators.  A grid whose axes each span one
-period of their generator, its orbit points built from one table of
-exp(t_i lam_i) per axis, gives every checkpoint of a sample its start in
-one pass, and Newton steps run on all of them at once, row by row.
-Other K fall back to multi-start Nelder-Mead.  Either way the value is
-the distance to an actual orbit point, so it only ever overestimates, and
-probes err toward declaring escape, never toward confirming stability.
-The fallback's random starts come from a child stream of the probe's
-generator, so the sampled initial conditions depend on the seed alone.
-scipy is imported only for the fallback (``scipy.linalg`` and
-``scipy.optimize``), so a probe with abelian or trivial K, like every
-other command, loads neither.
+from the K-orbit of p, stepping and scanning them a segment at a time, so
+its memory does not grow with the horizon; for a quadratic h it takes the
+energy as one quadratic form.  When K fixes p the orbit is {p}, and every
+checkpoint distance is one metric norm, all rows at once.  For abelian K
+the orbit is in closed form after one diagonalization of K's generators.
+A grid whose axes each span one period of their generator, its orbit
+points built from one table of exp(t_i lam_i) per axis, gives every
+checkpoint of a sample its start in one pass, and Newton steps run on all
+of them at once, row by row.  Other K fall back to multi-start
+Nelder-Mead.  Either way the value is the distance to an actual orbit
+point, so it only ever overestimates, and probes err toward declaring
+escape, never toward confirming stability.  The fallback's random starts
+come from a child stream of the probe's generator, so the sampled initial
+conditions depend on the seed alone.  scipy is imported only for the
+fallback (``scipy.linalg`` and ``scipy.optimize``), so a probe with
+abelian or trivial K, like every other command, loads neither.
 """
 
 import csv
@@ -48,8 +48,7 @@ NEWTON_EIG_FLOOR = 1e-8  # Hessian |eigenvalue| floor, relative to the largest
 NEWTON_TOL = 1e-15  # stop once a step promises less, relative to |x - q|^2
 BLOCK = 64  # linear-path steps per propagator product, and Newton-path window width
 STALE_RATE = 0.01  # a sweep contracting the residual less than this marks J stale
-MAX_TRAJECTORY_ENTRIES = 1 << 27  # trajectory floats a probe holds at once: 1 GiB
-SCAN_ROWS = 2048  # trajectory rows the probe's per-row stage takes at once
+MAX_TRAJECTORY_ENTRIES = 1 << 27  # bound on a probe trajectory's (steps + 1) * dim
 
 
 def integrate(space, hamiltonian, x0, dt, steps, tol=MIDPOINT_TOL, max_newton=MAX_NEWTON):
@@ -57,10 +56,11 @@ def integrate(space, hamiltonian, x0, dt, steps, tol=MIDPOINT_TOL, max_newton=MA
 
     x0 is one point, giving an array (steps + 1, dim), or a batch (S, dim)
     of starts stepped together, giving (S, steps + 1, dim); a batch row
-    holds the same bits as the 1-D call from that start.  Quadratic
-    Hamiltonians reduce to one propagator, built once from the midpoint
-    equation (I - dt/2 L) x' = (I + dt/2 L) x + shift, whose maps of up
-    to BLOCK and BLOCK^2 steps fill the trajectory (``_linear_steps``).
+    holds the same bits as the 1-D call from that start.  It runs the
+    probe's stepping function (``_stepper``) once over all the steps.
+    Quadratic Hamiltonians reduce to one propagator, built once from the
+    midpoint equation (I - dt/2 L) x' = (I + dt/2 L) x + shift, whose maps
+    of up to BLOCK and BLOCK^2 steps fill the trajectory (``_linear_steps``).
     Otherwise every step meets its midpoint equation to the stated
     residual, solved a window of up to BLOCK steps at a time by
     simplified Newton: a prediction from h's linearization, then sweeps
@@ -80,11 +80,7 @@ def integrate(space, hamiltonian, x0, dt, steps, tol=MIDPOINT_TOL, max_newton=MA
     steps = int(steps)
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
-    if hamiltonian.degree() <= 2:
-        traj = _linear_steps(space, hamiltonian, starts, dt, steps)
-        failed = np.full(len(starts), -1)
-    else:
-        traj, failed = _newton_steps(space, hamiltonian, starts, dt, steps, tol, max_newton)
+    traj, failed = _stepper(space, hamiltonian, dt, steps, tol, max_newton)(starts, steps)
     if batch:
         traj[failed >= 0] = np.nan
         return traj
@@ -93,8 +89,15 @@ def integrate(space, hamiltonian, x0, dt, steps, tol=MIDPOINT_TOL, max_newton=MA
     return traj[0]
 
 
-def _linear_steps(space, hamiltonian, starts, dt, steps):
-    """Trajectories of a quadratic h.
+def _stepper(space, hamiltonian, dt, steps, tol=MIDPOINT_TOL, max_newton=MAX_NEWTON):
+    """(starts, k) -> (trajectories (S, k + 1, dim), each start's failing step or -1), k <= steps."""
+    if hamiltonian.degree() <= 2:
+        return _linear_steps(space, hamiltonian, dt, steps)
+    return lambda starts, k: _newton_steps(space, hamiltonian, starts, dt, k, tol, max_newton)
+
+
+def _linear_steps(space, hamiltonian, dt, steps):
+    """The ``_stepper`` of a quadratic h, its maps built once.
 
     With D = A-^{-1} A+ - I = A-^{-1} dt L and c the shift, one step is
     x + (D x + c).  Kept apart from I, D is rounded relative to dt L rather
@@ -128,28 +131,31 @@ def _linear_steps(space, hamiltonian, starts, dt, steps):
     # [D_j | c_j]^T side by side, so that [x, 1] @ it gives every D_j x + c_j
     inner, outer = (maps.transpose(2, 0, 1).reshape(n + 1, len(maps) * n) for maps in (inner, outer))
 
-    count = len(starts)
-    traj = np.empty((count, steps + 1, n))
-    traj[:, 0] = starts
-    for k in range(0, steps, span):
-        size = min(span, steps - k)
-        blocks = -(-size // block)
-        # each block's first point, then a 1 for the c_j;
-        # vector-matrix products per start: a batch row keeps the 1-D bits
-        firsts = np.ones((count, blocks, n + 1))
-        firsts[:, 0, :n] = x = traj[:, k]
-        if blocks > 1:
-            moves = (firsts[:, :1] @ outer[:, : (blocks - 1) * n]).reshape(count, blocks - 1, n)
-            np.add(x[:, None], moves, out=firsts[:, 1:, :n])
-        full = size // block
-        for lo, rows, width in ((0, full, block), (full, 1, size - full * block)):
-            if rows and width:
-                first = k + 1 + lo * block
-                moves = traj[:, first : first + rows * width].reshape(count, rows, width * n)
-                np.matmul(firsts[:, lo : lo + rows], inner[:, : width * n], out=moves)
-                filled = moves.reshape(count, rows, width, n)
-                filled += firsts[:, lo : lo + rows, None, :n]
-    return traj
+    def run(starts, k):
+        count = len(starts)
+        traj = np.empty((count, k + 1, n))
+        traj[:, 0] = starts
+        for at in range(0, k, span):
+            size = min(span, k - at)
+            blocks = -(-size // block)
+            # each block's first point, then a 1 for the c_j;
+            # vector-matrix products per start: a batch row keeps the 1-D bits
+            firsts = np.ones((count, blocks, n + 1))
+            firsts[:, 0, :n] = x = traj[:, at]
+            if blocks > 1:
+                moves = (firsts[:, :1] @ outer[:, : (blocks - 1) * n]).reshape(count, blocks - 1, n)
+                np.add(x[:, None], moves, out=firsts[:, 1:, :n])
+            full = size // block
+            for lo, rows, width in ((0, full, block), (full, 1, size - full * block)):
+                if rows and width:
+                    first = at + 1 + lo * block
+                    moves = traj[:, first : first + rows * width].reshape(count, rows, width * n)
+                    np.matmul(firsts[:, lo : lo + rows], inner[:, : width * n], out=moves)
+                    filled = moves.reshape(count, rows, width, n)
+                    filled += firsts[:, lo : lo + rows, None, :n]
+        return traj, np.full(count, -1)
+
+    return run
 
 
 def _step_maps(prop, count):
@@ -643,41 +649,24 @@ def _energy(hamiltonian, dim):
     return quadratic
 
 
-def _scan(traj, p, metric, energy, quads, stride):
-    """(checkpoints, h and J at them, (energy drift, momentum drift)) of
-    one trajectory.
-
-    The checkpoints are its first and last rows and the ambient-distance
-    peak of each window of stride steps, where the square of |x - p|
-    peaks.  The rows are taken a block of whole windows at a time, at most
-    SCAN_ROWS rows or one window, so no temporary is as long as the
-    trajectory; the drifts from row 0 and the peaks carry across blocks.
-    """
-    n = traj.shape[1]
-    d = quads.shape[1] // n
-    last = len(traj) - 1
-    size = stride * max(1, SCAN_ROWS // stride)
-    picks, energies, momenta = [], [], []
-    drifts = [0.0, 0.0]
-    for lo in range(0, len(traj), size):
-        block = traj[lo : lo + size]
-        h = energy(block)
-        j = np.einsum("tdn,tn->td", (block @ quads).reshape(len(block), d, n), block)
-        if not lo:
-            h0, j0 = h[0], j[0]
-        drifts[0] = max(drifts[0], float(np.abs(h - h0).max()))
-        if d:
-            drifts[1] = max(drifts[1], float(np.abs(j - j0).max()))
-        diffs = block - p
-        squares = np.einsum("tn,tn->t", diffs @ metric, diffs)
-        windows = np.pad(squares, (0, -len(squares) % stride), constant_values=-np.inf)
-        pick = np.arange(0, len(block), stride) + windows.reshape(-1, stride).argmax(axis=1)
-        ends = np.array([0, last]) - lo
-        pick = np.union1d(pick, ends[(ends >= 0) & (ends < len(block))])
-        picks.append(lo + pick)
-        energies.append(h[pick])
-        momenta.append(j[pick])
-    return np.concatenate(picks), np.concatenate(energies), np.concatenate(momenta), drifts
+def _scan(seg, at, last, p, metric, energy, quads, stride):
+    """(checkpoint table, (h, J) (S, 1 + d, rows)) of a segment (S, rows, dim)
+    holding rows at, at + 1, ... of trajectories: a table row (row, x, h, J)
+    per peak of |x - p| in each window of stride rows, and at rows 0 and last."""
+    count, rows, n = seg.shape
+    flat = seg.reshape(-1, n)
+    quad = (flat @ quads).reshape(len(flat), quads.shape[1] // n, n)
+    # h and each J_i along the rows, so that per-row work runs down long axes
+    conserved = np.vstack([energy(flat), np.einsum("tdn,tn->td", quad, flat).T])
+    diffs = flat - p
+    squares = np.einsum("tn,tn->t", diffs @ metric, diffs).reshape(count, rows)
+    pad = -rows % stride
+    windows = np.pad(squares, ((0, 0), (0, pad)), constant_values=-np.inf) if pad else squares
+    pick = np.arange(0, rows, stride) + windows.reshape(count, -1, stride).argmax(axis=2)
+    pick = np.column_stack([pick] + [np.full(count, row - at) for row in (0, last) if 0 <= row - at < rows])
+    flat_pick = (pick + rows * np.arange(count)[:, None]).ravel()
+    table = np.column_stack([at + pick.ravel(), flat[flat_pick], conserved[:, flat_pick].T])
+    return table.reshape(count, pick.shape[1], -1), conserved.reshape(-1, count, rows).transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -716,10 +705,11 @@ def stability_probe(
     trajectory exceeded escape_factor * epsilon.  Orbit distances are
     evaluated on a subsample of each trajectory, with evaluation points placed
     at the ambient-norm peaks of each window so excursions are not missed
-    between samples.  The samples are integrated together, in batches of
-    at most MAX_TRAJECTORY_ENTRIES floats; a sample whose Newton solve
-    fails counts as one solver failure and the others go on.  When every
-    sample fails, nothing was measured and the probe reports escape.
+    between samples.  The samples are integrated together, a segment of
+    whole windows (about BLOCK^2 steps) at a time, each scanned as it is
+    stepped, so memory does not grow with the horizon.  A sample whose
+    Newton solve fails counts as one solver failure and leaves the batch.
+    A trajectory that overflows, or none measured, reads as escape.
     """
     for name, value in (("epsilon", epsilon), ("horizon", horizon), ("dt", dt),
                         ("escape_factor", escape_factor)):
@@ -736,8 +726,7 @@ def stability_probe(
     if (steps + 1) * space.dim > MAX_TRAJECTORY_ENTRIES:
         raise ValidationError(
             f"horizon / dt = {steps} steps: a trajectory of (steps + 1) * dim = "
-            f"{(steps + 1) * space.dim} entries exceeds the bound of "
-            f"{MAX_TRAJECTORY_ENTRIES} (1 GiB of float64)"
+            f"{(steps + 1) * space.dim} entries exceeds the bound of {MAX_TRAJECTORY_ENTRIES}"
         )
     stride = max(1, steps // 200)
     inv_sqrt = metric_inv_sqrt(space.metric)
@@ -759,12 +748,10 @@ def stability_probe(
         direction /= np.linalg.norm(direction)
         radius = epsilon * rng.random() ** (1.0 / space.dim)
         starts[sample] = p + radius * (inv_sqrt @ direction)
-    chunk = MAX_TRAJECTORY_ENTRIES // ((steps + 1) * space.dim)
+    # whole stride windows, so no window straddles two segments
+    segment = stride * max(1, BLOCK * BLOCK // stride)
+    step = _stepper(space, hamiltonian, dt, min(segment, steps))
 
-    max_dist = 0.0
-    energy_drift = 0.0
-    momentum_drift = 0.0
-    failures = 0
     writer = None
     handle = None
     if csv_path is not None:
@@ -778,27 +765,41 @@ def stability_probe(
         header += ["h"] + [f"J{i + 1}" for i in range(algebra.dim)] + ["orbitDistance"]
         writer.writerow(header)
 
+    tables = [[] for _ in range(samples)]  # per sample, its checkpoint tables
+    start, drifts = np.empty((samples, 1 + d)), np.zeros((samples, 1 + d))  # (h, J) at row 0; max |change|
+    live = np.arange(samples)  # the samples whose solve has not failed
+    max_dist = 0.0
     try:
-        for first in range(0, samples, chunk):
-            batch = integrate(space, hamiltonian, starts[first : first + chunk], dt, steps)
-            for sample, traj in enumerate(batch, first):
-                if np.isnan(traj[0, 0]):  # the Newton solve failed on this sample
-                    failures += 1
-                    continue
+        # an overflow reads as escape: numpy maxima keep its non-finite values
+        with np.errstate(over="ignore", invalid="ignore"):
+            for at in range(0, steps, segment):
+                traj, failed = step(starts, min(segment, steps - at))
+                live, traj = live[failed < 0], traj[failed < 0]
+                if not len(live):
+                    break
+                starts = traj[:, -1]
+                # a segment's last row is the first of the next
+                table, conserved = _scan(traj if at + segment >= steps else traj[:, :-1], at, steps,
+                                         p, space.metric, energy, quads, stride)
+                if not at:
+                    start[live] = conserved[..., 0]
+                drifts[live] = np.maximum(drifts[live], np.abs(conserved - start[live, :, None]).max(axis=2))
+                for sample, rows in zip(live, table):
+                    tables[sample].append(rows)
 
-                checkpoints, energies, momenta, drifts = _scan(traj, p, space.metric, energy, quads, stride)
-                energy_drift = max(energy_drift, drifts[0])
-                momentum_drift = max(momentum_drift, drifts[1])
+            for sample in live.tolist():
+                table = np.concatenate(tables[sample])
+                table = table[np.unique(table[:, 0], return_index=True)[1]]
                 # |x - p| at every checkpoint: the distance when K fixes p,
                 # and otherwise a bound on the orbit search
-                xs = traj[checkpoints]
+                xs = table[:, 1 : n + 1]
                 dists = _metric_norms(xs - p, space.metric)
                 if distance is not None:
                     np.minimum(dists, distance(xs, DISTANCE_STARTS, search_rng), out=dists)
-                max_dist = max(max_dist, *dists.tolist())
+                max_dist = np.maximum(max_dist, dists.max())
                 if writer is not None:
-                    table = np.column_stack([checkpoints * dt, xs, energies, momenta, dists])
-                    writer.writerows([sample] + row for row in table.tolist())
+                    table[:, 0] *= dt
+                    writer.writerows([sample] + row for row in np.column_stack([table, dists]).tolist())
     finally:
         if handle is not None:
             handle.close()
@@ -807,12 +808,12 @@ def stability_probe(
         epsilon=float(epsilon),
         horizon=float(horizon),
         samples=int(samples),
-        max_orbit_distance=max_dist,
-        energy_drift=energy_drift,
-        momentum_drift=momentum_drift,
-        # a probe that measured no trajectory confirms no bound
-        escaped=bool(max_dist > escape_factor * epsilon or failures == samples),
-        solver_failures=failures,
+        max_orbit_distance=float(max_dist),
+        energy_drift=float(drifts[live, 0].max(initial=0.0)),
+        momentum_drift=float(drifts[live, 1:].max(initial=0.0)),
+        # no trajectory measured confirms no bound, nor does a NaN distance
+        escaped=bool(not max_dist <= escape_factor * epsilon or len(live) == 0),
+        solver_failures=samples - len(live),
         dt=float(dt),
         escape_factor=float(escape_factor),
     )

@@ -364,6 +364,37 @@ class TestProbeCommand:
         assert "h" in header and "orbitDistance" in header
         assert len(lines) > 2
 
+    def test_overflowing_probe_reports_escape(self, capsys):
+        # saddle's trajectories overflow near step 71 669: the distance and
+        # energy drift are not finite, print as null, and read as escape;
+        # an overflow warning that leaks is an error under pytest
+        code = main(["probe", "saddle", "--horizon", "800", "--samples", "2"])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == 0
+        assert report["escaped"] is True and report["solverFailures"] == 0
+        assert report["maxOrbitDistance"] is None and report["energyDrift"] is None
+        assert "maxOrbitDistance=null energyDrift=null" in captured.err
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
+    def test_probe_memory_does_not_grow_with_the_horizon(self):
+        def peak_rss_kb(horizon):
+            code = (
+                "import resource, sys\n"
+                "from slicecert.cli import main\n"
+                f"code = main(['probe', 'example1', '--samples', '4', '--horizon', '{horizon}'])\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+                "sys.exit(code)\n"
+            )
+            result = subprocess.run(
+                [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True
+            )
+            assert result.returncode == 0, result.stderr
+            return int(result.stderr.split()[-1])
+
+        # 1000 and 1 000 000 steps; a whole-trajectory array would be 128 MB
+        assert abs(peak_rss_kb("1e4") - peak_rss_kb("10")) < 16 * 1024
+
 
 class TestMainExitCodes:
     def test_stable_is_zero(self, capsys):

@@ -552,40 +552,75 @@ class TestProbe:
         assert not report.escaped
 
     @pytest.mark.parametrize("case", ["quadratic", "quartic"])
-    def test_chunked_batches_give_the_same_report(
-        self, example1_parts, monkeypatch, tmp_path, case
-    ):
+    def test_streamed_segments_match_integrate(self, example1_parts, tmp_path, case):
+        # 5000 steps at stride 25 stream as segments of 4075 and 925 steps;
+        # the CSV and report must read as if each whole trajectory were
+        # integrated at once and scanned.  At the origin example1's flow
+        # keeps |x| constant, so rounding would pick the window peaks; off
+        # it |x - p| varies, and K, a circle, moves p.
         space, algebra, h = example1_parts
         if case == "quartic":
             h = poly_add(h, Poly(4, {(4, 0, 0, 0): 0.3, (0, 2, 2, 0): 0.1}))
+        p, dt, steps, stride, samples = np.array([0.1, 0.0, 0.05, 0.0]), 1e-2, 5000, 25, 7
+        assert stride * (dynamics.BLOCK ** 2 // stride) < steps
+        csv_file = tmp_path / "probe.csv"
+        report = stability_probe(space, algebra, h, p, epsilon=1e-2, horizon=steps * dt, samples=samples,
+                                 rng=11, csv_path=csv_file)
+        with csv_file.open(newline="") as handle:
+            rows = np.array([[float(v) for v in row] for row in list(csv.reader(handle))[1:]])
+        assert np.all(np.diff(rows[:, 0]) >= 0) and set(rows[:, 0]) == set(range(samples))
+        trajs = integrate(space, h, rows[rows[:, 1] == 0.0, 2:6], dt, steps)
+        mm = MomentumMap(space, algebra)
+        k = momentum_isotropy_algebra(algebra, mm.value(p))
+        distance = dynamics._orbit_distance_to(space, algebra, p, k)
+        drifts = [0.0, 0.0]
+        for sample, traj in enumerate(trajs):
+            # checkpoints: the peak of |x - p| in each window of stride
+            # rows, and the first and last rows
+            squares = np.einsum("tn,nm,tm->t", traj - p, space.metric, traj - p)
+            windows = np.split(squares, range(stride, steps + 1, stride))
+            peaks = np.arange(0, steps + 1, stride) + [window.argmax() for window in windows]
+            expected = np.union1d(peaks, [0, steps])
+            mine = rows[rows[:, 0] == sample]
+            np.testing.assert_array_equal(np.rint(mine[:, 1] / dt), expected)
+            xs = traj[expected]
+            dists = np.minimum(distance(xs), np.sqrt(np.einsum("tn,nm,tm->t", xs - p, space.metric, xs - p)))
+            table = np.column_stack([xs, h.value(xs), mm.value(xs), dists])
+            np.testing.assert_allclose(mine[:, 2:], table, rtol=0, atol=1e-12)
+            energies, momenta = h.value(traj), mm.value(traj)
+            drifts = np.maximum(drifts, [np.abs(energies - energies[0]).max(),
+                                         np.abs(momenta - momenta[0]).max()])
+        assert report.solver_failures == 0
+        assert report.max_orbit_distance == rows[:, -1].max()
+        assert [report.energy_drift, report.momentum_drift] == pytest.approx(drifts, rel=0, abs=1e-12)
 
-        def probe(name):
-            return stability_probe(space, algebra, h, np.zeros(4), epsilon=1e-2, horizon=1.0,
-                                   samples=7, rng=11, csv_path=tmp_path / name)
+    def test_a_sample_failing_in_a_later_segment_is_one_failure(self, monkeypatch, tmp_path):
+        # suite0 at the default dt: with BLOCK = 8, 300 steps stream as
+        # segments of 64 steps, and at seed 4 the Newton solve fails on one
+        # sample in the third segment and on two in the fifth
+        monkeypatch.setattr(dynamics, "BLOCK", 8)
+        failures = []
+        original = dynamics._newton_steps
 
-        whole = probe("whole.csv")
-        sizes = []
+        def recording(*args):
+            traj, failed = original(*args)
+            failures.append(failed)
+            return traj, failed
 
-        def recording(space, hamiltonian, x0, *rest, **kwargs):
-            sizes.append(len(x0))
-            return integrate(space, hamiltonian, x0, *rest, **kwargs)
-
-        monkeypatch.setattr(dynamics, "integrate", recording)
-        monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_ENTRIES", 3 * 101 * 4)  # 3 trajectories
-        chunked = probe("chunked.csv")
-        assert sizes == [3, 3, 1]
-        for field in ("max_orbit_distance", "energy_drift", "momentum_drift"):
-            expected = getattr(whole, field)
-            assert getattr(chunked, field) == pytest.approx(expected, rel=1e-12, abs=1e-12)
-        assert (chunked.escaped, chunked.solver_failures) == (whole.escaped, whole.solver_failures)
-        tables = []
-        for name in ("whole.csv", "chunked.csv"):
-            with (tmp_path / name).open(newline="") as handle:
-                rows = list(csv.reader(handle))[1:]
-            tables.append(np.array([[float(v) for v in row] for row in rows]))
-        np.testing.assert_allclose(tables[1], tables[0], rtol=1e-12, atol=1e-15)
-        samples = tables[1][:, 0]
-        assert np.all(np.diff(samples) >= 0) and set(samples) == set(range(7))
+        monkeypatch.setattr(dynamics, "_newton_steps", recording)
+        system = random_system_suite()[0]
+        csv_file = tmp_path / "probe.csv"
+        report = stability_probe(system.space, system.algebra, system.hamiltonian, system.point, epsilon=1e-3,
+                                 horizon=3.0, samples=4, rng=4, csv_path=csv_file)
+        live = list(range(4))
+        for failed in failures:
+            assert len(failed) == len(live)  # a failed sample has left the batch
+            live = [sample for sample, step in zip(live, failed) if step < 0]
+        assert [len(failed) for failed in failures] == [4, 4, 4, 3, 3] and len(live) == 1
+        assert report.solver_failures == 3
+        with csv_file.open(newline="") as handle:
+            samples = {int(row[0]) for row in list(csv.reader(handle))[1:]}
+        assert samples == set(live)
 
     @pytest.mark.parametrize("point", ["fixed", "abelian"])
     def test_csv_distances_are_the_per_row_distances(self, example1_parts, tmp_path, point):
@@ -603,27 +638,6 @@ class TestProbe:
         per_row = [orbit_distance(space, algebra, x, p, k) for x in rows[:, 2:6]]
         np.testing.assert_array_equal(rows[:, -1], per_row)
         assert report.max_orbit_distance == rows[:, -1].max()
-
-    def test_block_scan_gives_the_same_csv(self, example1_parts, monkeypatch, tmp_path):
-        # 1000 steps, stride 5: one block by default, and 2 windows a block
-        # (101 blocks, the last one row) when SCAN_ROWS is 12
-        space, algebra, h = example1_parts
-        p = np.array([1.0, 0.0, 0.5, 0.0])
-
-        def probe(name):
-            report = stability_probe(space, algebra, h, p, epsilon=1e-2, horizon=10.0, samples=2, rng=11,
-                                     csv_path=tmp_path / name)
-            with (tmp_path / name).open(newline="") as handle:
-                return report, np.array([[float(v) for v in row] for row in list(csv.reader(handle))[1:]])
-
-        whole, whole_rows = probe("whole.csv")
-        monkeypatch.setattr(dynamics, "SCAN_ROWS", 12)
-        blocks, block_rows = probe("blocks.csv")
-        np.testing.assert_array_equal(block_rows[:, :6], whole_rows[:, :6])
-        np.testing.assert_allclose(block_rows, whole_rows, rtol=1e-12, atol=1e-15)
-        assert len(whole_rows) == 2 * 202
-        for field in ("max_orbit_distance", "energy_drift", "momentum_drift"):
-            assert getattr(blocks, field) == pytest.approx(getattr(whole, field), rel=1e-12, abs=1e-15)
 
     def test_one_diverging_sample_is_one_failure(self, space2, tmp_path):
         # test_solver_divergence_detected's Hamiltonian: at dt = 10 the
