@@ -4,9 +4,11 @@ Systems are UTF-8 JSON with fields dim, omega (optional), metric (optional),
 generators, structureConstants (optional), hamiltonian (monomial records),
 point, algebraMetric (optional).  Reports are JSON on stdout with a short
 human summary on stderr.  Exit codes: 0 = STABLE certificate (or a
-non-certify command that succeeded), 2 = INCONCLUSIVE, 3 = not a relative
-equilibrium (or a rejected --velocity), 4 = validation or parse failure,
-command-line usage errors included.
+non-certify command that succeeded), 1 = a numerical failure inside the
+pipeline (DegenerateSliceForm, SubalgebraNotContained and the like),
+2 = INCONCLUSIVE, 3 = not a relative equilibrium (or a rejected
+--velocity), 4 = validation or parse failure, command-line usage errors
+included.  Every error prints the same JSON object {"error", "type"}.
 """
 
 import argparse

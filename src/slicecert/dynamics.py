@@ -11,19 +11,17 @@ windows.  The probe measures how far trajectories started near p wander
 from the K-orbit of p, stepping and scanning them a segment at a time, so
 its memory does not grow with the horizon; for a quadratic h it takes the
 energy as one quadratic form.  When K fixes p the orbit is {p}, and every
-checkpoint distance is one metric norm, all rows at once.  For abelian K
-the orbit is in closed form after one diagonalization of K's generators.
-A grid whose axes each span one period of their generator, its orbit
-points built from one table of exp(t_i lam_i) per axis, gives every
-checkpoint of a sample its start in one pass, and Newton steps run on all
-of them at once, row by row.  Other K fall back to multi-start
-Nelder-Mead.  Either way the value is the distance to an actual orbit
-point, so it only ever overestimates, and probes err toward declaring
-escape, never toward confirming stability.  The fallback's random starts
-come from a child stream of the probe's generator, so the sampled initial
-conditions depend on the seed alone.  scipy is imported only for the
-fallback (``scipy.linalg`` and ``scipy.optimize``), so a probe with
-abelian or trivial K, like every other command, loads neither.
+checkpoint distance is one metric norm, all rows at once.  Any other K
+takes one damped Newton search over orbit points, on the checkpoints of
+all samples at once, row by row.  For abelian K the orbit is in closed
+form after one diagonalization of K's generators, and a grid whose axes
+each span one period of their generator, its orbit points built from one
+table of exp(t_i lam_i) per axis, gives each checkpoint its start.  Other
+K start at p and move by left translation, each exponential from one
+eigendecomposition.  Either way the value is the distance to an actual
+orbit point, so it only ever overestimates, and probes err toward
+declaring escape, never toward confirming stability.  Only numpy runs
+here: no command imports scipy.
 """
 
 import csv
@@ -38,7 +36,6 @@ from .momentum import MomentumMap, momentum_isotropy_algebra
 
 MIDPOINT_TOL = 1e-12
 MAX_NEWTON = 50
-DISTANCE_STARTS = 4  # Nelder-Mead starts per probe checkpoint (non-abelian K)
 GRID_STEP = math.pi / 16  # orbit grid spacing, in units of 1/|A_i|_2
 GRID_MAX_POINTS = 1 << 16  # wider spacing past this many grid points
 GRID_PASS_BYTES = 1 << 20  # grid-pass scores held at once, rows x grid points
@@ -445,50 +442,6 @@ def _orbit_table(axes, lam, w, vecs):
     return np.real(z @ vecs.T)
 
 
-def _nelder_mead_distance(amats, p, metric, box):
-    """Multi-start Nelder-Mead over exponential coordinates of K, for K that
-    one eigenbasis does not diagonalize, row by row.  Starts: the identity,
-    the t the row before ended at, then random points of [-box, box]^m
-    from ``rng``."""
-    import scipy.optimize  # only this search needs it; deferred to keep startup light
-    from scipy.linalg import expm
-
-    m = len(amats)
-
-    def search(x, starts, rng, warm):
-        def objective(t):
-            q = expm(np.tensordot(t, amats, axes=1)) @ p
-            d = x - q
-            return float(d @ metric @ d)
-
-        start_list = [np.zeros(m)]
-        if warm is not None:
-            start_list.append(warm)
-        start_list.extend(rng.uniform(-box, box, size=(max(0, starts - len(start_list)), m)))
-
-        best_val = objective(np.zeros(m))
-        best_t = np.zeros(m)
-        for t0 in start_list:
-            res = scipy.optimize.minimize(
-                objective,
-                t0,
-                method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-16, "maxiter": 400 * m, "maxfev": 400 * m},
-            )
-            if res.fun < best_val:
-                best_val, best_t = float(res.fun), np.asarray(res.x, dtype=float)
-        return math.sqrt(max(best_val, 0.0)), best_t
-
-    def distance(xs, starts, rng):
-        out = np.empty(len(xs))
-        warm = None
-        for k, x in enumerate(xs):
-            out[k], warm = search(x, starts, rng, warm)
-        return out
-
-    return distance
-
-
 def _metric_norms(diffs, metric):
     """|d|_metric for each d along the last axis of diffs, by one
     vector-matrix product per row, so a row's bits do not depend on the
@@ -498,34 +451,24 @@ def _metric_norms(diffs, metric):
     return np.sqrt(np.maximum(weighted.sum(axis=-1), 0.0))
 
 
-def _orbit_distance_to(space, algebra, p, sub_k):
-    """The function (xs, starts, rng) -> |x - g.p|_metric for each row x of
-    xs, at the g = exp(sum_i t_i A_i) in exp(k) that its search finds, or
-    None when K is trivial or fixes p, so that the orbit is {p}.  Callers
-    take the smaller of that value and |x - p|_metric (``_metric_norms``),
-    which is the distance itself when K fixes p.
+def _residual(q, xs, metric):
+    """(f, M d) per row, where d = q - x and f = |d|^2_metric, by products
+    row by row."""
+    d = q - xs
+    md = (d[:, None, :] @ metric)[:, 0]
+    return (d[:, None, :] @ md[:, :, None])[:, 0, 0], md
 
-    Everything that depends on p and K alone is settled here, once per
-    point: K's generator matrices, whether K fixes p, and for abelian K the
-    eigenbasis, each generator's period and the grid of orbit points.
-    ``starts`` and ``rng`` feed only the Nelder-Mead fallback, which also
-    warm-starts each row from the row before.
-    """
-    metric = space.metric
-    amats = np.array([algebra.matrix(sub_k.basis[i]) for i in range(sub_k.dim)])
-    if not len(amats) or np.abs(amats @ p).max() <= 1e-13 * (1.0 + float(np.abs(p).max())):
-        return None
 
-    norms = np.array([np.linalg.norm(a, 2) for a in amats])
-    box = math.pi * max(1.0, 1.0 / norms.min())
-    diagonal = _joint_diagonalization(amats, norms)
-    if diagonal is None:
-        return _nelder_mead_distance(amats, p, metric, box)
-
-    # exp(sum_i t_i A_i) p = Re(V (exp(t . lam) * w)) with w = V^-1 p; the
-    # A_i commute, so each t_i need only span one period of its own A_i
-    vecs, lam = diagonal
+def _eigenbasis_search(p, metric, norms, vecs, lam):
+    """``_orbit_newton``'s (start, derivatives, move) for abelian K, A_i =
+    V diag(lam[i]) V^-1.  A row's state is (t, z): its orbit point is
+    exp(sum_i t_i A_i) p = Re(V z), z = exp(t . lam) * w, w = V^-1 p, exact
+    to rounding at any t.  The A_i commute, so each t_i spans one period of
+    its own A_i, or [-box, box], box = pi max(1, 1/min_i |A_i|_2), if it has
+    none; the start is the best point of a grid over those spans, spacing
+    (pi/16)/|A_i|_2, scored a chunk of rows at a time."""
     w = np.linalg.solve(vecs, p.astype(complex))
+    box = math.pi * max(1.0, 1.0 / norms.min())
     periods = [_circle_period(row) for row in lam]
     axes = _grid_axes(np.array([box if period is None else 0.5 * period for period in periods]),
                       GRID_STEP / norms)
@@ -536,18 +479,84 @@ def _orbit_distance_to(space, algebra, p, sub_k):
     mpoints_t = np.ascontiguousarray(mpoints.T)
     chunk = max(1, GRID_PASS_BYTES // (8 * len(grid)))
 
-    def parts(t, xs):
-        """(f, z, M d) per row at t, where f = |d|^2_metric and d = Re(V z) - x."""
+    def at(t, xs):
         z = np.exp((t[:, None, :] @ lam)[:, 0]) * w
-        d = np.real(z[:, None, :] @ vecs.T)[:, 0] - xs
-        md = (d[:, None, :] @ metric)[:, 0]
-        return (d[:, None, :] @ md[:, :, None])[:, 0, 0], z, md
+        return _residual(np.real(z[:, None, :] @ vecs.T)[:, 0], xs, metric) + ((t, z),)
 
-    def line_search(xs, t, f, z, md, rows, step, gain):
-        """Move each of rows to the first t + s, for s = step, step/2, ...,
-        that lowers f, with f, z and M d, until the gain the model promises
-        (-grad . s, twice the predicted decrease) falls to rounding level;
-        return the rows that moved."""
+    def start(xs):
+        # |x - q|^2 = |q|^2 - 2 <x, q> + |x|^2 over the grid
+        index = np.empty(len(xs), dtype=np.int64)
+        for lo in range(0, len(xs), chunk):
+            scores = (xs[lo : lo + chunk, None, :] @ mpoints_t)[:, 0]
+            index[lo : lo + chunk] = np.argmin(squares - 2.0 * scores, axis=1)
+        return at(grid[index], xs)
+
+    def derivatives(t, z):
+        lz = lam * z[:, None, :]
+        return np.real(lz @ vecs.T), np.real((lam[:, None, :] * lz[:, None]) @ vecs.T)
+
+    def move(state, step, xs):
+        return at(state[0] + step, xs)
+
+    return start, derivatives, move
+
+
+def _translation_search(amats, p, metric):
+    """``_orbit_newton``'s (start, derivatives, move) for any other K.  A
+    row's state is its orbit point q, from p, and a step s moves it by left
+    translation to exp(sum_i s_i A_i) q (Absil, Mahony & Sepulchre, 2008),
+    whose derivatives at s = 0 are A_i q and (A_i A_j + A_j A_i) q / 2.  The
+    exponential is one eigendecomposition of sum_i s_i A_i per row; a row
+    whose eigenvectors are singular reads NaN and does not move."""
+    n, m = len(p), len(amats)
+    flat = amats.reshape(m, n * n)
+    pairs = 0.5 * (amats[:, None] @ amats[None] + amats[None] @ amats[:, None])
+
+    def start(xs):
+        q = np.repeat(p[None], len(xs), axis=0)
+        return _residual(q, xs, metric) + ((q,),)
+
+    def derivatives(q):
+        return (amats @ q[:, None, :, None])[..., 0], (pairs @ q[:, None, None, :, None])[..., 0]
+
+    def move(state, step, xs):
+        lam, vecs = np.linalg.eig((step[:, None, :] @ flat)[:, 0].reshape(-1, n, n))
+        # complex whatever the batch: eig returns real arrays when all of
+        # its eigenvalues are real
+        vecs = vecs.astype(complex)
+        w = _apply_rows(_invert_rows(vecs), state[0].astype(complex))
+        q = np.real(_apply_rows(vecs, np.exp(lam) * w))
+        return _residual(q, xs, metric) + ((q,),)
+
+    return start, derivatives, move
+
+
+def _orbit_newton(xs, metric, start, derivatives, move):
+    """f = |x - q|^2_metric per row of xs at the orbit point q that damped
+    Newton reaches, all rows at once and every product row by row, so a row
+    holds a one-row call's bits.  A provider gives start(xs) and move(state,
+    s, xs), each -> (f, M d, state), the state being per-row arrays that
+    place q, and derivatives(*state) -> q's first and second derivatives in
+    s, (rows, m, n) and (rows, m, m, n).  Hessian |eigenvalue|s floored at
+    NEWTON_EIG_FLOOR of the largest make every step descend, even where a
+    generator fixes p; a row takes the first of s, s/2, ... that lowers f,
+    until the gain the model promises (-grad . s) falls to rounding level,
+    and a row that does not move is done."""
+    f, md, state = start(xs)
+    rows = np.arange(len(xs))
+    for _ in range(NEWTON_ITERS):
+        if not len(rows):
+            break
+        dq, ddq = derivatives(*(a[rows] for a in state))
+        grad = 2.0 * (dq @ md[rows, :, None])[..., 0]
+        hess = 2.0 * (dq @ metric @ dq.transpose(0, 2, 1) + (ddq @ md[rows, None, :, None])[..., 0])
+        ev, u = np.linalg.eigh(hess)
+        floor = NEWTON_EIG_FLOOR * np.abs(ev).max(axis=1)
+        keep = floor > 0.0
+        rows, grad, ev, u, floor = rows[keep], grad[keep], ev[keep], u[keep], floor[keep]
+        scaled = (u.transpose(0, 2, 1) @ grad[..., None])[..., 0] / np.maximum(np.abs(ev), floor[:, None])
+        step = -(u @ scaled[..., None])[..., 0]
+        gain = -(grad[:, None, :] @ step[..., None])[:, 0, 0]
         moved = np.zeros(len(rows), dtype=bool)
         live = np.arange(len(rows))
         for _ in range(NEWTON_ITERS):
@@ -555,78 +564,61 @@ def _orbit_distance_to(space, algebra, p, sub_k):
             if not len(live):
                 break
             at = rows[live]
-            trial = t[at] + step[live]
-            found = parts(trial, xs[at])
-            lower = found[0] < f[at]
+            found_f, found_md, found = move([a[at] for a in state], step[live], xs[at])
+            lower = found_f < f[at]
             hit = at[lower]
-            t[hit] = trial[lower]
-            f[hit], z[hit], md[hit] = (a[lower] for a in found)
+            f[hit], md[hit] = found_f[lower], found_md[lower]
+            for a, b in zip(state, found):
+                a[hit] = b[lower]
             moved[live[lower]] = True
             live = live[~lower]
             step[live] *= 0.5
             gain[live] *= 0.5
-        return rows[moved]
+        rows = rows[moved]
+    return f
+
+
+def _orbit_distance_to(space, algebra, p, sub_k):
+    """The function (xs, starts=None, rng=None) -> |x - g.p|_metric per row
+    x of xs, at the g that ``_orbit_newton`` finds, or None when K is
+    trivial or fixes p; callers take the smaller of that and |x - p|_metric
+    (``_metric_norms``).  What depends on p and K alone is settled here,
+    once: K's generators and, for abelian K, the eigenbasis and the grid
+    (``_eigenbasis_search``); other K take ``_translation_search``.
+    ``starts`` and ``rng`` are unused."""
+    metric = space.metric
+    amats = np.array([algebra.matrix(sub_k.basis[i]) for i in range(sub_k.dim)])
+    if not len(amats) or np.abs(amats @ p).max() <= 1e-13 * (1.0 + float(np.abs(p).max())):
+        return None
+
+    norms = np.array([np.linalg.norm(a, 2) for a in amats])
+    diagonal = _joint_diagonalization(amats, norms)
+    if diagonal is None:
+        search = _translation_search(amats, p, metric)
+    else:
+        search = _eigenbasis_search(p, metric, norms, *diagonal)
 
     def distance(xs, starts=None, rng=None):
-        # |x - q|^2 = |q|^2 - 2 <x, q> + |x|^2 over the grid, a chunk of
-        # rows at a time, then Newton in t on the rows still improving
-        index = np.empty(len(xs), dtype=np.int64)
-        for lo in range(0, len(xs), chunk):
-            scores = (xs[lo : lo + chunk, None, :] @ mpoints_t)[:, 0]
-            index[lo : lo + chunk] = np.argmin(squares - 2.0 * scores, axis=1)
-        t = grid[index]
-        f, z, md = parts(t, xs)
-        rows = np.arange(len(xs))
-        for _ in range(NEWTON_ITERS):
-            if not len(rows):
-                break
-            lz = lam * z[rows, None, :]
-            dq = np.real(lz @ vecs.T)
-            ddq = np.real((lam[:, None, :] * lz[:, None]) @ vecs.T)
-            grad = 2.0 * (dq @ md[rows, :, None])[..., 0]
-            hess = 2.0 * (dq @ metric @ dq.transpose(0, 2, 1) + (ddq @ md[rows, None, :, None])[..., 0])
-            ev, u = np.linalg.eigh(hess)
-            floor = NEWTON_EIG_FLOOR * np.abs(ev).max(axis=1)
-            # |eigenvalue|-floored steps descend even where the Hessian is
-            # indefinite or singular, as when one generator fixes p
-            keep = floor > 0.0
-            rows, grad, ev, u, floor = rows[keep], grad[keep], ev[keep], u[keep], floor[keep]
-            scaled = (u.transpose(0, 2, 1) @ grad[..., None])[..., 0] / np.maximum(np.abs(ev), floor[:, None])
-            step = -(u @ scaled[..., None])[..., 0]
-            gain = -(grad[:, None, :] @ step[..., None])[:, 0, 0]
-            rows = line_search(xs, t, f, z, md, rows, step, gain)
-        return np.sqrt(np.maximum(f, 0.0))
+        return np.sqrt(np.maximum(_orbit_newton(xs, metric, *search), 0.0))
 
     return distance
 
 
 def orbit_distance(space, algebra, x, p, sub_k, starts=32, rng=None):
-    """Metric distance from x to the K-orbit of p, from above.
-
-    For abelian K (one eigenbasis diagonalizes every generator) the orbit
-    point is exp(sum_i t_i A_i) p = Re(V (exp(t . lam) * w)).  Since the
-    A_i commute, t_i need only span one period of A_i: the grid spans that
-    period for each generator whose frequencies have a common divisor, and
-    [-box, box] with box = pi max(1, 1/min_i |A_i|_2) for any other.  The
-    grid's orbit points come from one table of exp(t_i lam_i) per axis,
-    combined by products; one pass over the grid, with spacing
-    (pi/16)/|A_i|_2, finds the start, and damped Newton steps in t refine
-    it.  The probe runs the same search on all of a sample's checkpoints at
-    once, every product row by row, so a row there holds this call's bits.
-    Other K fall back to multi-start Nelder-Mead, ``starts`` starts drawn
-    from ``rng``.  Either way the value is |x - exp(sum_i t_i A_i) p| at
-    the found t, or |x - p| if that is smaller, so it never exceeds
-    |x - p|_metric.  For abelian K that orbit point is taken in the
-    eigenbasis, exact to rounding at any t, not from ``expm``.
-    """
+    """Metric distance from x to the K-orbit of p, from above: |x - q| at
+    the orbit point q that one damped Newton search finds for any K that
+    moves p, or |x - p| if smaller.  Abelian K starts from a grid over one
+    period of each generator, its orbit points in closed form; other K
+    start at p and move by left translation.  The probe's batched rows hold
+    this call's bits.  ``starts`` and ``rng`` are accepted, since existing
+    callers pass them, and unused; no K is searched from random starts."""
     p = space.check_point(p)
     distance = _orbit_distance_to(space, algebra, p, sub_k)
     x = space.check_point(x)
     direct = float(_metric_norms(x - p, space.metric))
     if distance is None:
         return direct
-    rng = np.random.default_rng(0) if rng is None else rng
-    return min(float(distance(x[None], starts, rng)[0]), direct)
+    return min(float(distance(x[None])[0]), direct)
 
 
 def _energy(hamiltonian, dim):
@@ -737,9 +729,6 @@ def stability_probe(
     quads = 0.5 * mm.component_hessians().transpose(1, 0, 2).reshape(n, d * n)
     energy = _energy(hamiltonian, n)
     distance = _orbit_distance_to(space, algebra, p, momentum_isotropy_algebra(algebra, mm.value(p)))
-    # A child stream for the Nelder-Mead starts, so the samples drawn below
-    # depend on the seed alone, whichever orbit-distance method runs.
-    search_rng = rng.spawn(1)[0]
 
     # every start is drawn first, in the order a sample-by-sample loop draws them
     starts = np.empty((samples, space.dim))
@@ -787,19 +776,22 @@ def stability_probe(
                 for sample, rows in zip(live, table):
                     tables[sample].append(rows)
 
-            for sample in live.tolist():
-                table = np.concatenate(tables[sample])
-                table = table[np.unique(table[:, 0], return_index=True)[1]]
-                # |x - p| at every checkpoint: the distance when K fixes p,
-                # and otherwise a bound on the orbit search
+            merged = [np.concatenate(tables[sample]) for sample in live.tolist()]
+            merged = [table[np.unique(table[:, 0], return_index=True)[1]] for table in merged]
+            if merged:
+                # |x - p| at every checkpoint of every sample: the distance
+                # when K fixes p, and otherwise a bound on the orbit search
+                table = np.concatenate(merged)
                 xs = table[:, 1 : n + 1]
                 dists = _metric_norms(xs - p, space.metric)
                 if distance is not None:
-                    np.minimum(dists, distance(xs, DISTANCE_STARTS, search_rng), out=dists)
+                    np.minimum(dists, distance(xs), out=dists)
                 max_dist = np.maximum(max_dist, dists.max())
                 if writer is not None:
                     table[:, 0] *= dt
-                    writer.writerows([sample] + row for row in np.column_stack([table, dists]).tolist())
+                    ids = np.repeat(live, [len(rows) for rows in merged]).tolist()
+                    writer.writerows([sample] + row for sample, row in
+                                     zip(ids, np.column_stack([table, dists]).tolist()))
     finally:
         if handle is not None:
             handle.close()

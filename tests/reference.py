@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
 from slicecert.certify import require_velocity
 from slicecert.errors import DegenerateSliceForm, DimensionMismatch, PreconditionViolated
@@ -137,6 +138,32 @@ def augmented_hessian(mm, hamiltonian, p, xi):
 def group_exp(algebra, xi, t=1.0):
     """exp(t A(xi)); symplectic whenever A(xi) is Hamiltonian."""
     return scipy.linalg.expm(float(t) * algebra.matrix(xi))
+
+
+def nelder_mead_orbit_distance(space, algebra, x, p, sub_k, starts=4, rng=None):
+    """min |x - exp(sum_i t_i A_i) p|_metric over the t that multi-start
+    Nelder-Mead finds in exponential coordinates of K, each point by
+    scipy's expm, and |x - p|_metric.  Starts: the identity, then random
+    points of [-box, box]^m, box = pi max(1, 1/min_i |A_i|_2), from rng."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    amats = np.array([algebra.matrix(sub_k.basis[i]) for i in range(sub_k.dim)])
+    m = len(amats)
+    box = np.pi * max(1.0, 1.0 / min(np.linalg.norm(a, 2) for a in amats))
+
+    def objective(t):
+        d = x - scipy.linalg.expm(np.tensordot(t, amats, axes=1)) @ p
+        return float(d @ space.metric @ d)
+
+    best = objective(np.zeros(m))
+    for t0 in [np.zeros(m)] + list(rng.uniform(-box, box, size=(max(0, starts - 1), m))):
+        res = scipy.optimize.minimize(
+            objective,
+            t0,
+            method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-16, "maxiter": 400 * m, "maxfev": 400 * m},
+        )
+        best = min(best, float(res.fun))
+    return float(np.sqrt(max(best, 0.0)))
 
 
 def hamiltonian_vector_field(space, hamiltonian, x):

@@ -38,6 +38,10 @@ from slicecert.cli import serialize_system, system_from_dict
 from slicecert.linalg import nullspace
 
 SUITE_FILE = Path(__file__).with_name("suite_systems.json")
+# Two spin-1/2 blocks at p = (z, i sigma_y conj(z)), z = (0.5 - 0.25i,
+# 0.375 + 0.5i), where J(p) = 0, with h the su(2) Casimir sum_i J_i^2: K is
+# all of su(2), moves p, and fixes no direction of its orbit.
+SU2_PAIR_FILE = Path(__file__).with_name("su2_pair.json")
 
 PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),

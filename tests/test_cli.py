@@ -28,7 +28,7 @@ from slicecert.cli import (
 from slicecert.errors import ParseError, ValidationError
 
 from reference import count_calls
-from systems import with_point
+from systems import SU2_PAIR_FILE, with_point
 
 
 def example1_dict():
@@ -376,6 +376,17 @@ class TestProbeCommand:
         assert report["maxOrbitDistance"] is None and report["energyDrift"] is None
         assert "maxOrbitDistance=null energyDrift=null" in captured.err
 
+    def test_non_abelian_probe_stays_near_the_orbit(self, capsys):
+        # At the su(2) pair's point h is the Casimir, so p is an equilibrium
+        # and J = 0 along it.  Over the default horizon one sample stays
+        # within epsilon of the orbit; multi-start Nelder-Mead over scipy's
+        # expm reads 5.98188778871404e-4 on this probe.
+        code = main(["probe", str(SU2_PAIR_FILE), "--samples", "1"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["solverFailures"] == 0 and report["escaped"] is False
+        assert report["maxOrbitDistance"] <= 5.98188778871404e-4 * (1 + 1e-9)
+
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
     def test_probe_memory_does_not_grow_with_the_horizon(self):
         def peak_rss_kb(horizon):
@@ -485,6 +496,15 @@ class TestMainExitCodes:
         assert report["valid"] and report["numGenerators"] == 1
 
 
+def _moved_example1(tmp_path):
+    """example1 at (1, 0, 0, 0), where its circle K moves p, as a file in tmp_path."""
+    data = example1_dict()
+    data["point"] = [1.0, 0.0, 0.0, 0.0]
+    path = tmp_path / "example1_moved.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
 def _child_env(**extra):
     """The parent environment plus ``extra``, importing the slicecert under test."""
     env = dict(os.environ, **extra)
@@ -554,30 +574,60 @@ class TestEnvironment:
             ["certify", "example1"],
             ["probe", "example1", "--horizon", "0.05", "--samples", "1"],
             ["probe", "MOVED", "--horizon", "0.05", "--samples", "3"],
+            ["probe", str(SU2_PAIR_FILE), "--horizon", "0.05", "--samples", "3"],
         ],
     )
     def test_scipy_optimize_is_not_imported(self, argv, tmp_path):
-        # Only the Nelder-Mead orbit search for non-abelian K needs
-        # scipy.optimize or scipy.linalg.  example1's base point is K-fixed;
-        # at MOVED = (1, 0, 0, 0) its circle K moves p and takes the closed
-        # form, whose orbit points come from the eigenbasis, not expm.
-        data = example1_dict()
-        data["point"] = [1.0, 0.0, 0.0, 0.0]
-        moved = tmp_path / "example1_moved.json"
-        moved.write_text(json.dumps(data))
-        argv = [str(moved) if arg == "MOVED" else arg for arg in argv]
+        # No command loads any scipy module.  example1's base point is
+        # K-fixed; at MOVED = (1, 0, 0, 0) its circle K moves p and takes
+        # the eigenbasis search; at the su(2) pair's point K is all of
+        # su(2) and takes the search by left translation.
+        argv = [str(_moved_example1(tmp_path)) if arg == "MOVED" else arg for arg in argv]
         code = (
             "import contextlib, io, sys\n"
             "from slicecert.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = main({argv!r})\n"
-            "print(code, 'scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == [str(EXIT_STABLE), "False", "False"]
+        assert result.stdout.split() == [str(EXIT_STABLE), "[]"]
+
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path, capsys):
+        # sys.modules["scipy"] = None makes any import of scipy fail; each
+        # command must still give the report and exit code it gives here
+        argvs = [
+            [command, path] + extra
+            for path in ("example1", str(_moved_example1(tmp_path)), str(SU2_PAIR_FILE))
+            for command, extra in (("validate", []), ("analyze", []), ("certify", []),
+                                   ("probe", ["--horizon", "0.5", "--samples", "2"]))
+        ]
+        expected = []
+        for argv in argvs:
+            code = main(argv)
+            expected.append([code, json.loads(capsys.readouterr().out)])
+        script = (
+            "import contextlib, io, json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from slicecert.cli import main\n"
+            "runs = []\n"
+            f"for argv in {argvs!r}:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = main(argv)\n"
+            "    runs.append([code, json.loads(out.getvalue())])\n"
+            "print(json.dumps(runs))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == expected
+        assert [code for code, _ in expected] == [0, 0, EXIT_STABLE, 0, 0, 0, EXIT_STABLE, 0,
+                                                  0, 0, EXIT_INCONCLUSIVE, 0]
 
     def test_import_loads_no_scipy_linalg(self):
         code = "import sys, slicecert\nprint(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"

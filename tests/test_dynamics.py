@@ -13,6 +13,7 @@ from slicecert import (
     Poly,
     bundled_system,
     integrate,
+    load_system,
     momentum_isotropy_algebra,
     orbit_distance,
     stability_probe,
@@ -22,9 +23,16 @@ from slicecert.cli import cmd_probe, main
 from slicecert.errors import SolverDiverged, ValidationError
 from slicecert.symmetry import Subalgebra
 
-from reference import count_calls, group_exp, hamiltonian_vector_field, linear_midpoint_steps, metric_norm
+from reference import (
+    count_calls,
+    group_exp,
+    hamiltonian_vector_field,
+    linear_midpoint_steps,
+    metric_norm,
+    nelder_mead_orbit_distance,
+)
 from systems import (
-    PAULI,
+    SU2_PAIR_FILE,
     canonical_space,
     example1_generator,
     example1_hamiltonian,
@@ -324,6 +332,30 @@ def _abelian_case(name):
     return space, algebra, Subalgebra.from_vectors(algebra, np.eye(len(gens))), gens, np.array(p)
 
 
+# J(p) = 0 points of 2 and 3 spin-1/2 blocks, so K is all of su(2) and moves
+# p: the block vectors z_b have dyadic entries and sum_b z_b z_b^H is a
+# multiple of the identity.  The pair is (z, i sigma_y conj(z)), the point
+# of tests/su2_pair.json.
+SU2_NULL_BLOCKS = {
+    2: [[0.5 - 0.25j, 0.375 + 0.5j], [0.375 - 0.5j, -0.5 - 0.25j]],
+    3: [[0.25, 0.5], [0.5j, 0.25j], [0.5, -0.5]],
+}
+
+
+def _su2_null_case(blocks):
+    """(space, algebra, K, p) at the J(p) = 0 point of SU2_NULL_BLOCKS[blocks]."""
+    space = canonical_space(4 * blocks)
+    algebra = LieAlgebraBasis.build(space, su2_generators(blocks=blocks))
+    zc = np.concatenate(SU2_NULL_BLOCKS[blocks]).astype(complex)
+    p = np.empty(4 * blocks)
+    p[0::2], p[1::2] = zc.real, zc.imag
+    mu = MomentumMap(space, algebra).value(p)
+    assert np.all(mu == 0.0)
+    k = momentum_isotropy_algebra(algebra, mu)
+    assert k.dim == 3
+    return space, algebra, k, p
+
+
 def _dense_orbit(gens, p, per_axis):
     """exp(sum_i theta_i G_i) p over a per_axis^m grid of one period [0, 2 pi)^m,
     each factor by scipy's expm."""
@@ -411,8 +443,7 @@ class TestOrbitDistance:
             dist = orbit_distance(space, algebra, (1.0 + delta) * rotated, p, k)
             assert abs(dist - delta) <= 1e-14
 
-    @pytest.mark.parametrize("starts", [4, 32])
-    def test_circle_grid_spans_the_full_period(self, starts):
+    def test_circle_grid_spans_the_full_period(self):
         # The box pi max(1, 1/|A|_2) of the normalized generator spans a third
         # of this circle's period; a 2.5 rad turn of the raw generator lies
         # outside it, yet on the orbit.
@@ -422,7 +453,7 @@ class TestOrbitDistance:
         k = Subalgebra.from_vectors(algebra, np.eye(1))
         p = np.array([1.0, 0.0, 0.7, 0.2])
         x = scipy.linalg.expm(2.5 * gens[0]) @ p
-        assert orbit_distance(space, algebra, x, p, k, starts=starts) <= 1e-9
+        assert orbit_distance(space, algebra, x, p, k) <= 1e-9
 
     @pytest.mark.parametrize("weights", [[[1, 3, 0], [0, 0, 1]], [[1, 2, 0], [0, 0, 1]]])
     def test_torus_grid_spans_each_generators_period(self, weights):
@@ -454,8 +485,10 @@ class TestOrbitDistance:
             (example1_generator()[None], [1.0, 0.2, -0.4, 0.3], 1 << 14),
             # a 33 x 33 torus grid: the default holds 120 rows
             (torus_generators([[1, 0], [0, 1]]), [0.8, -0.6, 0.3, 0.5], dynamics.GRID_PASS_BYTES),
+            # su(2) at a J(p) = 0 point: no grid, Newton by left translation
+            (su2_generators(blocks=2), _su2_null_case(2)[3], dynamics.GRID_PASS_BYTES),
         ],
-        ids=["circle", "torus"],
+        ids=["circle", "torus", "su2"],
     )
     def test_batched_rows_equal_one_row_calls(self, monkeypatch, rng, gens, p, grid_bytes):
         # 201 rows take several grid-pass chunks and leave Newton at
@@ -474,24 +507,27 @@ class TestOrbitDistance:
         batch = np.minimum(distance(xs), dynamics._metric_norms(xs - p, space.metric))
         np.testing.assert_array_equal(batch, [orbit_distance(space, algebra, x, p, k) for x in xs])
 
-    def test_non_abelian_k_falls_back_to_nelder_mead(self):
-        # p = (z, i sigma_y conj(z)) on two spin-1/2 blocks has J(p) = 0
-        # exactly (dyadic entries), so K is all of su(2) and moves p.
-        space = canonical_space(8)
-        algebra = LieAlgebraBasis.build(space, su2_generators(blocks=2))
-        z = np.array([0.5 - 0.25j, 0.375 + 0.5j])
-        zc = np.concatenate([z, 1j * PAULI[1] @ z.conj()])
-        p = np.empty(8)
-        p[0::2], p[1::2] = zc.real, zc.imag
-        mu = MomentumMap(space, algebra).value(p)
-        assert np.all(mu == 0.0)
-        k = momentum_isotropy_algebra(algebra, mu)
-        assert k.dim == 3
+    def test_non_abelian_group_translates_are_on_the_orbit(self):
+        space, algebra, k, p = _su2_null_case(2)
         draws = np.random.default_rng(5)
-        for i in range(3):
+        for _ in range(3):
             x = group_exp(algebra, draws.uniform(-1.5, 1.5, 3)) @ p
-            dist = orbit_distance(space, algebra, x, p, k, starts=4, rng=np.random.default_rng(i))
-            assert dist <= 1e-6
+            assert orbit_distance(space, algebra, x, p, k) <= 1e-6
+
+    @pytest.mark.parametrize("blocks", sorted(SU2_NULL_BLOCKS))
+    def test_non_abelian_k_no_worse_than_nelder_mead(self, blocks):
+        # x = exp(kappa) p + delta u, from near the orbit to half its radius
+        # off it; damped Newton from p must match the multi-start oracle
+        space, algebra, k, p = _su2_null_case(blocks)
+        draws = np.random.default_rng(blocks)
+        for i in range(40):
+            u = draws.standard_normal(len(p))
+            delta = 10 ** draws.uniform(-6.0, np.log10(0.5))
+            x = group_exp(algebra, draws.uniform(-4.0, 4.0, 3)) @ p + delta * u / np.linalg.norm(u)
+            dist = orbit_distance(space, algebra, x, p, k)
+            oracle = nelder_mead_orbit_distance(space, algebra, x, p, k, rng=np.random.default_rng(i))
+            assert dist <= oracle * (1 + 1e-9) + 1e-12
+            assert dist <= metric_norm(space, x - p)
 
     @pytest.mark.parametrize("seed", [3, 42])
     def test_sampled_starts_depend_on_the_seed_alone(self, seed, tmp_path, capsys):
@@ -622,12 +658,17 @@ class TestProbe:
             samples = {int(row[0]) for row in list(csv.reader(handle))[1:]}
         assert samples == set(live)
 
-    @pytest.mark.parametrize("point", ["fixed", "abelian"])
+    @pytest.mark.parametrize("point", ["fixed", "abelian", "non-abelian"])
     def test_csv_distances_are_the_per_row_distances(self, example1_parts, tmp_path, point):
-        # K fixes the origin, where every checkpoint row is measured at
-        # once; off it, K is a circle and each row is measured on its own
+        # K fixes example1's origin; off it, K is a circle, and at the
+        # su(2) pair's point it is all of su(2).  The probe measures every
+        # checkpoint of every sample at once, and each row must hold the
+        # bits of its own call.
         space, algebra, h = example1_parts
         p = np.zeros(4) if point == "fixed" else np.array([1.0, 0.0, 0.5, 0.0])
+        if point == "non-abelian":
+            system = load_system(str(SU2_PAIR_FILE))
+            space, algebra, h, p = system.space, system.algebra, system.hamiltonian, system.point
         k = momentum_isotropy_algebra(algebra, MomentumMap(space, algebra).value(p))
         assert (dynamics._orbit_distance_to(space, algebra, p, k) is None) == (point == "fixed")
         csv_file = tmp_path / "probe.csv"
@@ -635,7 +676,7 @@ class TestProbe:
                                  csv_path=csv_file)
         with csv_file.open(newline="") as handle:
             rows = np.array([[float(v) for v in row] for row in list(csv.reader(handle))[1:]])
-        per_row = [orbit_distance(space, algebra, x, p, k) for x in rows[:, 2:6]]
+        per_row = [orbit_distance(space, algebra, x, p, k) for x in rows[:, 2 : 2 + space.dim]]
         np.testing.assert_array_equal(rows[:, -1], per_row)
         assert report.max_orbit_distance == rows[:, -1].max()
 

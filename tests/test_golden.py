@@ -2,7 +2,8 @@
 
 ``golden_reports.json`` holds the JSON reports and exit codes of
 ``cmd_certify``, ``cmd_analyze`` and ``cmd_probe(horizon=0.05, samples=2)``
-over ``example1``, ``saddle`` and the ten suite systems, and those of
+over ``example1``, ``saddle``, the ten suite systems and ``su2pair``
+(``su2_pair.json``, where K is all of su(2)), and those of
 ``cmd_certify`` with ``--velocity`` set to the searched ``xiStar`` and to
 ``xiPerp``.  A refactor must reproduce them: verdicts, strings, booleans,
 integers, exit codes and key order exactly, floats to 1e-12.  Rewrite the
@@ -19,7 +20,7 @@ import pytest
 from slicecert import load_system
 from slicecert.cli import _jsonable, cmd_analyze, cmd_certify, cmd_probe
 
-from systems import random_system_suite
+from systems import SU2_PAIR_FILE, random_system_suite
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 FLOAT_TOL = 1e-12
@@ -46,6 +47,7 @@ COMMANDS = {
 def _systems():
     named = {"example1": load_system("example1"), "saddle": load_system("saddle")}
     named.update({f"suite{i}": s for i, s in enumerate(random_system_suite())})
+    named["su2pair"] = load_system(str(SU2_PAIR_FILE))
     return named
 
 
@@ -88,7 +90,7 @@ def systems():
 
 CASES = [
     (name, command)
-    for name in ["example1", "saddle"] + [f"suite{i}" for i in range(10)]
+    for name in ["example1", "saddle"] + [f"suite{i}" for i in range(10)] + ["su2pair"]
     for command in COMMANDS
 ]
 
