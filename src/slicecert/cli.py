@@ -123,6 +123,8 @@ def _terms(value):
 
 def system_from_dict(data):
     """Build and validate a SystemDefinition from parsed JSON data."""
+    if not isinstance(data, dict):
+        raise ParseError(f"a system must be a JSON object, got {type(data).__name__}")
     for key in ("dim", "generators", "hamiltonian", "point"):
         if key not in data:
             raise ParseError(f"missing required field '{key}'")
@@ -176,7 +178,7 @@ def load_system(path):
             p = candidate
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read '{path}': {exc}") from exc
     try:
         data = json.loads(text)

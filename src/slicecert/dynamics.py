@@ -8,16 +8,19 @@ per start for every 4096 steps; any other h solves the midpoint equations
 of a window of up to 64 steps at once by simplified Newton, one gradient
 call per sweep over the window, with a Jacobian each start holds across
 windows.  The probe measures how far trajectories started near p wander
-from the K-orbit of p, stepping and scanning them a segment at a time, so
-its memory does not grow with the horizon; for a quadratic h it takes the
-energy as one quadratic form.  When K fixes p the orbit is {p}, and every
-checkpoint distance is one metric norm, all rows at once.  Any other K
-takes one damped Newton search over orbit points, on the checkpoints of
-all samples at once, row by row.  For abelian K the orbit is in closed
-form after one diagonalization of K's generators, and a grid whose axes
-each span one period of their generator, its orbit points built from one
-table of exp(t_i lam_i) per axis, gives each checkpoint its start.  Other
-K start at p and move by left translation, each exponential from one
+from the K-orbit of p.  It steps its samples a chunk at a time and each
+chunk a segment at a time, scanning each segment as it is stepped, so its
+memory grows neither with the horizon nor with the samples; for a
+quadratic h it takes the energy as one quadratic form.  When K fixes p the
+orbit is {p}, and every checkpoint distance is one metric norm, all rows
+at once.  Any other K takes one damped Newton search over orbit points q,
+on the checkpoints of a whole chunk at once, row by row: a step s moves q
+by left translation to exp(sum_i s_i A_i) q, with the same derivatives
+for every K.  Only the start and the exponential depend on K.  Abelian K
+is diagonalized once, A_i = V diag(lam_i) V^-1: its exponential is in
+closed form, and its start is the nearest point of a grid whose axes each
+span one period of their generator, built from one table of
+exp(t_i lam_i) per axis.  Other K start at p, each exponential from one
 eigendecomposition.  Either way the value is the distance to an actual
 orbit point, so it only ever overestimates, and probes err toward
 declaring escape, never toward confirming stability.  Only numpy runs
@@ -46,6 +49,7 @@ NEWTON_TOL = 1e-15  # stop once a step promises less, relative to |x - q|^2
 BLOCK = 64  # linear-path steps per propagator product, and Newton-path window width
 STALE_RATE = 0.01  # a sweep contracting the residual less than this marks J stale
 MAX_TRAJECTORY_ENTRIES = 1 << 27  # bound on a probe trajectory's (steps + 1) * dim
+PROBE_CHUNK_ENTRIES = 1 << 21  # probe samples stepped at once, as samples * (segment + 1) * dim
 
 
 def integrate(space, hamiltonian, x0, dt, steps, tol=MIDPOINT_TOL, max_newton=MAX_NEWTON):
@@ -368,8 +372,8 @@ def _invert_rows(jac):
 
 
 def _joint_diagonalization(amats, norms):
-    """(V, lam) with A_i = V diag(lam[i]) V^-1 for every generator A_i, or
-    None when K is non-abelian or a generator is not diagonalizable.
+    """(V, V^-1, lam) with A_i = V diag(lam[i]) V^-1 for every generator A_i,
+    or None when K is non-abelian or a generator is not diagonalizable.
 
     V comes from one eigendecomposition of a fixed generic combination
     sum_i c_i A_i; the check that V reconstructs every A_i (to
@@ -385,7 +389,7 @@ def _joint_diagonalization(amats, norms):
     recon = np.einsum("jk,ik,kl->ijl", vecs, lam, inv)
     if not (np.abs(recon - amats).max(axis=(1, 2)) <= 1e-10 * (1.0 + norms)).all():
         return None  # also when eig returned non-finite vectors
-    return vecs, lam
+    return vecs, inv, lam
 
 
 def _circle_period(lam):
@@ -459,29 +463,22 @@ def _residual(q, xs, metric):
     return (d[:, None, :] @ md[:, :, None])[:, 0, 0], md
 
 
-def _eigenbasis_search(p, metric, norms, vecs, lam):
-    """``_orbit_newton``'s (start, derivatives, move) for abelian K, A_i =
-    V diag(lam[i]) V^-1.  A row's state is (t, z): its orbit point is
-    exp(sum_i t_i A_i) p = Re(V z), z = exp(t . lam) * w, w = V^-1 p, exact
-    to rounding at any t.  The A_i commute, so each t_i spans one period of
-    its own A_i, or [-box, box], box = pi max(1, 1/min_i |A_i|_2), if it has
-    none; the start is the best point of a grid over those spans, spacing
-    (pi/16)/|A_i|_2, scored a chunk of rows at a time."""
-    w = np.linalg.solve(vecs, p.astype(complex))
+def _grid_start(p, metric, norms, vecs, inv, lam):
+    """The function xs -> the nearest point to each row of xs of a grid on
+    the orbit of abelian K, A_i = V diag(lam[i]) V^-1.  The grid's points
+    are Re(V (exp(t . lam) * w)), w = V^-1 p.  The A_i commute, so each t_i
+    spans one period of its own A_i, or [-box, box], box = pi max(1,
+    1/min_i |A_i|_2), if it has none, at spacing (pi/16)/|A_i|_2; the rows
+    are scored a chunk at a time."""
     box = math.pi * max(1.0, 1.0 / norms.min())
     periods = [_circle_period(row) for row in lam]
     axes = _grid_axes(np.array([box if period is None else 0.5 * period for period in periods]),
                       GRID_STEP / norms)
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-    points = _orbit_table(axes, lam, w, vecs)
+    points = _orbit_table(axes, lam, inv @ p, vecs)
     mpoints = points @ metric
     squares = np.einsum("ij,ij->i", mpoints, points)
     mpoints_t = np.ascontiguousarray(mpoints.T)
-    chunk = max(1, GRID_PASS_BYTES // (8 * len(grid)))
-
-    def at(t, xs):
-        z = np.exp((t[:, None, :] @ lam)[:, 0]) * w
-        return _residual(np.real(z[:, None, :] @ vecs.T)[:, 0], xs, metric) + ((t, z),)
+    chunk = max(1, GRID_PASS_BYTES // (8 * len(points)))
 
     def start(xs):
         # |x - q|^2 = |q|^2 - 2 <x, q> + |x|^2 over the grid
@@ -489,65 +486,33 @@ def _eigenbasis_search(p, metric, norms, vecs, lam):
         for lo in range(0, len(xs), chunk):
             scores = (xs[lo : lo + chunk, None, :] @ mpoints_t)[:, 0]
             index[lo : lo + chunk] = np.argmin(squares - 2.0 * scores, axis=1)
-        return at(grid[index], xs)
+        return points[index]
 
-    def derivatives(t, z):
-        lz = lam * z[:, None, :]
-        return np.real(lz @ vecs.T), np.real((lam[:, None, :] * lz[:, None]) @ vecs.T)
-
-    def move(state, step, xs):
-        return at(state[0] + step, xs)
-
-    return start, derivatives, move
+    return start
 
 
-def _translation_search(amats, p, metric):
-    """``_orbit_newton``'s (start, derivatives, move) for any other K.  A
-    row's state is its orbit point q, from p, and a step s moves it by left
-    translation to exp(sum_i s_i A_i) q (Absil, Mahony & Sepulchre, 2008),
-    whose derivatives at s = 0 are A_i q and (A_i A_j + A_j A_i) q / 2.  The
-    exponential is one eigendecomposition of sum_i s_i A_i per row; a row
-    whose eigenvectors are singular reads NaN and does not move."""
-    n, m = len(p), len(amats)
-    flat = amats.reshape(m, n * n)
-    pairs = 0.5 * (amats[:, None] @ amats[None] + amats[None] @ amats[:, None])
-
-    def start(xs):
-        q = np.repeat(p[None], len(xs), axis=0)
-        return _residual(q, xs, metric) + ((q,),)
-
-    def derivatives(q):
-        return (amats @ q[:, None, :, None])[..., 0], (pairs @ q[:, None, None, :, None])[..., 0]
-
-    def move(state, step, xs):
-        lam, vecs = np.linalg.eig((step[:, None, :] @ flat)[:, 0].reshape(-1, n, n))
-        # complex whatever the batch: eig returns real arrays when all of
-        # its eigenvalues are real
-        vecs = vecs.astype(complex)
-        w = _apply_rows(_invert_rows(vecs), state[0].astype(complex))
-        q = np.real(_apply_rows(vecs, np.exp(lam) * w))
-        return _residual(q, xs, metric) + ((q,),)
-
-    return start, derivatives, move
-
-
-def _orbit_newton(xs, metric, start, derivatives, move):
+def _orbit_newton(xs, metric, amats, q, exponential):
     """f = |x - q|^2_metric per row of xs at the orbit point q that damped
-    Newton reaches, all rows at once and every product row by row, so a row
-    holds a one-row call's bits.  A provider gives start(xs) and move(state,
-    s, xs), each -> (f, M d, state), the state being per-row arrays that
-    place q, and derivatives(*state) -> q's first and second derivatives in
-    s, (rows, m, n) and (rows, m, m, n).  Hessian |eigenvalue|s floored at
-    NEWTON_EIG_FLOOR of the largest make every step descend, even where a
-    generator fixes p; a row takes the first of s, s/2, ... that lowers f,
-    until the gain the model promises (-grad . s) falls to rounding level,
-    and a row that does not move is done."""
-    f, md, state = start(xs)
+    Newton reaches from the start q, all rows at once and every product row
+    by row, so a row holds a one-row call's bits.
+
+    A step s moves q by left translation to exp(sum_i s_i A_i) q (Absil,
+    Mahony & Sepulchre, 2008), whose derivatives at s = 0 are A_i q and
+    (A_i A_j + A_j A_i) q / 2, for every K.  With (V, V^-1, lam) =
+    exponential(s), the trial point is Re(V (exp(lam) * (V^-1 q))); a row
+    whose V is singular reads NaN and does not move.  Hessian |eigenvalue|s
+    floored at NEWTON_EIG_FLOOR of the largest make every step descend,
+    even where a generator fixes p; a row takes the first of s, s/2, ...
+    that lowers f, until the gain the model promises (-grad . s) falls to
+    rounding level, and a row that does not move is done."""
+    pairs = 0.5 * (amats[:, None] @ amats[None] + amats[None] @ amats[:, None])
+    f, md = _residual(q, xs, metric)
     rows = np.arange(len(xs))
     for _ in range(NEWTON_ITERS):
         if not len(rows):
             break
-        dq, ddq = derivatives(*(a[rows] for a in state))
+        at = q[rows]
+        dq, ddq = (amats @ at[:, None, :, None])[..., 0], (pairs @ at[:, None, None, :, None])[..., 0]
         grad = 2.0 * (dq @ md[rows, :, None])[..., 0]
         hess = 2.0 * (dq @ metric @ dq.transpose(0, 2, 1) + (ddq @ md[rows, None, :, None])[..., 0])
         ev, u = np.linalg.eigh(hess)
@@ -564,12 +529,12 @@ def _orbit_newton(xs, metric, start, derivatives, move):
             if not len(live):
                 break
             at = rows[live]
-            found_f, found_md, found = move([a[at] for a in state], step[live], xs[at])
+            vecs, inv, lam = exponential(step[live])
+            trial = np.real(_apply_rows(vecs, np.exp(lam) * _apply_rows(inv, q[at].astype(complex))))
+            found_f, found_md = _residual(trial, xs[at], metric)
             lower = found_f < f[at]
             hit = at[lower]
-            f[hit], md[hit] = found_f[lower], found_md[lower]
-            for a, b in zip(state, found):
-                a[hit] = b[lower]
+            f[hit], md[hit], q[hit] = found_f[lower], found_md[lower], trial[lower]
             moved[live[lower]] = True
             live = live[~lower]
             step[live] *= 0.5
@@ -579,13 +544,16 @@ def _orbit_newton(xs, metric, start, derivatives, move):
 
 
 def _orbit_distance_to(space, algebra, p, sub_k):
-    """The function (xs, starts=None, rng=None) -> |x - g.p|_metric per row
-    x of xs, at the g that ``_orbit_newton`` finds, or None when K is
-    trivial or fixes p; callers take the smaller of that and |x - p|_metric
-    (``_metric_norms``).  What depends on p and K alone is settled here,
-    once: K's generators and, for abelian K, the eigenbasis and the grid
-    (``_eigenbasis_search``); other K take ``_translation_search``.
-    ``starts`` and ``rng`` are unused."""
+    """The function xs -> |x - q|_metric per row x of xs, at the orbit point
+    q that ``_orbit_newton`` reaches, or None when K is trivial or fixes p;
+    callers take the smaller of that and |x - p|_metric (``_metric_norms``).
+    The search is the same for every K; only its start and its exponential
+    depend on K, and both are settled here, once per point.  For abelian K
+    one diagonalization A_i = V diag(lam[i]) V^-1 gives both: the start is
+    the nearest grid point of the orbit (``_grid_start``), and
+    exp(sum_i s_i A_i) = V diag(exp(s . lam)) V^-1.  Any other K starts at
+    p, and each exponential is one eigendecomposition of sum_i s_i A_i per
+    row."""
     metric = space.metric
     amats = np.array([algebra.matrix(sub_k.basis[i]) for i in range(sub_k.dim)])
     if not len(amats) or np.abs(amats @ p).max() <= 1e-13 * (1.0 + float(np.abs(p).max())):
@@ -594,12 +562,27 @@ def _orbit_distance_to(space, algebra, p, sub_k):
     norms = np.array([np.linalg.norm(a, 2) for a in amats])
     diagonal = _joint_diagonalization(amats, norms)
     if diagonal is None:
-        search = _translation_search(amats, p, metric)
-    else:
-        search = _eigenbasis_search(p, metric, norms, *diagonal)
+        n = len(p)
+        flat = amats.reshape(len(amats), n * n)
 
-    def distance(xs, starts=None, rng=None):
-        return np.sqrt(np.maximum(_orbit_newton(xs, metric, *search), 0.0))
+        def start(xs):
+            return np.repeat(p[None], len(xs), axis=0)
+
+        def exponential(s):
+            lam, vecs = np.linalg.eig((s[:, None, :] @ flat)[:, 0].reshape(-1, n, n))
+            # complex whatever the batch: eig returns real arrays when all of
+            # its eigenvalues are real
+            vecs = vecs.astype(complex)
+            return vecs, _invert_rows(vecs), lam
+    else:
+        vecs, inv, lam = diagonal
+        start = _grid_start(p, metric, norms, *diagonal)
+
+        def exponential(s):
+            return vecs, inv, (s[:, None, :] @ lam)[:, 0]
+
+    def distance(xs):
+        return np.sqrt(np.maximum(_orbit_newton(xs, metric, amats, start(xs), exponential), 0.0))
 
     return distance
 
@@ -607,11 +590,11 @@ def _orbit_distance_to(space, algebra, p, sub_k):
 def orbit_distance(space, algebra, x, p, sub_k, starts=32, rng=None):
     """Metric distance from x to the K-orbit of p, from above: |x - q| at
     the orbit point q that one damped Newton search finds for any K that
-    moves p, or |x - p| if smaller.  Abelian K starts from a grid over one
-    period of each generator, its orbit points in closed form; other K
-    start at p and move by left translation.  The probe's batched rows hold
-    this call's bits.  ``starts`` and ``rng`` are accepted, since existing
-    callers pass them, and unused; no K is searched from random starts."""
+    moves p, or |x - p| if smaller.  The search moves by left translation;
+    abelian K starts from a grid over one period of each generator, other K
+    at p.  The probe's batched rows hold this call's bits.  ``starts`` and
+    ``rng`` are accepted, since existing callers pass them, and unused; no
+    K is searched from random starts."""
     p = space.check_point(p)
     distance = _orbit_distance_to(space, algebra, p, sub_k)
     x = space.check_point(x)
@@ -697,10 +680,13 @@ def stability_probe(
     trajectory exceeded escape_factor * epsilon.  Orbit distances are
     evaluated on a subsample of each trajectory, with evaluation points placed
     at the ambient-norm peaks of each window so excursions are not missed
-    between samples.  The samples are integrated together, a segment of
-    whole windows (about BLOCK^2 steps) at a time, each scanned as it is
-    stepped, so memory does not grow with the horizon.  A sample whose
-    Newton solve fails counts as one solver failure and leaves the batch.
+    between samples.  The samples are integrated together, a chunk of
+    them at a time and a segment of whole windows (about BLOCK^2 steps) at
+    a time, each segment scanned as it is stepped and each chunk measured
+    as it ends, so memory grows neither with the horizon nor with the
+    samples: a chunk's segment holds at most PROBE_CHUNK_ENTRIES entries,
+    or one sample.  A sample whose Newton solve fails counts as one solver
+    failure and leaves the batch.
     A trajectory that overflows, or none measured, reads as escape.
     """
     for name, value in (("epsilon", epsilon), ("horizon", horizon), ("dt", dt),
@@ -754,44 +740,50 @@ def stability_probe(
         header += ["h"] + [f"J{i + 1}" for i in range(algebra.dim)] + ["orbitDistance"]
         writer.writerow(header)
 
-    tables = [[] for _ in range(samples)]  # per sample, its checkpoint tables
     start, drifts = np.empty((samples, 1 + d)), np.zeros((samples, 1 + d))  # (h, J) at row 0; max |change|
-    live = np.arange(samples)  # the samples whose solve has not failed
+    chunk = max(1, PROBE_CHUNK_ENTRIES // ((min(segment, steps) + 1) * n))
+    kept = []  # per chunk, the samples whose solve has not failed
     max_dist = 0.0
     try:
         # an overflow reads as escape: numpy maxima keep its non-finite values
         with np.errstate(over="ignore", invalid="ignore"):
-            for at in range(0, steps, segment):
-                traj, failed = step(starts, min(segment, steps - at))
-                live, traj = live[failed < 0], traj[failed < 0]
-                if not len(live):
-                    break
-                starts = traj[:, -1]
-                # a segment's last row is the first of the next
-                table, conserved = _scan(traj if at + segment >= steps else traj[:, :-1], at, steps,
-                                         p, space.metric, energy, quads, stride)
-                if not at:
-                    start[live] = conserved[..., 0]
-                drifts[live] = np.maximum(drifts[live], np.abs(conserved - start[live, :, None]).max(axis=2))
-                for sample, rows in zip(live, table):
-                    tables[sample].append(rows)
+            for lo in range(0, samples, chunk):
+                live = np.arange(lo, min(lo + chunk, samples))
+                tables = {sample: [] for sample in live.tolist()}  # per sample, its checkpoint tables
+                x = starts[live]
+                for at in range(0, steps, segment):
+                    traj, failed = step(x, min(segment, steps - at))
+                    live, traj = live[failed < 0], traj[failed < 0]
+                    if not len(live):
+                        break
+                    x = traj[:, -1]
+                    # a segment's last row is the first of the next
+                    table, conserved = _scan(traj if at + segment >= steps else traj[:, :-1], at, steps,
+                                             p, space.metric, energy, quads, stride)
+                    if not at:
+                        start[live] = conserved[..., 0]
+                    drifts[live] = np.maximum(drifts[live], np.abs(conserved - start[live, :, None]).max(axis=2))
+                    for sample, rows in zip(live.tolist(), table):
+                        tables[sample].append(rows)
+                kept.append(live)
 
-            merged = [np.concatenate(tables[sample]) for sample in live.tolist()]
-            merged = [table[np.unique(table[:, 0], return_index=True)[1]] for table in merged]
-            if merged:
-                # |x - p| at every checkpoint of every sample: the distance
-                # when K fixes p, and otherwise a bound on the orbit search
-                table = np.concatenate(merged)
-                xs = table[:, 1 : n + 1]
-                dists = _metric_norms(xs - p, space.metric)
-                if distance is not None:
-                    np.minimum(dists, distance(xs), out=dists)
-                max_dist = np.maximum(max_dist, dists.max())
-                if writer is not None:
-                    table[:, 0] *= dt
-                    ids = np.repeat(live, [len(rows) for rows in merged]).tolist()
-                    writer.writerows([sample] + row for sample, row in
-                                     zip(ids, np.column_stack([table, dists]).tolist()))
+                merged = [np.concatenate(tables[sample]) for sample in live.tolist()]
+                merged = [table[np.unique(table[:, 0], return_index=True)[1]] for table in merged]
+                if merged:
+                    # |x - p| at every checkpoint of every sample: the distance
+                    # when K fixes p, and otherwise a bound on the orbit search
+                    table = np.concatenate(merged)
+                    xs = table[:, 1 : n + 1]
+                    dists = _metric_norms(xs - p, space.metric)
+                    if distance is not None:
+                        np.minimum(dists, distance(xs), out=dists)
+                    max_dist = np.maximum(max_dist, dists.max())
+                    if writer is not None:
+                        table[:, 0] *= dt
+                        ids = np.repeat(live, [len(rows) for rows in merged]).tolist()
+                        writer.writerows([sample] + row for sample, row in
+                                         zip(ids, np.column_stack([table, dists]).tolist()))
+            live = np.concatenate(kept)
     finally:
         if handle is not None:
             handle.close()

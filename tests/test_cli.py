@@ -276,6 +276,16 @@ class TestInputValidation:
         out = json.loads(capsys.readouterr().out)
         assert (code, out["type"]) == (EXIT_VALIDATION, "ParseError")
 
+    @pytest.mark.parametrize("content", [b'\xff\xfe{"dim": 2}', b"3", b"null"],
+                             ids=["not-utf8", "number", "null"])
+    def test_malformed_system_file(self, content, tmp_path, capsys):
+        system_file = tmp_path / "system.json"
+        system_file.write_bytes(content)
+        code = main(["validate", str(system_file)])
+        out = json.loads(capsys.readouterr().out)
+        assert (code, out["type"]) == (EXIT_VALIDATION, "ParseError")
+        assert out["error"]
+
     def test_whole_float_exponents_are_accepted(self, tmp_path, capsys):
         data = example1_dict()
         data["hamiltonian"][0]["exponents"] = [2.0, 0.0, 0, 0]
@@ -389,22 +399,28 @@ class TestProbeCommand:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
     def test_probe_memory_does_not_grow_with_the_horizon(self):
-        def peak_rss_kb(horizon):
-            code = (
-                "import resource, sys\n"
-                "from slicecert.cli import main\n"
-                f"code = main(['probe', 'example1', '--samples', '4', '--horizon', '{horizon}'])\n"
-                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
-                "sys.exit(code)\n"
-            )
-            result = subprocess.run(
-                [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True
-            )
-            assert result.returncode == 0, result.stderr
-            return int(result.stderr.split()[-1])
-
         # 1000 and 1 000 000 steps; a whole-trajectory array would be 128 MB
-        assert abs(peak_rss_kb("1e4") - peak_rss_kb("10")) < 16 * 1024
+        assert abs(_probe_peak_rss_kb(4, "1e4") - _probe_peak_rss_kb(4, "10")) < 16 * 1024
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
+    def test_probe_memory_does_not_grow_with_the_samples(self):
+        # at the default horizon, 256 and 1024 samples step in chunks of the
+        # same size; all 1024 at once would take ~0.6 GB more
+        assert abs(_probe_peak_rss_kb(1024, "100") - _probe_peak_rss_kb(256, "100")) < 64 * 1024
+
+
+def _probe_peak_rss_kb(samples, horizon):
+    """Peak RSS in KB of a fresh interpreter that probes example1."""
+    code = (
+        "import resource, sys\n"
+        "from slicecert.cli import main\n"
+        f"code = main(['probe', 'example1', '--samples', '{samples}', '--horizon', '{horizon}'])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return int(result.stderr.split()[-1])
 
 
 class TestMainExitCodes:

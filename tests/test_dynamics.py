@@ -507,6 +507,24 @@ class TestOrbitDistance:
         batch = np.minimum(distance(xs), dynamics._metric_norms(xs - p, space.metric))
         np.testing.assert_array_equal(batch, [orbit_distance(space, algebra, x, p, k) for x in xs])
 
+    @pytest.mark.parametrize("name", sorted(ABELIAN_CASES))
+    def test_eig_exponential_agrees_with_the_closed_form(self, name, monkeypatch):
+        # Without the joint eigenbasis, commuting generators take the
+        # non-abelian start p and one eig per exponential; near p the one
+        # Newton must reach the closed form's orbit point from there too,
+        # to 1e-10 relative, or to rounding, ~1e-16 |p|, at the smallest delta.
+        space, algebra, k, gens, p = _abelian_case(name)
+        draws = np.random.default_rng(8)
+        xs = []
+        for _ in range(12):
+            u = draws.standard_normal(len(p))
+            x = scipy.linalg.expm(np.tensordot(draws.uniform(-0.5, 0.5, len(gens)), gens, axes=1)) @ p
+            xs.append(x + 10 ** draws.uniform(-6.0, -1.0) * u / np.linalg.norm(u))
+        closed = [orbit_distance(space, algebra, x, p, k) for x in xs]
+        monkeypatch.setattr(dynamics, "_joint_diagonalization", lambda amats, norms: None)
+        eig = [orbit_distance(space, algebra, x, p, k) for x in xs]
+        np.testing.assert_allclose(eig, closed, rtol=1e-10, atol=1e-14)
+
     def test_non_abelian_group_translates_are_on_the_orbit(self):
         space, algebra, k, p = _su2_null_case(2)
         draws = np.random.default_rng(5)
@@ -679,6 +697,24 @@ class TestProbe:
         per_row = [orbit_distance(space, algebra, x, p, k) for x in rows[:, 2 : 2 + space.dim]]
         np.testing.assert_array_equal(rows[:, -1], per_row)
         assert report.max_orbit_distance == rows[:, -1].max()
+
+    @pytest.mark.parametrize("point", ["abelian", "non-abelian"])
+    def test_one_sample_chunks_change_no_bit(self, example1_parts, monkeypatch, tmp_path, point):
+        # every probe operation is row by row, so chunks of one sample must
+        # give the report and the CSV of one chunk of all samples
+        space, algebra, h = example1_parts
+        p = np.array([1.0, 0.0, 0.5, 0.0])
+        if point == "non-abelian":
+            system = load_system(str(SU2_PAIR_FILE))
+            space, algebra, h, p = system.space, system.algebra, system.hamiltonian, system.point
+        runs = []
+        for budget in (dynamics.PROBE_CHUNK_ENTRIES, 1):
+            monkeypatch.setattr(dynamics, "PROBE_CHUNK_ENTRIES", budget)
+            csv_file = tmp_path / f"probe{budget}.csv"
+            report = stability_probe(space, algebra, h, p, epsilon=1e-2, horizon=3.0, samples=5, rng=7,
+                                     csv_path=csv_file)
+            runs.append((report, csv_file.read_text()))
+        assert runs[0] == runs[1]
 
     def test_one_diverging_sample_is_one_failure(self, space2, tmp_path):
         # test_solver_divergence_detected's Hamiltonian: at dt = 10 the
