@@ -54,8 +54,6 @@ class VelocityFamily:
 
     def member(self, s):
         s = np.asarray(s, dtype=float)
-        if self.dim == 0:
-            return self.xi1.copy()
         return self.xi1 + self.directions.basis.T @ s
 
 
@@ -174,8 +172,6 @@ def orthogonal_velocity(family, algebra_metric):
     This is the baseline velocity of the splitting-based criteria; the
     projection uses the supplied positive-definite metric on coordinates.
     """
-    if family.dim == 0:
-        return family.xi1.copy()
     metric = np.asarray(algebra_metric, dtype=float)
     hb = family.directions.basis  # (m, d)
     gram = hb @ metric @ hb.T
@@ -221,7 +217,7 @@ def _certificate(hm, xi, boundary=False):
         verdict=verdict,
         xi_star=xi,
         spectrum=spectrum,
-        margin=float(np.abs(spectrum).min()) if spectrum.size else np.inf,
+        margin=float(np.abs(spectrum).min(initial=np.inf)),
         boundary_hit=boundary,
     )
 

@@ -38,7 +38,7 @@ from .errors import (
     SliceCertError,
     ValidationError,
 )
-from .linalg import inertia
+from .linalg import inertia, require_spd
 from .momentum import invariance_residual
 from .phase_space import Poly, SymplecticSpace, canonical_omega
 from .symmetry import LieAlgebraBasis, compactness_certificate, normalizer_algebra
@@ -150,8 +150,7 @@ def system_from_dict(data):
             raise ValidationError(
                 f"algebraMetric must be {algebra.dim}x{algebra.dim}, got {algebra_metric.shape}"
             )
-        if algebra.dim and np.linalg.eigvalsh(0.5 * (algebra_metric + algebra_metric.T)).min() <= 0:
-            raise ValidationError("algebraMetric is not positive definite")
+        require_spd(algebra_metric, "algebraMetric")
     else:
         algebra_metric = algebra.gram()
 

@@ -418,12 +418,14 @@ def _circle_period(lam):
 
 
 def _grid_axes(half, step):
-    """Per axis i, the values k step_i in [-half_i, half_i] for integer k,
-    so t = 0 is on the grid; the steps widen evenly once the grid, their
-    product, would pass GRID_MAX_POINTS."""
+    """Per axis i, the values k step_i for integer k from -c_i to c_i,
+    c_i = ceil(half_i / step_i), so t = 0 is on the grid and the axis spans
+    [-half_i, half_i].  While the grid, their product, holds more than
+    GRID_MAX_POINTS points, the steps widen evenly by the excess; the ceil
+    can leave a widened grid still too large, so this may take more than
+    one pass."""
     counts = np.ceil(half / step)
-    total = float(np.prod(2.0 * counts + 1.0))
-    if total > GRID_MAX_POINTS:
+    while (total := float(np.prod(2.0 * counts + 1.0))) > GRID_MAX_POINTS:
         step = step * (total / GRID_MAX_POINTS) ** (1.0 / len(step))
         counts = np.ceil(half / step)
     return [np.arange(-c, c + 1.0) * s for c, s in zip(counts, step)]
@@ -544,20 +546,26 @@ def _orbit_newton(xs, metric, amats, q, exponential):
 
 
 def _orbit_distance_to(space, algebra, p, sub_k):
-    """The function xs -> |x - q|_metric per row x of xs, at the orbit point
-    q that ``_orbit_newton`` reaches, or None when K is trivial or fixes p;
-    callers take the smaller of that and |x - p|_metric (``_metric_norms``).
-    The search is the same for every K; only its start and its exponential
-    depend on K, and both are settled here, once per point.  For abelian K
-    one diagonalization A_i = V diag(lam[i]) V^-1 gives both: the start is
-    the nearest grid point of the orbit (``_grid_start``), and
+    """The function xs -> the metric distance from each row x of xs to the
+    K-orbit of p, from above.  When K is trivial or fixes p the orbit is
+    {p}, and the distance is |x - p|_metric (``_metric_norms``).  Otherwise
+    it is the smaller of that and |x - q|_metric, at the orbit point q that
+    ``_orbit_newton`` reaches.  The search is the same for every K; only
+    its start and its exponential depend on K, and both are settled here,
+    once per point.  For abelian K one diagonalization
+    A_i = V diag(lam[i]) V^-1 gives both: the start is the nearest grid
+    point of the orbit (``_grid_start``), and
     exp(sum_i s_i A_i) = V diag(exp(s . lam)) V^-1.  Any other K starts at
     p, and each exponential is one eigendecomposition of sum_i s_i A_i per
     row."""
     metric = space.metric
-    amats = np.array([algebra.matrix(sub_k.basis[i]) for i in range(sub_k.dim)])
-    if not len(amats) or np.abs(amats @ p).max() <= 1e-13 * (1.0 + float(np.abs(p).max())):
-        return None
+    amats = np.array([algebra.matrix(xi) for xi in sub_k.basis]).reshape(sub_k.dim, len(p), len(p))
+
+    def direct(xs):
+        return _metric_norms(xs - p, metric)
+
+    if np.abs(amats @ p).max(initial=0.0) <= 1e-13 * (1.0 + float(np.abs(p).max())):
+        return direct
 
     norms = np.array([np.linalg.norm(a, 2) for a in amats])
     diagonal = _joint_diagonalization(amats, norms)
@@ -582,26 +590,23 @@ def _orbit_distance_to(space, algebra, p, sub_k):
             return vecs, inv, (s[:, None, :] @ lam)[:, 0]
 
     def distance(xs):
-        return np.sqrt(np.maximum(_orbit_newton(xs, metric, amats, start(xs), exponential), 0.0))
+        found = np.sqrt(np.maximum(_orbit_newton(xs, metric, amats, start(xs), exponential), 0.0))
+        return np.minimum(direct(xs), found)
 
     return distance
 
 
 def orbit_distance(space, algebra, x, p, sub_k, starts=32, rng=None):
-    """Metric distance from x to the K-orbit of p, from above: |x - q| at
-    the orbit point q that one damped Newton search finds for any K that
-    moves p, or |x - p| if smaller.  The search moves by left translation;
-    abelian K starts from a grid over one period of each generator, other K
-    at p.  The probe's batched rows hold this call's bits.  ``starts`` and
+    """Metric distance from x to the K-orbit of p, from above: the one row
+    of ``_orbit_distance_to``, so |x - p| when K fixes p, and otherwise
+    the smaller of that and |x - q| at the orbit point q that one damped
+    Newton search finds.  The search moves by left translation; abelian K
+    starts from a grid over one period of each generator, other K at p.
+    The probe's batched rows hold this call's bits.  ``starts`` and
     ``rng`` are accepted, since existing callers pass them, and unused; no
     K is searched from random starts."""
     p = space.check_point(p)
-    distance = _orbit_distance_to(space, algebra, p, sub_k)
-    x = space.check_point(x)
-    direct = float(_metric_norms(x - p, space.metric))
-    if distance is None:
-        return direct
-    return min(float(distance(x[None])[0]), direct)
+    return float(_orbit_distance_to(space, algebra, p, sub_k)(space.check_point(x)[None])[0])
 
 
 def _energy(hamiltonian, dim):
@@ -624,24 +629,27 @@ def _energy(hamiltonian, dim):
     return quadratic
 
 
-def _scan(seg, at, last, p, metric, energy, quads, stride):
-    """(checkpoint table, (h, J) (S, 1 + d, rows)) of a segment (S, rows, dim)
-    holding rows at, at + 1, ... of trajectories: a table row (row, x, h, J)
-    per peak of |x - p| in each window of stride rows, and at rows 0 and last."""
-    count, rows, n = seg.shape
+def _scan(seg, rows, at, last, p, metric, energy, quads, stride):
+    """(checkpoint table, (h, J) (S, 1 + d, rows)) of the first ``rows`` rows
+    of a segment (S, R, dim) holding rows at, at + 1, ... of trajectories: a
+    table row (row, x, h, J) per peak of |x - p| in each window of stride
+    rows, and at rows 0 and last.  The segment is read whole, not sliced,
+    so that it is never copied."""
+    count, length, n = seg.shape
     flat = seg.reshape(-1, n)
     quad = (flat @ quads).reshape(len(flat), quads.shape[1] // n, n)
     # h and each J_i along the rows, so that per-row work runs down long axes
     conserved = np.vstack([energy(flat), np.einsum("tdn,tn->td", quad, flat).T])
     diffs = flat - p
-    squares = np.einsum("tn,tn->t", diffs @ metric, diffs).reshape(count, rows)
+    squares = np.einsum("tn,tn->t", diffs @ metric, diffs).reshape(count, length)[:, :rows]
     pad = -rows % stride
     windows = np.pad(squares, ((0, 0), (0, pad)), constant_values=-np.inf) if pad else squares
     pick = np.arange(0, rows, stride) + windows.reshape(count, -1, stride).argmax(axis=2)
     pick = np.column_stack([pick] + [np.full(count, row - at) for row in (0, last) if 0 <= row - at < rows])
-    flat_pick = (pick + rows * np.arange(count)[:, None]).ravel()
+    flat_pick = (pick + length * np.arange(count)[:, None]).ravel()
     table = np.column_stack([at + pick.ravel(), flat[flat_pick], conserved[:, flat_pick].T])
-    return table.reshape(count, pick.shape[1], -1), conserved.reshape(-1, count, rows).transpose(1, 0, 2)
+    conserved = conserved.reshape(-1, count, length)[..., :rows].transpose(1, 0, 2)
+    return table.reshape(count, pick.shape[1], -1), conserved
 
 
 @dataclass(frozen=True)
@@ -753,13 +761,14 @@ def stability_probe(
                 x = starts[live]
                 for at in range(0, steps, segment):
                     traj, failed = step(x, min(segment, steps - at))
-                    live, traj = live[failed < 0], traj[failed < 0]
-                    if not len(live):
-                        break
+                    if (failed >= 0).any():
+                        live, traj = live[failed < 0], traj[failed < 0]
+                        if not len(live):
+                            break
                     x = traj[:, -1]
                     # a segment's last row is the first of the next
-                    table, conserved = _scan(traj if at + segment >= steps else traj[:, :-1], at, steps,
-                                             p, space.metric, energy, quads, stride)
+                    scanned = traj.shape[1] - (at + segment < steps)
+                    table, conserved = _scan(traj, scanned, at, steps, p, space.metric, energy, quads, stride)
                     if not at:
                         start[live] = conserved[..., 0]
                     drifts[live] = np.maximum(drifts[live], np.abs(conserved - start[live, :, None]).max(axis=2))
@@ -770,13 +779,8 @@ def stability_probe(
                 merged = [np.concatenate(tables[sample]) for sample in live.tolist()]
                 merged = [table[np.unique(table[:, 0], return_index=True)[1]] for table in merged]
                 if merged:
-                    # |x - p| at every checkpoint of every sample: the distance
-                    # when K fixes p, and otherwise a bound on the orbit search
                     table = np.concatenate(merged)
-                    xs = table[:, 1 : n + 1]
-                    dists = _metric_norms(xs - p, space.metric)
-                    if distance is not None:
-                        np.minimum(dists, distance(xs), out=dists)
+                    dists = distance(table[:, 1 : n + 1])
                     max_dist = np.maximum(max_dist, dists.max())
                     if writer is not None:
                         table[:, 0] *= dt

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 
+from .errors import ValidationError
+
 # A singular value sigma counts as zero iff sigma <= RANK_TOL * max(1, scale),
 # where scale is the largest singular value of the matrix being judged.
 # The environment variable SLICECERT_TOL overrides the default.
@@ -18,8 +20,6 @@ def _rank(sigma, scale):
 def nullspace(mat):
     """Orthonormal basis (columns) of the right nullspace of ``mat``."""
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2:
-        mat = np.atleast_2d(mat)
     rows, cols = mat.shape
     if cols == 0:
         return np.zeros((0, 0))
@@ -27,6 +27,31 @@ def nullspace(mat):
         return np.eye(cols)
     _, sigma, vh = np.linalg.svd(mat)
     return vh[_rank(sigma, sigma[0]):].T.copy()
+
+
+def singular_ratio(mat):
+    """sigma_min / sigma_max of a nonempty square matrix, 0 for a zero one.
+
+    The one nondegeneracy rule: ``mat`` is degenerate iff this ratio is at
+    most RANK_TOL (``degenerate``), so no rescaling of ``mat`` changes the
+    verdict, as a determinant threshold would.
+    """
+    sigma = np.linalg.svd(np.asarray(mat, dtype=float), compute_uv=False)
+    return float(sigma[-1] / sigma[0]) if sigma[0] > 0.0 else 0.0
+
+
+def degenerate(mat):
+    """True iff sigma_min <= RANK_TOL * sigma_max for the square ``mat``."""
+    return singular_ratio(mat) <= RANK_TOL
+
+
+def require_spd(mat, name):
+    """Raise ValidationError unless the square ``mat`` is symmetric (to
+    1e-12 of its largest entry) and positive definite."""
+    if np.abs(mat - mat.T).max(initial=0.0) > 1e-12 * max(1.0, np.abs(mat).max(initial=0.0)):
+        raise ValidationError(f"{name} is not symmetric")
+    if np.linalg.eigvalsh(0.5 * (mat + mat.T)).min(initial=np.inf) <= 0.0:
+        raise ValidationError(f"{name} is not positive definite")
 
 
 def orthonormalize(vectors, gram=None, against=None):
@@ -42,8 +67,6 @@ def orthonormalize(vectors, gram=None, against=None):
     rounding leaves after projection is dropped.
     """
     v = np.asarray(vectors, dtype=float)
-    if v.ndim != 2:
-        v = np.atleast_2d(v).T
     n = v.shape[0]
     if not v.shape[1]:
         return np.zeros((n, 0))
@@ -65,9 +88,7 @@ def inertia(sym_matrix, zero_tol):
     Eigenvalues with |lambda| <= zero_tol * max(1, max|entry|) count as zero.
     """
     m = np.asarray(sym_matrix, dtype=float)
-    if m.size == 0:
-        return (0, 0, 0)
-    cutoff = zero_tol * max(1.0, float(np.abs(m).max()))
+    cutoff = zero_tol * max(1.0, float(np.abs(m).max(initial=0.0)))
     w = np.linalg.eigvalsh(0.5 * (m + m.T))
     n_plus = int(np.sum(w > cutoff))
     n_minus = int(np.sum(w < -cutoff))

@@ -18,9 +18,6 @@ INVARIANCE_SAMPLES = 100
 def momentum_isotropy_algebra(algebra, mu):
     """k = nullspace of eta -> ad*_eta mu (isotropy of mu in the coadjoint action)."""
     mu = np.asarray(mu, dtype=float)
-    d = algebra.dim
-    if d == 0:
-        return Subalgebra(basis=np.zeros((0, 0)))
     # column a is ad*_{e_a} mu
     mat = -np.einsum("aji,i->ja", algebra.structure, mu)
     null = nullspace(mat)
@@ -49,8 +46,6 @@ class MomentumMap:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.space.dim:
             raise DimensionMismatch(f"point of length {x.shape[-1]}, expected {self.space.dim}")
-        if self.algebra.dim == 0:
-            return np.zeros(x.shape[:-1] + (0,))
         return np.einsum("...m,imn,...n->...i", x, self._quad, x)
 
     __call__ = value
@@ -62,8 +57,6 @@ class MomentumMap:
     def differential_rows(self, p):
         """Rows grad J_i(p); their common kernel is ker dJ(p)."""
         p = self.space.check_point(p)
-        if self.algebra.dim == 0:
-            return np.zeros((0, self.space.dim))
         return 2.0 * np.einsum("imn,n->im", self._quad, p)
 
     def kernel_basis(self, p):

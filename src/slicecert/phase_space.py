@@ -11,6 +11,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError, ValidationError
+from .linalg import degenerate, require_spd
 
 # Coefficients at or below this magnitude are dropped when terms are collected
 # (only true zeros in practice; user coefficients are never rounded).
@@ -57,12 +58,9 @@ class SymplecticSpace:
             raise DimensionMismatch(f"metric must be {self.dim}x{self.dim}, got {metric.shape}")
         if np.abs(omega + omega.T).max() > 1e-12 * max(1.0, np.abs(omega).max()):
             raise ValidationError("omega is not antisymmetric")
-        if abs(np.linalg.det(omega)) <= 1e-12:
+        if degenerate(omega):
             raise ValidationError("omega is not invertible")
-        if np.abs(metric - metric.T).max() > 1e-12 * max(1.0, np.abs(metric).max()):
-            raise ValidationError("metric is not symmetric")
-        if np.linalg.eigvalsh(0.5 * (metric + metric.T)).min() <= 0.0:
-            raise ValidationError("metric is not positive definite")
+        require_spd(metric, "metric")
         omega.setflags(write=False)
         metric.setflags(write=False)
         object.__setattr__(self, "omega", omega)

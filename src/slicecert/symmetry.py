@@ -42,7 +42,7 @@ def derive_structure_constants(generators):
         for j in range(i + 1, d):
             comm = gens[i] @ gens[j] - gens[j] @ gens[i]
             coeffs = pinv @ comm.ravel()
-            residual = np.abs(flat @ coeffs - comm.ravel()).max() if comm.size else 0.0
+            residual = np.abs(flat @ coeffs - comm.ravel()).max()
             if residual > CLOSURE_TOL:
                 raise NotClosedUnderBracket(
                     f"commutator [A_{i}, A_{j}] leaves the generator span (residual {residual:.3e})"
@@ -54,14 +54,12 @@ def derive_structure_constants(generators):
 
 def _check_jacobi(structure):
     c = structure
-    if c.size == 0:
-        return
     lhs = (
         np.einsum("ijm,mkl->ijkl", c, c)
         + np.einsum("jkm,mil->ijkl", c, c)
         + np.einsum("kim,mjl->ijkl", c, c)
     )
-    worst = np.abs(lhs).max()
+    worst = np.abs(lhs).max(initial=0.0)
     if worst > JACOBI_TOL:
         raise ValidationError(f"structure constants violate the Jacobi identity (residual {worst:.3e})")
 
@@ -115,8 +113,7 @@ class LieAlgebraBasis:
             for i in range(d):
                 for j in range(d):
                     comm = gens[i] @ gens[j] - gens[j] @ gens[i]
-                    expanded = np.tensordot(struct[i, j], gens, axes=1) if d else comm * 0
-                    residual = np.abs(comm - expanded).max() if comm.size else 0.0
+                    residual = np.abs(comm - np.tensordot(struct[i, j], gens, axes=1)).max()
                     if residual > CLOSURE_TOL:
                         raise NotClosedUnderBracket(
                             f"supplied structure constants do not match [A_{i}, A_{j}] (residual {residual:.3e})"
@@ -137,8 +134,6 @@ class LieAlgebraBasis:
         xi = np.asarray(xi, dtype=float)
         if xi.shape != (self.dim,):
             raise DimensionMismatch(f"algebra vector of shape {xi.shape}, expected ({self.dim},)")
-        if self.dim == 0:
-            return np.zeros((self.ambient_dim, self.ambient_dim))
         return np.tensordot(xi, self.generators, axes=1)
 
     def act(self, xi, x):
@@ -152,25 +147,17 @@ class LieAlgebraBasis:
         """[xi, eta] in generator coordinates."""
         xi = np.asarray(xi, dtype=float)
         eta = np.asarray(eta, dtype=float)
-        if self.dim == 0:
-            return np.zeros(0)
         return np.einsum("i,j,ijk->k", xi, eta, self.structure)
 
     def orbit_matrix(self, p):
         """Columns A_i p spanning the tangent space to the orbit at p."""
         p = np.asarray(p, dtype=float)
-        if self.dim == 0:
-            return np.zeros((self.ambient_dim, 0))
         return np.einsum("imn,n->mi", self.generators, p)
 
     def gram(self):
         """Frobenius inner-product matrix of the generators."""
         if self._gram is None:
-            if self.dim == 0:
-                g = np.zeros((0, 0))
-            else:
-                g = np.einsum("imn,jmn->ij", self.generators, self.generators)
-            object.__setattr__(self, "_gram", g)
+            object.__setattr__(self, "_gram", np.einsum("imn,jmn->ij", self.generators, self.generators))
         return self._gram
 
 
@@ -187,9 +174,7 @@ class Subalgebra:
 
     @classmethod
     def from_vectors(cls, algebra, vectors):
-        vectors = np.asarray(vectors, dtype=float)
-        if vectors.size == 0:
-            return cls(basis=np.zeros((0, algebra.dim)))
+        vectors = np.asarray(vectors, dtype=float).reshape(len(vectors), algebra.dim)
         onb = orthonormalize(vectors.T, gram=algebra.gram()).T
         sub = cls(basis=onb)
         sub.check_closed(algebra)
@@ -201,16 +186,13 @@ class Subalgebra:
 
     def project(self, algebra, v):
         """Orthogonal projection of ``v`` onto the subalgebra."""
-        if self.dim == 0:
-            return np.zeros_like(np.asarray(v, dtype=float))
         coords = self.basis @ algebra.gram() @ np.asarray(v, dtype=float)
         return self.basis.T @ coords
 
     def containment_residual(self, algebra, v):
         v = np.asarray(v, dtype=float)
         r = v - self.project(algebra, v)
-        g = algebra.gram()
-        return float(np.sqrt(max(r @ g @ r, 0.0))) if g.size else 0.0
+        return float(np.sqrt(max(r @ algebra.gram() @ r, 0.0)))
 
     def check_closed(self, algebra):
         for i in range(self.dim):
@@ -233,23 +215,18 @@ def isotropy_algebra(algebra, p):
 def normalizer_algebra(algebra, sub_h, sub_k):
     """n = {xi in k : [xi, h] subset h}.
 
-    Computed as the nullspace of xi -> (component of [xi, h_i] outside h).
-    Raises SubalgebraNotContained unless h is contained in k.
+    Computed as the nullspace of xi -> (component of [xi, h_i] outside h),
+    from one table of the brackets [k_a, h_i]: the (dim h * d, dim k)
+    matrix whose column a stacks the components outside h of [k_a, h_i]
+    over i.  An empty h leaves no rows, so n = k.  Raises
+    SubalgebraNotContained unless h is contained in k.
     """
     for i in range(sub_h.dim):
         if sub_k.containment_residual(algebra, sub_h.basis[i]) > SUBALGEBRA_TOL:
             raise SubalgebraNotContained("h is not contained in k")
-    if sub_h.dim == 0 or sub_k.dim == 0:
-        return sub_k
-    cols = []
-    for a in range(sub_k.dim):
-        stacked = []
-        for i in range(sub_h.dim):
-            b = algebra.bracket(sub_k.basis[a], sub_h.basis[i])
-            stacked.append(b - sub_h.project(algebra, b))
-        cols.append(np.concatenate(stacked))
-    mat = np.column_stack(cols)
-    null = nullspace(mat)  # coefficients in the k-basis
+    brackets = np.einsum("ai,bj,ijk->abk", sub_k.basis, sub_h.basis, algebra.structure)
+    outside = brackets - brackets @ algebra.gram() @ sub_h.basis.T @ sub_h.basis
+    null = nullspace(outside.transpose(1, 2, 0).reshape(sub_h.dim * algebra.dim, sub_k.dim))
     vectors = (sub_k.basis.T @ null).T
     return Subalgebra.from_vectors(algebra, vectors)
 

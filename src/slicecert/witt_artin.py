@@ -15,12 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSliceForm, ValidationError
-from .linalg import orthonormalize
+from .linalg import degenerate, orthonormalize, singular_ratio
 from .momentum import MomentumMap, momentum_isotropy_algebra
 from .symmetry import Subalgebra, isotropy_algebra
-
-SLICE_DET_TOL = 1e-9
-PAIRING_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -63,11 +60,7 @@ def witt_artin_frame(space, algebra, p, rng=None):
     mu = mm.value(p)
     sub_k = momentum_isotropy_algebra(algebra, mu)
 
-    k_orbit = (
-        np.column_stack([algebra.act(sub_k.basis[i], p) for i in range(sub_k.dim)])
-        if sub_k.dim
-        else np.zeros((space.dim, 0))
-    )
+    k_orbit = np.array([algebra.act(xi, p) for xi in sub_k.basis]).reshape(sub_k.dim, space.dim).T
     basis_t0 = orthonormalize(k_orbit, gram=metric)
     basis_t = orthonormalize(algebra.orbit_matrix(p), gram=metric, against=basis_t0)
     kernel = mm.kernel_basis(p)
@@ -97,16 +90,16 @@ def witt_artin_frame(space, algebra, p, rng=None):
         if iso > 1e-10:
             raise ValidationError(f"T0 is not isotropic (residual {iso:.3e})")
         pairing = basis_t0.T @ space.omega @ basis_n0
-        smallest = np.linalg.svd(pairing, compute_uv=False).min()
-        if smallest <= PAIRING_TOL:
+        if degenerate(pairing):
             raise ValidationError(
-                f"symplectic pairing of T0 with N0 is degenerate (sigma_min {smallest:.3e})"
+                "symplectic pairing of T0 with N0 is degenerate "
+                f"(sigma_min/sigma_max {singular_ratio(pairing):.3e})"
             )
     if dims[2]:
-        det = np.linalg.det(basis_n.T @ space.omega @ basis_n)
-        if abs(det) <= SLICE_DET_TOL:
+        form = basis_n.T @ space.omega @ basis_n
+        if degenerate(form):
             raise DegenerateSliceForm(
-                f"symplectic form on the slice is degenerate (|det| = {abs(det):.3e})"
+                f"symplectic form on the slice is degenerate (sigma_min/sigma_max {singular_ratio(form):.3e})"
             )
 
     return WittArtinFrame(

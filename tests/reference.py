@@ -18,10 +18,10 @@ import scipy.optimize
 
 from slicecert.certify import require_velocity
 from slicecert.errors import DegenerateSliceForm, DimensionMismatch, PreconditionViolated
+from slicecert.linalg import degenerate, singular_ratio
 from slicecert.momentum import MomentumMap, momentum_isotropy_algebra
 from slicecert.phase_space import COEFF_DEDUP
 from slicecert.symmetry import SUBALGEBRA_TOL
-from slicecert.witt_artin import SLICE_DET_TOL
 
 KERNEL_TOL = 1e-10
 
@@ -224,8 +224,8 @@ def slice_symplectic_form(space, frame):
     b = frame.basis_n
     m = b.T @ space.omega @ b
     m = 0.5 * (m - m.T)
-    if m.shape[0] and abs(np.linalg.det(m)) <= SLICE_DET_TOL:
-        raise DegenerateSliceForm(f"slice symplectic form degenerate (|det| = {abs(np.linalg.det(m)):.3e})")
+    if m.shape[0] and degenerate(m):
+        raise DegenerateSliceForm(f"slice symplectic form degenerate (sigma_min/sigma_max {singular_ratio(m):.3e})")
     return m
 
 

@@ -447,6 +447,35 @@ def random_system_suite():
     return _SUITE
 
 
+def suite_data(index):
+    """A fresh copy of the frozen suite system ``index`` as its JSON dict."""
+    return json.loads(SUITE_FILE.read_text())[index]
+
+
+def suite6_under_metric(seed):
+    """suite6 under the metric A A^T + 8 I, A = default_rng(seed) 8 x 8
+    normal: its slice form has |det| below 1e-9 for seeds 2..5, yet
+    sigma_min / sigma_max ~0.4-0.5."""
+    a = np.random.default_rng(seed).standard_normal((8, 8))
+    return dict(suite_data(6), metric=(a @ a.T + 8.0 * np.eye(8)).tolist())
+
+
+def with_scaled_omega(index, factor):
+    """Suite system ``index`` with omega multiplied by ``factor``."""
+    data = suite_data(index)
+    return dict(data, omega=(factor * np.array(data["omega"])).tolist())
+
+
+def suite2_asymmetric_algebra_metric():
+    """suite2 with 0.9 added to algebraMetric[0][1] and taken from [1][0]:
+    positive definite in its symmetric part, but not symmetric."""
+    data = suite_data(2)
+    metric = np.array(data["algebraMetric"])
+    metric[0, 1] += 0.9
+    metric[1, 0] -= 0.9
+    return dict(data, algebraMetric=metric.tolist())
+
+
 if __name__ == "__main__":
     suite = [serialize_system(build_random_system(i)) for i in range(10)]
     SUITE_FILE.write_text(json.dumps(suite, indent=1) + "\n")

@@ -28,7 +28,14 @@ from slicecert.cli import (
 from slicecert.errors import ParseError, ValidationError
 
 from reference import count_calls
-from systems import SU2_PAIR_FILE, with_point
+from systems import (
+    SU2_PAIR_FILE,
+    suite2_asymmetric_algebra_metric,
+    suite6_under_metric,
+    suite_data,
+    with_point,
+    with_scaled_omega,
+)
 
 
 def example1_dict():
@@ -295,6 +302,44 @@ class TestInputValidation:
         out = json.loads(capsys.readouterr().out)
         assert (code, out["hamiltonianDegree"]) == (0, 2)
         assert load_system(system_file).hamiltonian == load_system("example1").hamiltonian
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ("asymmetric", "algebraMetric is not symmetric"),
+            ("indefinite", "algebraMetric is not positive definite"),
+            ("wrong-shape", "algebraMetric must be 2x2"),
+        ],
+    )
+    def test_bad_algebra_metric(self, change, message, tmp_path, capsys):
+        # suite2's algebraMetric is [[4, -2], [-2, 4]]; a skewed, an indefinite
+        # or a 3 x 3 one must be refused, not used for xiPerp
+        data = suite2_asymmetric_algebra_metric() if change == "asymmetric" else suite_data(2)
+        if change == "indefinite":
+            data["algebraMetric"] = [[1.0, 2.0], [2.0, 1.0]]
+        elif change == "wrong-shape":
+            data["algebraMetric"] = np.eye(3).tolist()
+        system_file = tmp_path / "system.json"
+        system_file.write_text(json.dumps(data))
+        code = main(["certify", str(system_file)])
+        out = json.loads(capsys.readouterr().out)
+        assert (code, out["type"]) == (EXIT_VALIDATION, "ValidationError")
+        assert out["error"].startswith(message)
+
+    @pytest.mark.parametrize("seed", [2, 3, 4, 5])
+    def test_slice_form_nondegeneracy_does_not_depend_on_the_metric_scale(self, seed, tmp_path, capsys):
+        # under these metrics suite6's slice form has |det| ~5e-10-8e-10 but
+        # sigma_min / sigma_max ~0.4-0.5: it certifies as under the identity
+        system_file = tmp_path / "system.json"
+        system_file.write_text(json.dumps(suite6_under_metric(seed)))
+        code = main(["certify", str(system_file)])
+        assert (code, json.loads(capsys.readouterr().out)["verdict"]) == (EXIT_STABLE, "STABLE_POS_DEF")
+
+    def test_small_omega_is_valid(self, tmp_path, capsys):
+        system_file = tmp_path / "system.json"
+        system_file.write_text(json.dumps(with_scaled_omega(6, 0.01)))
+        code = main(["validate", str(system_file)])
+        assert (code, json.loads(capsys.readouterr().out)["valid"]) == (0, True)
 
     @pytest.mark.parametrize(
         "argv, kind",

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,6 +296,16 @@ class TestNewtonPath:
             residual = np.abs(y - x - dt * field).max(axis=1)
             assert np.all(residual <= dynamics.MIDPOINT_TOL * (1.0 + np.abs(y).max(axis=1)))
 
+    def test_a_singular_row_inverts_to_nan(self):
+        # one singular Jacobian in a batch makes np.linalg.inv raise; that
+        # row must read NaN, and every other row hold inv's own bits
+        jac = np.random.default_rng(3).standard_normal((5, 4, 4))
+        jac[2, :, 0] = 0.0
+        out = dynamics._invert_rows(jac)
+        assert np.isnan(out[2]).all()
+        for i in (0, 1, 3, 4):
+            np.testing.assert_array_equal(out[i], np.linalg.inv(jac[i]))
+
     @pytest.mark.parametrize("fixture", NEWTON_FIXTURES)
     @pytest.mark.parametrize("epsilon", NEWTON_EPSILONS)
     def test_work_is_no_more_than_plain_newton(self, monkeypatch, fixture, epsilon):
@@ -430,6 +442,33 @@ class TestOrbitDistance:
             x = scipy.linalg.expm(np.tensordot(theta, gens, axes=1)) @ p
             assert orbit_distance(space, algebra, x, p, k) <= 1e-9
 
+    def test_widened_grid_holds_at_most_its_bound(self, monkeypatch):
+        # A 4-torus on C^4, generator i rotating plane i: one period per axis
+        # at the default spacing is 33^4 points, and one widening by the
+        # excess still rounds up to 17^4 = 83 521 > GRID_MAX_POINTS.
+        gens = torus_generators(np.eye(4))
+        space = canonical_space(8)
+        algebra = LieAlgebraBasis.build(space, gens)
+        k = Subalgebra.from_vectors(algebra, np.eye(4))
+        p = np.array([1.0, 0.0, 0.7, 0.0, 0.5, 0.0, 1.3, 0.0])
+        grids = []
+        original = dynamics._grid_axes
+
+        def recorded(half, step):
+            grids.append(original(half, step))
+            return grids[-1]
+
+        monkeypatch.setattr(dynamics, "_grid_axes", recorded)
+        distance = dynamics._orbit_distance_to(space, algebra, p, k)
+        (axes,) = grids
+        assert math.prod(map(len, axes)) <= dynamics.GRID_MAX_POINTS
+        for axis in axes:  # t = 0 on the grid, and the axis spans half a period each way
+            assert 0.0 in axis and axis[0] == -axis[-1] and axis[-1] >= np.pi * (1 - 1e-12)
+        draws = np.random.default_rng(6)
+        xs = np.array([scipy.linalg.expm(np.tensordot(draws.uniform(-np.pi, np.pi, 4), gens, axes=1)) @ p
+                       for _ in range(20)])
+        assert distance(xs).max() <= 1e-9
+
     @pytest.mark.parametrize("t", np.linspace(-9.0, 9.0, 13))
     def test_unit_rotation_matches_the_exact_orbit(self, t):
         # The orbit of p under x -> (cos t, -sin t; sin t, cos t) x is the
@@ -504,8 +543,7 @@ class TestOrbitDistance:
         xs += 10 ** rng.uniform(-8, 0, (len(xs), 1)) * u / np.linalg.norm(u, axis=1, keepdims=True)
         xs[:3] = p, 2.0 * p, np.zeros(len(p))
         distance = dynamics._orbit_distance_to(space, algebra, p, k)
-        batch = np.minimum(distance(xs), dynamics._metric_norms(xs - p, space.metric))
-        np.testing.assert_array_equal(batch, [orbit_distance(space, algebra, x, p, k) for x in xs])
+        np.testing.assert_array_equal(distance(xs), [orbit_distance(space, algebra, x, p, k) for x in xs])
 
     @pytest.mark.parametrize("name", sorted(ABELIAN_CASES))
     def test_eig_exponential_agrees_with_the_closed_form(self, name, monkeypatch):
@@ -638,8 +676,7 @@ class TestProbe:
             mine = rows[rows[:, 0] == sample]
             np.testing.assert_array_equal(np.rint(mine[:, 1] / dt), expected)
             xs = traj[expected]
-            dists = np.minimum(distance(xs), np.sqrt(np.einsum("tn,nm,tm->t", xs - p, space.metric, xs - p)))
-            table = np.column_stack([xs, h.value(xs), mm.value(xs), dists])
+            table = np.column_stack([xs, h.value(xs), mm.value(xs), distance(xs)])
             np.testing.assert_allclose(mine[:, 2:], table, rtol=0, atol=1e-12)
             energies, momenta = h.value(traj), mm.value(traj)
             drifts = np.maximum(drifts, [np.abs(energies - energies[0]).max(),
@@ -677,26 +714,46 @@ class TestProbe:
         assert samples == set(live)
 
     @pytest.mark.parametrize("point", ["fixed", "abelian", "non-abelian"])
-    def test_csv_distances_are_the_per_row_distances(self, example1_parts, tmp_path, point):
+    def test_csv_distances_are_the_per_row_distances(self, example1_parts, monkeypatch, tmp_path, point):
         # K fixes example1's origin; off it, K is a circle, and at the
         # su(2) pair's point it is all of su(2).  The probe measures every
         # checkpoint of every sample at once, and each row must hold the
-        # bits of its own call.
+        # bits of its own call.  Where K fixes p the distance is |x - p|,
+        # with no orbit search.
         space, algebra, h = example1_parts
         p = np.zeros(4) if point == "fixed" else np.array([1.0, 0.0, 0.5, 0.0])
         if point == "non-abelian":
             system = load_system(str(SU2_PAIR_FILE))
             space, algebra, h, p = system.space, system.algebra, system.hamiltonian, system.point
         k = momentum_isotropy_algebra(algebra, MomentumMap(space, algebra).value(p))
-        assert (dynamics._orbit_distance_to(space, algebra, p, k) is None) == (point == "fixed")
+        searches = count_calls(monkeypatch, dynamics, "_orbit_newton")
         csv_file = tmp_path / "probe.csv"
         report = stability_probe(space, algebra, h, p, epsilon=1e-2, horizon=3.0, samples=3, rng=11,
                                  csv_path=csv_file)
+        assert len(searches) == (0 if point == "fixed" else 1)  # one search per chunk
         with csv_file.open(newline="") as handle:
             rows = np.array([[float(v) for v in row] for row in list(csv.reader(handle))[1:]])
         per_row = [orbit_distance(space, algebra, x, p, k) for x in rows[:, 2 : 2 + space.dim]]
         np.testing.assert_array_equal(rows[:, -1], per_row)
         assert report.max_orbit_distance == rows[:, -1].max()
+
+    def test_a_chunk_peaks_under_six_segments(self, example1_parts):
+        # 64 samples at horizon 100 are one chunk of segments of 4050 steps.
+        # The probe scans each segment where it was stepped and copies it
+        # only when a sample failed, so the chunk's traced peak stays under
+        # 5.8 segments' bytes; two more copies of the segment read ~6.3.
+        space, algebra, h = example1_parts
+        p = np.array([1.0, 0.0, 0.5, 0.0])
+        stride = 10_000 // 200
+        segment_bytes = 64 * (stride * (dynamics.BLOCK**2 // stride) + 1) * space.dim * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stability_probe(space, algebra, h, p, epsilon=1e-3, horizon=100.0, samples=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 5.8 * segment_bytes
 
     @pytest.mark.parametrize("point", ["abelian", "non-abelian"])
     def test_one_sample_chunks_change_no_bit(self, example1_parts, monkeypatch, tmp_path, point):

@@ -1,9 +1,10 @@
-"""The basis routine and the rank rule: orthonormalize and nullspace."""
+"""The basis routine and the rank rule: orthonormalize, nullspace and the
+nondegeneracy rule."""
 
 import numpy as np
 import pytest
 
-from slicecert.linalg import RANK_TOL, nullspace, orthonormalize
+from slicecert.linalg import RANK_TOL, degenerate, nullspace, orthonormalize
 
 
 def random_spd(rng, n):
@@ -88,3 +89,15 @@ def test_nullspace_and_orthonormalize_share_the_cutoff(factor, rank):
     assert orthonormalize(mat).shape == (n, rank)
     assert nullspace(mat.T).shape == (n, n - rank)
     assert nullspace(mat).shape == (3, 3 - rank)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_nondegeneracy_does_not_depend_on_scale(scale):
+    # a singular matrix stays degenerate however large, and an invertible
+    # one stays nondegenerate however small its determinant
+    rng = np.random.default_rng(4)
+    singular = low_rank(rng, 6, 6, 5)
+    invertible = random_spd(rng, 6)
+    assert degenerate(scale * singular)
+    assert not degenerate(scale * invertible)
+    assert degenerate(np.zeros((3, 3)))

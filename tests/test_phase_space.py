@@ -297,6 +297,20 @@ class TestSymplecticSpace:
         with pytest.raises(ValidationError):
             SymplecticSpace(dim=2, omega=canonical_omega(2), metric=np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_invertibility_does_not_depend_on_scale(self, scale):
+        # |det| of the scaled 8 x 8 omega is 1e-24 or 1e24; only a singular
+        # omega is rejected
+        SymplecticSpace(dim=8, omega=scale * canonical_omega(8), metric=np.eye(8))
+        singular = canonical_omega(8)
+        singular[6:, 6:] = 0.0
+        with pytest.raises(ValidationError, match="not invertible"):
+            SymplecticSpace(dim=8, omega=scale * singular, metric=np.eye(8))
+
+    def test_rejects_asymmetric_metric(self):
+        with pytest.raises(ValidationError, match="not symmetric"):
+            SymplecticSpace(dim=2, omega=canonical_omega(2), metric=np.array([[2.0, 0.5], [-0.5, 2.0]]))
+
     def test_omega_inverse(self):
         space = canonical_space(4)
         np.testing.assert_allclose(space.omega_inverse() @ space.omega, np.eye(4), atol=1e-14)
