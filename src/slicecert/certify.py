@@ -274,8 +274,7 @@ def definiteness_search(pencil, rng=None):
     INCONCLUSIVE makes no instability claim (the criterion is sufficient
     only).
     """
-    if rng is None or isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(42 if rng is None else int(rng))
+    rng = np.random.default_rng(42 if rng is None else rng)
     h0, direction_mats, family = pencil.h0, pencil.directions, pencil.family
     if h0.shape[0] == 0:
         return _certificate(h0, family.xi1.copy())

@@ -1,30 +1,33 @@
 """Symplectic integration and the empirical stability probe.
 
-The flow of X_h = Omega^{-1} grad h is integrated with the implicit midpoint
-rule, which conserves all quadratic first integrals (in particular every
-momentum component) up to solver residual.  A quadratic h steps with
-precomputed maps of 1..64 and of 64, 128, ..., 4032 steps, two products
-per start for every 4096 steps; any other h solves the midpoint equations
-of a window of up to 64 steps at once by simplified Newton, one gradient
-call per sweep over the window, with a Jacobian each start holds across
-windows.  The probe measures how far trajectories started near p wander
-from the K-orbit of p.  It steps its samples a chunk at a time and each
-chunk a segment at a time, scanning each segment as it is stepped, so its
+The flow of X_h = Omega^{-1} grad h is integrated with the implicit
+midpoint rule, which conserves all quadratic first integrals (in
+particular every momentum component) up to solver residual.  A quadratic h
+steps with precomputed maps of 1..64 and of 64, 128, ..., 4032 steps, two
+products per start for every 4096 steps; any other h solves the midpoint
+equations of a window of up to 64 steps at once by simplified Newton, one
+gradient call per sweep over the window, with a Jacobian each start holds
+across windows.  One stepper serves both: it keeps each start's state
+between calls, so ``integrate`` is one call over all the steps and the
+probe one call per segment, on the same path.  The probe measures how far
+trajectories started near p wander from the K-orbit of p.  It steps its
+samples a chunk at a time and each chunk a segment at a time, scanning
+each segment as it is stepped and dropping it before the next, so its
 memory grows neither with the horizon nor with the samples; for a
-quadratic h it takes the energy as one quadratic form.  When K fixes p the
-orbit is {p}, and every checkpoint distance is one metric norm, all rows
-at once.  Any other K takes one damped Newton search over orbit points q,
-on the checkpoints of a whole chunk at once, row by row: a step s moves q
-by left translation to exp(sum_i s_i A_i) q, with the same derivatives
-for every K.  Only the start and the exponential depend on K.  Abelian K
-is diagonalized once, A_i = V diag(lam_i) V^-1: its exponential is in
-closed form, and its start is the nearest point of a grid whose axes each
-span one period of their generator, built from one table of
-exp(t_i lam_i) per axis.  Other K start at p, each exponential from one
-eigendecomposition.  Either way the value is the distance to an actual
-orbit point, so it only ever overestimates, and probes err toward
-declaring escape, never toward confirming stability.  Only numpy runs
-here: no command imports scipy.
+quadratic h it takes the energy as one quadratic form, and any other h a
+block of rows at a time.  When K fixes p the orbit is {p}, and every
+checkpoint distance is one metric norm, all rows at once.  Any other K
+takes one damped Newton search over orbit points q, on the checkpoints of
+a whole chunk at once, row by row: a step s moves q by left translation to
+exp(sum_i s_i A_i) q, with the same derivatives for every K.  Only the
+start and the exponential depend on K.  Abelian K is diagonalized once,
+A_i = V diag(lam_i) V^-1: its exponential is in closed form, and its start
+is the nearest point of a grid whose axes each span one period of their
+generator, built from one table of exp(t_i lam_i) per axis.  Other K start
+at p, each exponential from one eigendecomposition.  Either way the value
+is the distance to an actual orbit point, so it only ever overestimates,
+and probes err toward declaring escape, never toward confirming stability.
+Only numpy runs here: no command imports scipy.
 """
 
 import csv
@@ -52,22 +55,24 @@ MAX_TRAJECTORY_ENTRIES = 1 << 27  # bound on a probe trajectory's (steps + 1) * 
 PROBE_CHUNK_ENTRIES = 1 << 21  # probe samples stepped at once, as samples * (segment + 1) * dim
 
 
-def integrate(space, hamiltonian, x0, dt, steps, tol=MIDPOINT_TOL, max_newton=MAX_NEWTON):
+def integrate(space, hamiltonian, x0, dt, steps):
     """Implicit midpoint trajectory of steps+1 points from x0.
 
     x0 is one point, giving an array (steps + 1, dim), or a batch (S, dim)
     of starts stepped together, giving (S, steps + 1, dim); a batch row
-    holds the same bits as the 1-D call from that start.  It runs the
-    probe's stepping function (``_stepper``) once over all the steps.
+    holds the same bits as the 1-D call from that start.  It is one
+    ``advance`` over all the steps of the stepper the probe advances a
+    segment at a time (``_stepper``), so on the Newton path a probe's
+    points are these bits.
     Quadratic Hamiltonians reduce to one propagator, built once from the
     midpoint equation (I - dt/2 L) x' = (I + dt/2 L) x + shift, whose maps
     of up to BLOCK and BLOCK^2 steps fill the trajectory (``_linear_steps``).
-    Otherwise every step meets its midpoint equation to the stated
-    residual, solved a window of up to BLOCK steps at a time by
-    simplified Newton: a prediction from h's linearization, then sweeps
+    Otherwise every step meets its midpoint equation to MIDPOINT_TOL
+    relative to its point, solved a window of up to BLOCK steps at a time
+    by simplified Newton: a prediction from h's linearization, then sweeps
     of one gradient call each, with a Jacobian the start holds across
     windows (``_newton_steps``).  A window that does not converge is
-    halved, down to one step; at most ``max_newton`` residuals per try.
+    halved, down to one step; at most MAX_NEWTON residuals per try.
     A start whose one-step window fails raises SolverDiverged at that step
     in the 1-D call, and in a batch its whole trajectory is NaN while the
     other starts go on.
@@ -81,7 +86,7 @@ def integrate(space, hamiltonian, x0, dt, steps, tol=MIDPOINT_TOL, max_newton=MA
     steps = int(steps)
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
-    traj, failed = _stepper(space, hamiltonian, dt, steps, tol, max_newton)(starts, steps)
+    traj, failed = _stepper(space, hamiltonian, dt, steps, starts)(steps)
     if batch:
         traj[failed >= 0] = np.nan
         return traj
@@ -90,14 +95,19 @@ def integrate(space, hamiltonian, x0, dt, steps, tol=MIDPOINT_TOL, max_newton=MA
     return traj[0]
 
 
-def _stepper(space, hamiltonian, dt, steps, tol=MIDPOINT_TOL, max_newton=MAX_NEWTON):
-    """(starts, k) -> (trajectories (S, k + 1, dim), each start's failing step or -1), k <= steps."""
+def _stepper(space, hamiltonian, dt, steps, starts):
+    """The function advance(k) that steps every start k steps on from where
+    the last call left it, ``steps`` in all.  It returns (rows (S, R, dim),
+    each start's failing step or -1): rows 0..k are the k + 1 points from
+    the last call's last, and any rows past them are scratch, handed back
+    whole so that the caller need not copy a slice.  A start that failed
+    leaves the stepper, so the next call's rows are those of the others."""
     if hamiltonian.degree() <= 2:
-        return _linear_steps(space, hamiltonian, dt, steps)
-    return lambda starts, k: _newton_steps(space, hamiltonian, starts, dt, k, tol, max_newton)
+        return _linear_steps(space, hamiltonian, dt, steps, starts)
+    return _newton_steps(space, hamiltonian, dt, steps, starts)
 
 
-def _linear_steps(space, hamiltonian, dt, steps):
+def _linear_steps(space, hamiltonian, dt, steps, starts):
     """The ``_stepper`` of a quadratic h, its maps built once.
 
     With D = A-^{-1} A+ - I = A-^{-1} dt L and c the shift, one step is
@@ -112,12 +122,14 @@ def _linear_steps(space, hamiltonian, dt, steps):
       from the B-step map as the inner one is from one step.
 
     A superblock of up to B^2 steps starts from the last point of the one
-    before.  Per start, one product with the outer stack gives the first
-    point of each of its blocks, and one product with the inner stack
-    fills every step of every block.  So a point is two maps from its
-    superblock's first point, and a map of j steps carries the rounding
-    of the j-step recursion that built it, ~j eps: the error grows like
-    steps * eps, as it does step by step.
+    before, and each ``advance`` from its own first point, a copy of the
+    last one's last: that point is the only state a start keeps.  Per
+    start, one product with the outer stack gives the first point of each
+    of its blocks, and one product with the inner stack fills every step
+    of every block.  So a point is two maps from its superblock's first
+    point, and a map of j steps carries the rounding of the j-step
+    recursion that built it, ~j eps: the error grows like steps * eps, as
+    it does step by step.
     """
     n = space.dim
     omega_inv = space.omega_inverse()
@@ -131,11 +143,12 @@ def _linear_steps(space, hamiltonian, dt, steps):
     span = block * (len(outer) + 1)
     # [D_j | c_j]^T side by side, so that [x, 1] @ it gives every D_j x + c_j
     inner, outer = (maps.transpose(2, 0, 1).reshape(n + 1, len(maps) * n) for maps in (inner, outer))
+    last = starts.copy()
 
-    def run(starts, k):
-        count = len(starts)
+    def advance(k):
+        count = len(last)
         traj = np.empty((count, k + 1, n))
-        traj[:, 0] = starts
+        traj[:, 0] = last
         for at in range(0, k, span):
             size = min(span, k - at)
             blocks = -(-size // block)
@@ -154,9 +167,10 @@ def _linear_steps(space, hamiltonian, dt, steps):
                     np.matmul(firsts[:, lo : lo + rows], inner[:, : width * n], out=moves)
                     filled = moves.reshape(count, rows, width, n)
                     filled += firsts[:, lo : lo + rows, None, :n]
+        last[:] = traj[:, -1]  # a copy, not a view that would keep traj alive
         return traj, np.full(count, -1)
 
-    return run
+    return advance
 
 
 def _step_maps(prop, count):
@@ -173,8 +187,8 @@ def _step_maps(prop, count):
     return stack
 
 
-def _newton_steps(space, hamiltonian, starts, dt, steps, tol, max_newton):
-    """(trajectories, the step at which each start failed or -1).
+def _newton_steps(space, hamiltonian, dt, steps, starts):
+    """The ``_stepper`` of any other h.
 
     Simplified Newton (Hairer & Wanner, Solving ODEs II, IV.8) on a window
     of up to BLOCK midpoint equations at once.  Each start holds one
@@ -187,15 +201,15 @@ def _newton_steps(space, hamiltonian, starts, dt, steps, tol, max_newton):
     - **Sweep.** One gradient call gives the residual r_j of every step
       still iterating, and the corrections d solve d_{j+1} = P d_j - M r_j
       with d_0 = 0 by a doubling scan (``_propagate``).  The steps up to
-      the first one out of tolerance have converged; they join converged
-      points only, so later sweeps neither evaluate nor move them.  Once
-      every step has converged the window is accepted, with that sweep's
-      correction applied too.
+      the first one out of MIDPOINT_TOL have converged; they join
+      converged points only, so later sweeps neither evaluate nor move
+      them.  Once every step has converged the window is accepted, with
+      that sweep's correction applied too.
     - **Held J.** Within a window, J is refreshed, at the central
       midpoint of the steps still iterating, only when a sweep does not
       halve the largest residual of the one before.  A window that
       stalls again after a refresh, meets a non-finite residual or
-      reaches max_newton sweeps ends at its converged steps, or is
+      reaches MAX_NEWTON sweeps ends at its converged steps, or is
       predicted afresh if it has none, and the next window is half as
       wide.  An accepted window doubles the next, up to BLOCK, unless J
       went stale in it: some sweep left more than STALE_RATE of the last
@@ -207,10 +221,18 @@ def _newton_steps(space, hamiltonian, starts, dt, steps, tol, max_newton):
       three residuals or more (and at step 0) it starts from an Euler step
       and refreshes J from its first residual, as plain Newton.  Here a
       start fails: at a non-finite residual (a singular Jacobian gives
-      one) or after max_newton residuals out of tolerance.
+      one) or after MAX_NEWTON residuals out of tolerance.
 
-    Each start keeps its own window, all starts sweep together, and every
-    operation is row by row, so a batch row holds the 1-D call's bits.
+    Between calls each start keeps its state: the rows it has stepped past
+    the last call's end, its window's first point last among them; its
+    held M and P; its next window's width; and whether J was evaluated in
+    this try, whether its last window was hard and whether J went stale.
+    Windows are capped at ``steps``, not at a call's end k: a start that
+    passes row k stops at the end of its window, and its rows past k begin
+    the next call.  So calls of any lengths give the bits of one call over
+    all the steps.  Each start keeps its own window, all starts sweep
+    together, and every operation is row by row, so a batch row holds the
+    1-D call's bits.
     """
     n = space.dim
     omega_inv = space.omega_inverse()
@@ -220,117 +242,127 @@ def _newton_steps(space, hamiltonian, starts, dt, steps, tol, max_newton):
         # matrix-vector products per row: a batch row keeps the 1-D bits
         return (omega_inv @ hamiltonian.gradient(x)[..., None])[..., 0]
 
-    count = len(starts)
+    def factor(points):
+        inv = _invert_rows(eye - 0.5 * dt * (omega_inv @ hamiltonian.hessian(points)))
+        return inv, 2.0 * inv - eye
+
     full = min(BLOCK, steps)
-    traj = np.empty((count, steps + 1, n))
-    traj[:, 0] = starts
-    failed = np.full(count, -1)
-    # Per live start: its index; its window's first point traj[live, pos],
-    # width and converged steps; the held M and P; f at the first point;
-    # whether J was evaluated in this try; whether the last window was
-    # hard; whether J went stale in this window; this try's residual count
-    # and its last largest residual; and the window: its first point,
-    # then the iterate.
-    live = np.arange(count)
-    pos = np.zeros(count, dtype=np.int64)
-    width = np.full(count, full)
-    done = np.zeros(count, dtype=np.int64)
-    inv = np.empty((count, n, n))
-    cayley = np.empty((count, n, n))
-    f0 = np.empty((count, n))
-    fresh = np.ones(count, dtype=bool)
-    hard = np.ones(count, dtype=bool)
-    stale = np.zeros(count, dtype=bool)
-    sweeps = np.zeros(count, dtype=np.int64)
-    last = np.full(count, np.inf)
-    win = np.empty((count, full + 1, n))
-    win[:, 0] = starts
     step = np.arange(full)
+    # Per start, between calls (``held``): its window's first row pos, the
+    # width of that window, the held M and P, and its fresh, hard and stale
+    # flags; and (``ahead``) the rows from the last call's end on, as far
+    # as each start has stepped.
+    count = len(starts)
+    held = [np.zeros(count, dtype=np.int64), np.full(count, full), *factor(starts),
+            np.ones(count, dtype=bool), np.ones(count, dtype=bool), np.zeros(count, dtype=bool)]
+    at, ahead = 0, starts[:, None]
 
-    def refresh(rows, points):
-        inv[rows] = factor = _invert_rows(eye - 0.5 * dt * (omega_inv @ hamiltonian.hessian(points)))
-        cayley[rows] = 2.0 * factor - eye
+    def advance(k):
+        nonlocal held, at, ahead
+        end = at + k
+        traj = np.empty((len(ahead), min(k + BLOCK, steps - at + 1), n))
+        traj[:, : ahead.shape[1]] = ahead
+        failed = np.full(len(traj), -1)
+        # Per live start: its index; its window's first point traj[live,
+        # pos - at], width and converged steps; the held M and P; f at the
+        # first point; whether J was evaluated in this try; whether the
+        # last window was hard; whether J went stale in this window; this
+        # try's residual count and its last largest residual; and the
+        # window: its first point, then the iterate.
+        live = np.flatnonzero(held[0] < end)  # the starts whose window begins before row end
+        pos, width, inv, cayley, fresh, hard, stale = (a[live] for a in held)
+        done = np.zeros(len(live), dtype=np.int64)
+        f0 = np.empty((len(live), n))
+        sweeps = np.zeros(len(live), dtype=np.int64)
+        last = np.full(len(live), np.inf)
+        win = np.empty((len(live), full + 1, n))
+        win[:, 0] = traj[live, pos - at]
+        begin = predict = np.ones(len(live), dtype=bool)  # a new window; a new prediction
+        with np.errstate(over="ignore", invalid="ignore"):  # failure is read off the residual
+            while len(live):
+                cols = int(width.max())
+                if begin.any():
+                    f0[begin] = field(win[begin, 0])
+                    again = np.flatnonzero(begin & stale)
+                    if len(again):
+                        inv[again], cayley[again] = factor(win[again, 0])
+                        fresh[again] = True
+                    stale[begin] = False
+                if predict.any():
+                    # dt M f(x0) per step; dt f(x0), an Euler step, for a
+                    # one-step window after a hard one
+                    shift = dt * f0[predict]
+                    linear = (width[predict] > 1) | ~hard[predict]
+                    shift[linear] = _apply_rows(inv[predict][linear], shift[linear])
+                    moves = _propagate(cayley[predict], np.repeat(shift[:, None], cols, axis=1))
+                    win[predict, 1 : cols + 1] = win[predict, :1] + moves
+                    begin = predict = np.zeros(len(live), dtype=bool)
+                prev, y = win[:, :cols], win[:, 1 : cols + 1]
+                lo = int(done.min())  # every row has converged before this step
+                used = (step[:cols] >= done[:, None]) & (step[:cols] < width[:, None])
+                ys, xs = y[used], prev[used]
+                mids = 0.5 * (xs + ys)
+                res = np.zeros_like(y)
+                res[used] = found = ys - xs - dt * field(mids)
+                size = np.zeros(used.shape)
+                size[used] = over = np.abs(found).max(axis=1)
+                # NaN compares false: a non-finite residual is out of tolerance
+                out = np.zeros(used.shape, dtype=bool)
+                out[used] = ~(over <= MIDPOINT_TOL * (1.0 + np.abs(ys).max(axis=1)))
+                done = np.where(out.any(axis=1), out.argmax(axis=1), width)
+                largest = size.max(axis=1)
+                sweeps += 1
+                accept = done == width
+                stalled = ~accept & ~(largest <= 0.5 * last)
+                stale |= largest > STALE_RATE * last
+                retry = ~np.isfinite(largest) | ~accept & (sweeps >= MAX_NEWTON)
+                retry |= stalled & fresh & (width > 1)
+                renew = ~retry & (stalled | ~accept & (width == 1) & ((sweeps > 1) | hard))
+                if renew.any():
+                    rows = np.flatnonzero(renew)
+                    centre = (done[rows] + width[rows] - 1) // 2
+                    inv[rows], cayley[rows] = factor(0.5 * (prev[rows, centre] + y[rows, centre]))
+                    fresh[rows] = True
+                # causal, so it moves no converged step; it is added only to the
+                # steps iterating, since a singular J makes it NaN throughout
+                tail = y[:, lo:]
+                np.add(tail, _propagate(cayley, -_apply_rows(inv[:, None], res[:, lo:])), out=tail,
+                       where=used[:, lo:, None])
+                last = largest
+                ends = accept | retry & (done > 0)
+                if not (ends | retry).any():
+                    continue
 
-    refresh(live, starts)
-    begin = predict = np.ones(count, dtype=bool)  # a new window; a new prediction
-    with np.errstate(over="ignore", invalid="ignore"):  # failure is read off the residual
-        while len(live):
-            cols = int(width.max())
-            if begin.any():
-                f0[begin] = field(win[begin, 0])
-                again = np.flatnonzero(begin & stale)
-                if len(again):
-                    refresh(again, win[again, 0])
-                    fresh[again] = True
-                stale[begin] = False
-            if predict.any():
-                # dt M f(x0) per step; dt f(x0), an Euler step, for a
-                # one-step window after a hard one
-                shift = dt * f0[predict]
-                linear = (width[predict] > 1) | ~hard[predict]
-                shift[linear] = _apply_rows(inv[predict][linear], shift[linear])
-                moves = _propagate(cayley[predict], np.repeat(shift[:, None], cols, axis=1))
-                win[predict, 1 : cols + 1] = win[predict, :1] + moves
-                begin = predict = np.zeros(len(live), dtype=bool)
-            prev, y = win[:, :cols], win[:, 1 : cols + 1]
-            lo = int(done.min())  # every row has converged before this step
-            used = (step[:cols] >= done[:, None]) & (step[:cols] < width[:, None])
-            ys, xs = y[used], prev[used]
-            mids = 0.5 * (xs + ys)
-            res = np.zeros_like(y)
-            res[used] = found = ys - xs - dt * field(mids)
-            size = np.zeros(used.shape)
-            size[used] = over = np.abs(found).max(axis=1)
-            # NaN compares false: a non-finite residual is out of tolerance
-            out = np.zeros(used.shape, dtype=bool)
-            out[used] = ~(over <= tol * (1.0 + np.abs(ys).max(axis=1)))
-            done = np.where(out.any(axis=1), out.argmax(axis=1), width)
-            largest = size.max(axis=1)
-            sweeps += 1
-            accept = done == width
-            stalled = ~accept & ~(largest <= 0.5 * last)
-            stale |= largest > STALE_RATE * last
-            retry = ~np.isfinite(largest) | ~accept & (sweeps >= max_newton)
-            retry |= stalled & fresh & (width > 1)
-            renew = ~retry & (stalled | ~accept & (width == 1) & ((sweeps > 1) | hard))
-            if renew.any():
-                rows = np.flatnonzero(renew)
-                centre = (done[rows] + width[rows] - 1) // 2
-                refresh(rows, 0.5 * (prev[rows, centre] + y[rows, centre]))
-                fresh[rows] = True
-            # causal, so it moves no converged step; it is added only to the
-            # steps iterating, since a singular J makes it NaN throughout
-            tail = y[:, lo:]
-            np.add(tail, _propagate(cayley, -_apply_rows(inv[:, None], res[:, lo:])), out=tail,
-                   where=used[:, lo:, None])
-            last = largest
-            ends = accept | retry & (done > 0)
-            if not (ends | retry).any():
-                continue
+                lost = retry & ~ends & (width == 1)
+                failed[live[lost]] = pos[lost]
+                rows, cols_done = np.nonzero(ends[:, None] & (step[:cols] < done[:, None]))
+                traj[live[rows], pos[rows] - at + 1 + cols_done] = y[rows, cols_done]
+                win[ends, 0] = y[ends, done[ends] - 1]
+                pos[ends] += done[ends]
+                width[accept & ~stale] *= 2
+                width[retry] = np.maximum(width[retry] // 2, 1)
+                width[ends] = np.minimum(np.minimum(width[ends], BLOCK), steps - pos[ends])
+                hard[ends] = sweeps[ends] >= 3
+                begin, predict = ends, ends | retry & ~lost
+                fresh[predict] = False
+                done[predict] = 0
+                sweeps[predict] = 0
+                last[predict] = np.inf
 
-            lost = retry & ~ends & (width == 1)
-            failed[live[lost]] = pos[lost]
-            rows, cols_done = np.nonzero(ends[:, None] & (step[:cols] < done[:, None]))
-            traj[live[rows], pos[rows] + 1 + cols_done] = y[rows, cols_done]
-            win[ends, 0] = y[ends, done[ends] - 1]
-            pos[ends] += done[ends]
-            width[accept & ~stale] *= 2
-            width[retry] = np.maximum(width[retry] // 2, 1)
-            width[ends] = np.minimum(np.minimum(width[ends], BLOCK), steps - pos[ends])
-            hard[ends] = sweeps[ends] >= 3
-            begin, predict = ends, ends | retry & ~lost
-            fresh[predict] = False
-            done[predict] = 0
-            sweeps[predict] = 0
-            last[predict] = np.inf
+                keep = ~lost & (pos < end)
+                if not keep.all():  # every row's state, so that the rows leaving keep theirs
+                    for state, now in zip(held, (pos, width, inv, cayley, fresh, hard, stale)):
+                        state[live] = now
+                    live, pos, width, done, inv, cayley, f0, fresh, hard, stale, sweeps, last, win, begin, predict = (
+                        a[keep] for a in (live, pos, width, done, inv, cayley, f0, fresh, hard, stale,
+                                          sweeps, last, win, begin, predict)
+                    )
+        held = [state[failed < 0] for state in held]
+        ahead = traj[failed < 0, k:]  # a copy, so the stepper keeps none of traj alive
+        at = end
+        return traj, failed
 
-            keep = ~lost & (pos < steps)
-            if not keep.all():
-                live, pos, width, done, inv, cayley, f0, fresh, hard, stale, sweeps, last, win, begin, predict = (
-                    a[keep] for a in (live, pos, width, done, inv, cayley, f0, fresh, hard, stale,
-                                      sweeps, last, win, begin, predict)
-                )
-    return traj, failed
+    return advance
 
 
 def _propagate(cayley, b):
@@ -610,21 +642,26 @@ def orbit_distance(space, algebra, x, p, sub_k, starts=32, rng=None):
 
 
 def _energy(hamiltonian, dim):
-    """The function from a trajectory (points, dim) to h at each point.  A
-    quadratic h is one form, c + x . (g + H x / 2) from h, grad h and
-    d2h at 0, in place of a gather over every monomial."""
+    """The function (points (R, dim), out (R,)) that writes h at each point
+    into out.  A quadratic h is one form over all the points, c + x . (g +
+    H x / 2) from h, grad h and d2h at 0, in place of a gather over every
+    monomial.  Any other h is ``Poly.value``, which works row by row, a
+    block of BLOCK^2 points at a time, so that its temporaries stay small."""
     if hamiltonian.degree() > 2:
-        return hamiltonian.value
+        def blocks(points, out):
+            for lo in range(0, len(points), BLOCK * BLOCK):
+                out[lo : lo + BLOCK * BLOCK] = hamiltonian.value(points[lo : lo + BLOCK * BLOCK])
+
+        return blocks
     origin = np.zeros(dim)
     half = 0.5 * hamiltonian.hessian(origin)
     grad = hamiltonian.gradient(origin)
     const = hamiltonian.value(origin)
 
-    def quadratic(traj):
-        energies = np.einsum("tn,tn->t", traj @ half, traj)
-        energies += traj @ grad
-        energies += const
-        return energies
+    def quadratic(points, out):
+        np.einsum("tn,tn->t", points @ half, points, out=out)
+        out += points @ grad
+        out += const
 
     return quadratic
 
@@ -637,9 +674,10 @@ def _scan(seg, rows, at, last, p, metric, energy, quads, stride):
     so that it is never copied."""
     count, length, n = seg.shape
     flat = seg.reshape(-1, n)
-    quad = (flat @ quads).reshape(len(flat), quads.shape[1] // n, n)
     # h and each J_i along the rows, so that per-row work runs down long axes
-    conserved = np.vstack([energy(flat), np.einsum("tdn,tn->td", quad, flat).T])
+    conserved = np.empty((1 + quads.shape[1] // n, len(flat)))
+    energy(flat, conserved[0])
+    conserved[1:] = np.einsum("tdn,tn->td", (flat @ quads).reshape(len(flat), len(conserved) - 1, n), flat).T
     diffs = flat - p
     squares = np.einsum("tn,tn->t", diffs @ metric, diffs).reshape(count, length)[:, :rows]
     pad = -rows % stride
@@ -693,8 +731,12 @@ def stability_probe(
     a time, each segment scanned as it is stepped and each chunk measured
     as it ends, so memory grows neither with the horizon nor with the
     samples: a chunk's segment holds at most PROBE_CHUNK_ENTRIES entries,
-    or one sample.  A sample whose Newton solve fails counts as one solver
-    failure and leaves the batch.
+    or one sample.  Each chunk has one stepper (``_stepper``), which keeps
+    every sample's state from one segment to the next, so a sample's
+    points are those ``integrate`` gives from its start on the Newton
+    path, and differ only by rounding on the linear one, whose
+    superblocks start at each segment.  A sample whose Newton solve fails
+    counts as one solver failure and leaves the batch.
     A trajectory that overflows, or none measured, reads as escape.
     """
     for name, value in (("epsilon", epsilon), ("horizon", horizon), ("dt", dt),
@@ -703,17 +745,16 @@ def stability_probe(
             raise ValidationError(f"{name} must be finite and positive, got {value}")
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
-    if not math.isfinite(horizon / dt):
-        raise ValidationError(f"horizon / dt must be finite, got {horizon} / {dt}")
-    p = space.check_point(p)
-    if rng is None or isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(42 if rng is None else int(rng))
-    steps = max(1, int(math.ceil(horizon / dt)))
-    if (steps + 1) * space.dim > MAX_TRAJECTORY_ENTRIES:
+    # ceil(horizon / dt) steps, with (steps + 1) * dim <= MAX_TRAJECTORY_ENTRIES
+    # entries; NaN and inf fail the comparison too
+    if not horizon / dt <= MAX_TRAJECTORY_ENTRIES // space.dim - 1:
         raise ValidationError(
-            f"horizon / dt = {steps} steps: a trajectory of (steps + 1) * dim = "
-            f"{(steps + 1) * space.dim} entries exceeds the bound of {MAX_TRAJECTORY_ENTRIES}"
+            f"horizon / dt = {horizon / dt} steps: a trajectory of (steps + 1) * dim entries "
+            f"exceeds the bound of {MAX_TRAJECTORY_ENTRIES}"
         )
+    steps = max(1, math.ceil(horizon / dt))
+    p = space.check_point(p)
+    rng = np.random.default_rng(42 if rng is None else rng)
     stride = max(1, steps // 200)
     inv_sqrt = metric_inv_sqrt(space.metric)
     mm = MomentumMap(space, algebra)
@@ -733,10 +774,8 @@ def stability_probe(
         starts[sample] = p + radius * (inv_sqrt @ direction)
     # whole stride windows, so no window straddles two segments
     segment = stride * max(1, BLOCK * BLOCK // stride)
-    step = _stepper(space, hamiltonian, dt, min(segment, steps))
 
-    writer = None
-    handle = None
+    writer = handle = None
     if csv_path is not None:
         try:
             handle = open(csv_path, "w", newline="")
@@ -758,20 +797,21 @@ def stability_probe(
             for lo in range(0, samples, chunk):
                 live = np.arange(lo, min(lo + chunk, samples))
                 tables = {sample: [] for sample in live.tolist()}  # per sample, its checkpoint tables
-                x = starts[live]
+                advance = _stepper(space, hamiltonian, dt, steps, starts[live])
                 for at in range(0, steps, segment):
-                    traj, failed = step(x, min(segment, steps - at))
+                    size = min(segment, steps - at)
+                    traj, failed = advance(size)
                     if (failed >= 0).any():
                         live, traj = live[failed < 0], traj[failed < 0]
                         if not len(live):
                             break
-                    x = traj[:, -1]
                     # a segment's last row is the first of the next
-                    scanned = traj.shape[1] - (at + segment < steps)
+                    scanned = size + (at + size == steps)
                     table, conserved = _scan(traj, scanned, at, steps, p, space.metric, energy, quads, stride)
                     if not at:
                         start[live] = conserved[..., 0]
                     drifts[live] = np.maximum(drifts[live], np.abs(conserved - start[live, :, None]).max(axis=2))
+                    del traj, conserved  # before the next segment is stepped
                     for sample, rows in zip(live.tolist(), table):
                         tables[sample].append(rows)
                 kept.append(live)

@@ -82,8 +82,10 @@ class LieAlgebraBasis:
 
     @classmethod
     def build(cls, space, generators, structure=None):
-        """Validate generators against ``space`` and derive structure constants
-        when they are not supplied."""
+        """Validate generators against ``space`` and derive their structure
+        constants.  Supplied ones are only checked against the derived
+        brackets: a wrong shape raises DimensionMismatch, and a bracket that
+        differs by more than CLOSURE_TOL raises NotClosedUnderBracket."""
         dim = space.dim
         gens = np.asarray(generators, dtype=float)
         if gens.size == 0:
@@ -102,22 +104,19 @@ class LieAlgebraBasis:
                 raise ValidationError(
                     f"generator {i} is not Hamiltonian: |A^T Omega + Omega A| = {residual:.3e}"
                 )
-        if structure is None:
-            struct = derive_structure_constants(gens)
-        else:
-            struct = np.asarray(structure, dtype=float)
-            if struct.size == 0:
-                struct = np.zeros((0, 0, 0))
-            if struct.shape != (d, d, d):
+        struct = derive_structure_constants(gens)
+        if structure is not None:
+            supplied = np.asarray(structure, dtype=float)
+            # an empty table, of any shape, is the empty algebra's
+            if supplied.shape != struct.shape and not supplied.size == struct.size == 0:
                 raise DimensionMismatch(f"structure constants must have shape ({d},{d},{d})")
-            for i in range(d):
-                for j in range(d):
-                    comm = gens[i] @ gens[j] - gens[j] @ gens[i]
-                    residual = np.abs(comm - np.tensordot(struct[i, j], gens, axes=1)).max()
-                    if residual > CLOSURE_TOL:
-                        raise NotClosedUnderBracket(
-                            f"supplied structure constants do not match [A_{i}, A_{j}] (residual {residual:.3e})"
-                        )
+            # each supplied bracket sum_k c[i,j,k] A_k against the derived one
+            difference = supplied.reshape(struct.shape) - struct
+            residual = np.abs(np.tensordot(difference, gens, axes=1)).max(initial=0.0)
+            if not residual <= CLOSURE_TOL:  # NaN fails too
+                raise NotClosedUnderBracket(
+                    f"supplied structure constants do not match the brackets [A_i, A_j] (residual {residual:.3e})"
+                )
         _check_jacobi(struct)
         return cls(generators=gens, structure=struct)
 

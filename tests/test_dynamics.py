@@ -194,10 +194,11 @@ class TestIntegrate:
         with pytest.raises(ValidationError):
             integrate(space2, h, np.zeros(2), 0.1, 0)
 
-    def test_solver_divergence_detected(self, space2):
+    def test_solver_divergence_detected(self, space2, monkeypatch):
         h = Poly(2, {(4, 0): 1.0, (0, 4): 1.0})
+        monkeypatch.setattr(dynamics, "MAX_NEWTON", 3)
         with pytest.raises(SolverDiverged):
-            integrate(space2, h, np.array([10.0, 10.0]), 10.0, 1, max_newton=3)
+            integrate(space2, h, np.array([10.0, 10.0]), 10.0, 1)
 
     @pytest.mark.parametrize(
         "steps",
@@ -236,13 +237,14 @@ class TestIntegrate:
         # suite5's quartic at its origin from three starts in one batch: at
         # 1e-3 every window converges after one correction sweep, at 2.0
         # windows stall and are halved, and at 100 the one-step solve
-        # fails within max_newton = 6 residuals.
+        # fails within MAX_NEWTON = 6 residuals.
         system = random_system_suite()[5]
         space, h = system.space, system.hamiltonian
         u = np.random.default_rng(18).standard_normal(space.dim)
         u /= np.linalg.norm(u)
         starts = system.point + np.array([1e-3, 2.0, 100.0])[:, None] * u
-        steps, max_newton = 2 * dynamics.BLOCK, 6
+        steps = 2 * dynamics.BLOCK
+        monkeypatch.setattr(dynamics, "MAX_NEWTON", 6)
         propagate, widths = dynamics._propagate, []
 
         def recording(powers, b):
@@ -252,12 +254,12 @@ class TestIntegrate:
 
         monkeypatch.setattr(dynamics, "_propagate", recording)
         gradients = count_calls(monkeypatch, Poly, "gradient")
-        batch = integrate(space, h, starts, 1e-2, steps, max_newton=max_newton)
+        batch = integrate(space, h, starts, 1e-2, steps)
         predicted, evaluations = [], []
         for row, x0 in zip(batch[:2], starts):
             widths.clear()
             gradients.clear()
-            np.testing.assert_array_equal(row, integrate(space, h, x0, 1e-2, steps, max_newton=max_newton))
+            np.testing.assert_array_equal(row, integrate(space, h, x0, 1e-2, steps))
             predicted.append(list(widths))
             evaluations.append(len(gradients))
         # per window: f at its first point, a residual sweep that fails,
@@ -265,17 +267,18 @@ class TestIntegrate:
         assert predicted[0] == [dynamics.BLOCK, dynamics.BLOCK] and evaluations[0] == 6
         assert min(predicted[1]) < dynamics.BLOCK
         with pytest.raises(SolverDiverged):
-            integrate(space, h, starts[2], 1e-2, steps, max_newton=max_newton)
+            integrate(space, h, starts[2], 1e-2, steps)
         assert np.isnan(batch[2]).all()
 
-    def test_a_diverging_start_leaves_the_batch_going(self, space2):
+    def test_a_diverging_start_leaves_the_batch_going(self, space2, monkeypatch):
         # the Hamiltonian and step of test_solver_divergence_detected
         h = Poly(2, {(4, 0): 1.0, (0, 4): 1.0})
+        monkeypatch.setattr(dynamics, "MAX_NEWTON", 3)
         starts = np.array([[0.01, 0.02], [10.0, 10.0], [-0.03, 0.01]])
-        batch = integrate(space2, h, starts, 10.0, 2, max_newton=3)
+        batch = integrate(space2, h, starts, 10.0, 2)
         assert np.isnan(batch[1]).all()
         for i in (0, 2):
-            single = integrate(space2, h, starts[i], 10.0, 2, max_newton=3)
+            single = integrate(space2, h, starts[i], 10.0, 2)
             np.testing.assert_array_equal(batch[i], single)
 
 
@@ -647,9 +650,11 @@ class TestProbe:
     def test_streamed_segments_match_integrate(self, example1_parts, tmp_path, case):
         # 5000 steps at stride 25 stream as segments of 4075 and 925 steps;
         # the CSV and report must read as if each whole trajectory were
-        # integrated at once and scanned.  At the origin example1's flow
-        # keeps |x| constant, so rounding would pick the window peaks; off
-        # it |x - p| varies, and K, a circle, moves p.
+        # integrated at once and scanned.  The Newton path carries each
+        # start's state across segments, so there its points are
+        # integrate's bits.  At the origin example1's flow keeps |x|
+        # constant, so rounding would pick the window peaks; off it
+        # |x - p| varies, and K, a circle, moves p.
         space, algebra, h = example1_parts
         if case == "quartic":
             h = poly_add(h, Poly(4, {(4, 0, 0, 0): 0.3, (0, 2, 2, 0): 0.1}))
@@ -676,6 +681,8 @@ class TestProbe:
             mine = rows[rows[:, 0] == sample]
             np.testing.assert_array_equal(np.rint(mine[:, 1] / dt), expected)
             xs = traj[expected]
+            if case == "quartic":
+                np.testing.assert_array_equal(mine[:, 1:6], np.column_stack([expected * dt, xs]))
             table = np.column_stack([xs, h.value(xs), mm.value(xs), distance(xs)])
             np.testing.assert_allclose(mine[:, 2:], table, rtol=0, atol=1e-12)
             energies, momenta = h.value(traj), mm.value(traj)
@@ -685,20 +692,36 @@ class TestProbe:
         assert report.max_orbit_distance == rows[:, -1].max()
         assert [report.energy_drift, report.momentum_drift] == pytest.approx(drifts, rel=0, abs=1e-12)
 
+    def test_long_newton_probe_keeps_its_drifts(self):
+        # suite3 over 10 000 steps, three segments: a stepper that started
+        # afresh at each segment, with a new Jacobian and a full-width
+        # window, read momentumDrift 1.8e-11 and energyDrift 9.4e-12 here;
+        # one that carries each start's state reads 5.1e-12 and 2.7e-12.
+        system = random_system_suite()[3]
+        report = stability_probe(system.space, system.algebra, system.hamiltonian, system.point,
+                                 epsilon=1e-3, horizon=100.0, samples=4, rng=42)
+        assert report.solver_failures == 0
+        assert report.momentum_drift <= 1e-11 and report.energy_drift <= 5e-12
+
     def test_a_sample_failing_in_a_later_segment_is_one_failure(self, monkeypatch, tmp_path):
         # suite0 at the default dt: with BLOCK = 8, 300 steps stream as
         # segments of 64 steps, and at seed 4 the Newton solve fails on one
         # sample in the third segment and on two in the fifth
         monkeypatch.setattr(dynamics, "BLOCK", 8)
         failures = []
-        original = dynamics._newton_steps
+        original = dynamics._stepper
 
         def recording(*args):
-            traj, failed = original(*args)
-            failures.append(failed)
-            return traj, failed
+            advance = original(*args)
 
-        monkeypatch.setattr(dynamics, "_newton_steps", recording)
+            def recorded(k):
+                traj, failed = advance(k)
+                failures.append(failed)
+                return traj, failed
+
+            return recorded
+
+        monkeypatch.setattr(dynamics, "_stepper", recording)
         system = random_system_suite()[0]
         csv_file = tmp_path / "probe.csv"
         report = stability_probe(system.space, system.algebra, system.hamiltonian, system.point, epsilon=1e-3,
@@ -739,21 +762,27 @@ class TestProbe:
 
     def test_a_chunk_peaks_under_six_segments(self, example1_parts):
         # 64 samples at horizon 100 are one chunk of segments of 4050 steps.
-        # The probe scans each segment where it was stepped and copies it
-        # only when a sample failed, so the chunk's traced peak stays under
-        # 5.8 segments' bytes; two more copies of the segment read ~6.3.
-        space, algebra, h = example1_parts
+        # The probe scans each segment where it was stepped, copies it only
+        # when a sample failed and drops it before stepping the next, and it
+        # evaluates a quartic h a block of rows at a time, so the chunk's
+        # traced peak stays under 5.0 segments' bytes for example1's h and
+        # under 5.8 with a quartic term.  A probe that kept the last segment
+        # alive while stepping the next, and evaluated a quartic h over a
+        # whole segment at once, read ~5.3-5.4 and ~6.5-7.0.
+        space, algebra, quadratic = example1_parts
+        quartic = poly_add(quadratic, Poly(4, {(4, 0, 0, 0): 0.3, (0, 2, 2, 0): 0.1}))
         p = np.array([1.0, 0.0, 0.5, 0.0])
         stride = 10_000 // 200
         segment_bytes = 64 * (stride * (dynamics.BLOCK**2 // stride) + 1) * space.dim * 8
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            stability_probe(space, algebra, h, p, epsilon=1e-3, horizon=100.0, samples=64)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - before <= 5.8 * segment_bytes
+        for h, bound in ((quadratic, 5.0), (quartic, 5.8)):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                stability_probe(space, algebra, h, p, epsilon=1e-3, horizon=100.0, samples=64)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - before <= bound * segment_bytes
 
     @pytest.mark.parametrize("point", ["abelian", "non-abelian"])
     def test_one_sample_chunks_change_no_bit(self, example1_parts, monkeypatch, tmp_path, point):

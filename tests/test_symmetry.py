@@ -10,7 +10,7 @@ from slicecert import (
     isotropy_algebra,
     normalizer_algebra,
 )
-from slicecert.errors import NotClosedUnderBracket, SubalgebraNotContained, ValidationError
+from slicecert.errors import DimensionMismatch, NotClosedUnderBracket, SubalgebraNotContained, ValidationError
 from slicecert.symmetry import Subalgebra
 
 from reference import group_exp, omega_form
@@ -225,3 +225,16 @@ class TestValidation:
         wrong = np.zeros((3, 3, 3))
         with pytest.raises(NotClosedUnderBracket):
             LieAlgebraBasis.build(space4, gens, structure=wrong)
+
+    def test_supplied_structure_constants_are_only_checked(self, space4):
+        # the derived table is the one kept; a supplied one of the wrong
+        # shape, or with a NaN, is refused
+        gens = su2_generators(blocks=1)
+        derived = derive_structure_constants(gens)
+        algebra = LieAlgebraBasis.build(space4, gens, structure=derived + 1e-13)
+        np.testing.assert_array_equal(algebra.structure, derived)
+        with pytest.raises(DimensionMismatch):
+            LieAlgebraBasis.build(space4, gens, structure=derived[:2])
+        derived[0, 1, 2] = np.nan
+        with pytest.raises(NotClosedUnderBracket):
+            LieAlgebraBasis.build(space4, gens, structure=derived)
