@@ -179,26 +179,25 @@ def orthogonal_velocity(family, algebra_metric):
     return family.xi1 - hb.T @ coef
 
 
-def _min_eig_supergradient(hmat, direction_mats, cluster_tol=1e-8):
-    """Supergradient of s -> lambda_min(H(s)) at the current matrix.
+def _min_eig_supergradient(w, u, direction_mats, cluster_tol=1e-8):
+    """Supergradient of s -> lambda_min(H(s)) from the eigenpairs (w, u) of H(s).
 
-    At a simple minimal eigenvalue this is (u^T dH/ds_i u); at clustered
+    At a simple minimal eigenvalue this is (u^T D_k u); at clustered
     spectra the eigenvector contributions over the minimal eigenspace are
     averaged, which is a valid supergradient of the concave objective.
     """
-    w, u = np.linalg.eigh(hmat)
     scale = max(1.0, float(np.abs(w).max()))
     members = np.nonzero(w <= w[0] + cluster_tol * scale)[0]
     cols = u[:, members]
-    grad = np.array([np.mean(np.einsum("ij,jk,ki->i", cols.T, d, cols)) for d in direction_mats])
-    return float(w[0]), grad
+    return np.array([np.einsum("ij,jk,ki->i", cols.T, d, cols).sum() / len(members) for d in direction_mats])
 
 
 def _combine(h0, mats, s):
-    """The family member h0 + sum_k s_k mats[k] of restricted Hessians."""
-    h = h0.copy()
+    """The family members h0 + sum_k s_k mats[k] of restricted Hessians, one
+    for each row of s (one matrix for a vector s), added term by term."""
+    h = np.broadcast_to(h0, s.shape[:-1] + h0.shape).copy()
     for k in range(len(mats)):
-        h += s[k] * mats[k]
+        h += s[..., k, None, None] * mats[k]
     return h
 
 
@@ -223,43 +222,55 @@ def _certificate(hm, xi, boundary=False):
 
 
 def _ascend_lambda_min(h0, direction_mats, rng, restarts, box, max_iter):
-    """Projected supergradient ascent of lambda_min over the box |s|_inf <= box."""
+    """Projected supergradient ascent of lambda_min over the box |s|_inf <= box.
+
+    The starts, s = 0 and ``restarts`` uniform points of the box, ascend
+    together, each on the path it would take alone.  A round takes one
+    supergradient step for every start that has just moved, from one stacked
+    ``eigh``, and one backtracking trial along its direction for every start
+    still live, from one stacked ``eigvalsh``.  The step doubles on success,
+    up to ``box``, and halves on failure.  A start stops when its
+    supergradient vanishes, its step falls to 1e-13 (1 + |s|_inf), or it
+    has taken ``max_iter`` supergradient steps.  The first of the best
+    starts wins.
+    """
     m = len(direction_mats)
-
-    def value(s):
-        return float(np.linalg.eigvalsh(_combine(h0, direction_mats, s))[0])
-
     if m == 0:
-        s0 = np.zeros(0)
-        return s0, value(s0), False
+        return np.zeros(0), float(np.linalg.eigvalsh(h0)[0]), False
 
-    starts = [np.zeros(m)]
-    starts.extend(rng.uniform(-box, box, size=(restarts, m)))
+    s = np.vstack([np.zeros((1, m)), rng.uniform(-box, box, size=(restarts, m))])
+    val = np.linalg.eigvalsh(_combine(h0, direction_mats, s))[:, 0]
+    step = 1.0 + np.abs(s).max(axis=1)
+    direction = np.zeros_like(s)
+    ascents = np.zeros(len(s), dtype=int)  # supergradient steps taken
+    live = np.ones(len(s), dtype=bool)
+    moved = np.ones(len(s), dtype=bool)  # needs a supergradient at its s
+    while live.any():
+        live &= ~moved | (ascents < max_iter)
+        idx = np.flatnonzero(live & moved)
+        if idx.size:
+            w, u = np.linalg.eigh(_combine(h0, direction_mats, s[idx]))
+            for i, wi, ui in zip(idx, w, u):
+                grad = _min_eig_supergradient(wi, ui, direction_mats)
+                gnorm = float(np.linalg.norm(grad))
+                if gnorm < 1e-15:
+                    live[i] = False
+                else:
+                    direction[i] = grad / gnorm
+            ascents[idx] += 1
+            moved[idx] = False
+        live &= step > 1e-13 * (1.0 + np.abs(s).max(axis=1))
+        idx = np.flatnonzero(live)
+        trial = np.clip(s[idx] + step[idx, None] * direction[idx], -box, box)
+        tval = np.linalg.eigvalsh(_combine(h0, direction_mats, trial))[:, 0]
+        up = tval > val[idx]
+        s[idx[up]], val[idx[up]] = trial[up], tval[up]
+        step[idx] = np.where(up, np.minimum(step[idx] * 2.0, box), step[idx] * 0.5)
+        moved[idx] = up
     best_s, best_val = np.zeros(m), -np.inf
-    for s0 in starts:
-        s = np.asarray(s0, dtype=float).copy()
-        val = value(s)
-        step = 1.0 + float(np.abs(s).max())
-        for _ in range(max_iter):
-            _, grad = _min_eig_supergradient(_combine(h0, direction_mats, s), direction_mats)
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < 1e-15:
-                break
-            direction = grad / gnorm
-            improved = False
-            while step > 1e-13 * (1.0 + float(np.abs(s).max())):
-                trial = np.clip(s + step * direction, -box, box)
-                tval = value(trial)
-                if tval > val:
-                    s, val = trial, tval
-                    step = min(step * 2.0, box)
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        if val > best_val:
-            best_s, best_val = s, val
+    for si, vi in zip(s, val):
+        if vi > best_val:
+            best_s, best_val = si.copy(), float(vi)
     boundary = bool(np.any(np.abs(best_s) >= box * (1.0 - 1e-9)))
     return best_s, best_val, boundary
 
@@ -268,9 +279,10 @@ def definiteness_search(pencil, rng=None):
     """Search the pencil's family for a definite restricted Hessian.
 
     Maximizes lambda_min(H(s)) and lambda_min(-H(s)) separately by projected
-    supergradient ascent with random restarts (s = 0 always included), keeps
-    the optimum with the larger scaled value, and judges it by the verdict
-    rule of ``_certificate``.  ``solve_velocities`` has already checked xi1.
+    supergradient ascent with random restarts (s = 0 always included), all
+    restarts of one sign run together by ``_ascend_lambda_min``, keeps the
+    optimum with the larger scaled value, and judges it by the verdict rule
+    of ``_certificate``.  ``solve_velocities`` has already checked xi1.
     INCONCLUSIVE makes no instability claim (the criterion is sufficient
     only).
     """

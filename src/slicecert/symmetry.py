@@ -94,8 +94,9 @@ class LieAlgebraBasis:
             raise DimensionMismatch(f"generators must have shape (d, {dim}, {dim}), got {gens.shape}")
         d = gens.shape[0]
         if d:
-            rank = np.linalg.matrix_rank(gens.reshape(d, -1), tol=RANK_TOL * max(1.0, np.abs(gens).max()))
-            if rank != d:
+            # scale-free: sigma > RANK_TOL * sigma_max, so a zero stack has rank 0
+            sigma = np.linalg.svd(gens.reshape(d, -1), compute_uv=False)
+            if np.count_nonzero(sigma > RANK_TOL * sigma[0]) != d:
                 raise ValidationError("generators are linearly dependent")
         omega = space.omega
         for i in range(d):

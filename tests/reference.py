@@ -270,3 +270,65 @@ def descent_residual(space, algebra, hamiltonian, p, xi, v, eta):
     q = augmented_hessian(mm, hamiltonian, p, xi)
     w = v + algebra.act(eta, p)
     return abs(float(w @ q @ w) - float(v @ q @ v))
+
+
+def _combine(h0, mats, s):
+    """h0 + sum_k s_k mats[k], one term at a time."""
+    h = h0.copy()
+    for k in range(len(mats)):
+        h += s[k] * mats[k]
+    return h
+
+
+def _min_eig_supergradient(hmat, direction_mats, cluster_tol=1e-8):
+    """Supergradient of s -> lambda_min(H(s)) at hmat: u^T dH/ds_i u,
+    averaged over the eigenvectors u of the minimal cluster."""
+    w, u = np.linalg.eigh(hmat)
+    scale = max(1.0, float(np.abs(w).max()))
+    members = np.nonzero(w <= w[0] + cluster_tol * scale)[0]
+    cols = u[:, members]
+    grad = np.array([np.mean(np.einsum("ij,jk,ki->i", cols.T, d, cols)) for d in direction_mats])
+    return float(w[0]), grad
+
+
+def sequential_ascend_lambda_min(h0, direction_mats, rng, restarts, box, max_iter):
+    """``certify._ascend_lambda_min`` run one restart after another, each
+    matrix its own eigen-solve: the lockstep search must give its bits."""
+    m = len(direction_mats)
+
+    def value(s):
+        return float(np.linalg.eigvalsh(_combine(h0, direction_mats, s))[0])
+
+    if m == 0:
+        s0 = np.zeros(0)
+        return s0, value(s0), False
+
+    starts = [np.zeros(m)]
+    starts.extend(rng.uniform(-box, box, size=(restarts, m)))
+    best_s, best_val = np.zeros(m), -np.inf
+    for s0 in starts:
+        s = np.asarray(s0, dtype=float).copy()
+        val = value(s)
+        step = 1.0 + float(np.abs(s).max())
+        for _ in range(max_iter):
+            _, grad = _min_eig_supergradient(_combine(h0, direction_mats, s), direction_mats)
+            gnorm = float(np.linalg.norm(grad))
+            if gnorm < 1e-15:
+                break
+            direction = grad / gnorm
+            improved = False
+            while step > 1e-13 * (1.0 + float(np.abs(s).max())):
+                trial = np.clip(s + step * direction, -box, box)
+                tval = value(trial)
+                if tval > val:
+                    s, val = trial, tval
+                    step = min(step * 2.0, box)
+                    improved = True
+                    break
+                step *= 0.5
+            if not improved:
+                break
+        if val > best_val:
+            best_s, best_val = s, val
+    boundary = bool(np.any(np.abs(best_s) >= box * (1.0 - 1e-9)))
+    return best_s, best_val, boundary

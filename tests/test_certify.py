@@ -13,12 +13,19 @@ from slicecert import (
     solve_velocities,
     witt_artin_frame,
 )
-from slicecert.certify import DEFINITENESS_TOL, VelocityFamily
+from slicecert.certify import (
+    DEFINITENESS_TOL,
+    SEARCH_BOX,
+    SEARCH_MAX_ITER,
+    SEARCH_RESTARTS,
+    VelocityFamily,
+    _ascend_lambda_min,
+)
 from slicecert.errors import NotRelativeEquilibrium, PreconditionViolated
 from slicecert.linalg import inertia
 from slicecert.symmetry import Subalgebra, compactness_certificate, isotropy_algebra
 
-from reference import group_exp
+from reference import group_exp, sequential_ascend_lambda_min
 from systems import canonical_space, example1_generator, example1_hamiltonian, random_system_suite
 
 
@@ -246,28 +253,103 @@ class TestOrthogonalVelocity:
         assert nontrivial >= 2
 
 
+def _both_signs_as_sequential(h0, dirs, seed, restarts=SEARCH_RESTARTS, max_iter=SEARCH_MAX_ITER, box=SEARCH_BOX):
+    """Run the lockstep ascent and the restart-by-restart one on h0 and then
+    on -h0, each pair from one rng as ``definiteness_search`` does, and
+    require the same s bits, value and boundary flag; return the lockstep
+    (s, value, boundary) of both signs."""
+    lockstep, sequential = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = []
+    for sign in (1.0, -1.0):
+        hs, ds = sign * h0, [sign * d for d in dirs]
+        got = _ascend_lambda_min(hs, ds, lockstep, restarts, box, max_iter)
+        want = sequential_ascend_lambda_min(hs, ds, sequential, restarts, box, max_iter)
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        assert got[2] == want[2]
+        out.append(got)
+    return out
+
+
+def _symmetric(rng, *shape):
+    a = rng.standard_normal(shape)
+    return a + np.swapaxes(a, -1, -2)
+
+
 class TestAscentInternals:
     def test_boundary_hit_flagged_on_unbounded_family(self):
-        from slicecert.certify import _ascend_lambda_min
-
         # lambda_min(H(s)) = s grows without bound: the optimum sits on the box
         h0 = np.zeros((1, 1))
         dirs = [np.eye(1)]
-        s, val, boundary = _ascend_lambda_min(h0, dirs, np.random.default_rng(0), 5, 100.0, 300)
+        (s, val, boundary), _ = _both_signs_as_sequential(h0, dirs, 0, restarts=5, max_iter=300, box=100.0)
         assert boundary
         assert abs(s[0] - 100.0) <= 1e-6
         assert abs(val - 100.0) <= 1e-6
 
     def test_interior_optimum_not_flagged(self):
-        from slicecert.certify import _ascend_lambda_min
-
         # lambda_min = -|s - 1| + 0: kink optimum at s = 1
         h0 = np.diag([1.0, -1.0])
         dirs = [np.diag([-1.0, 1.0])]
-        s, val, boundary = _ascend_lambda_min(h0, dirs, np.random.default_rng(0), 5, 100.0, 300)
+        (s, val, boundary), _ = _both_signs_as_sequential(h0, dirs, 0, restarts=5, max_iter=300, box=100.0)
         assert not boundary
         assert abs(s[0] - 1.0) <= 1e-6
         assert abs(val) <= 1e-6
+
+
+class TestLockstepAscent:
+    """The restarts ascend together with stacked eigen-solves, and must
+    return the bits of the restart-by-restart ascent."""
+
+    KINK_H0 = np.diag([0.0, 0.0, 1.0])
+    KINK_DIRS = np.array([np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 0.1, -1.0])])
+    # the best lambda_min the averaged supergradient reaches on the kink
+    # family, whose optimum is 1/21 at s = (1/21, 20/21)
+    KINK_STALLS = {
+        0: 0.0,
+        1: 0.0,
+        2: 0.018093961106016673,
+        3: 0.0013973783562492071,
+        4: 0.005105562397792946,
+        5: 0.0,
+        6: 0.0,
+        7: 0.03880980936923541,
+    }
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_kink_family_stalls_as_before(self, seed):
+        (_, val, boundary), _ = _both_signs_as_sequential(self.KINK_H0, self.KINK_DIRS, seed)
+        assert val == pytest.approx(self.KINK_STALLS[seed], rel=1e-12, abs=0.0)
+        assert val < 1.0 / 21.0
+        assert not boundary
+
+    @pytest.mark.parametrize("r", [1, 2, 4, 8])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_random_pencils(self, r, m):
+        for seed in range(3):
+            rng = np.random.default_rng([r, m, seed])
+            _both_signs_as_sequential(_symmetric(rng, r, r), list(_symmetric(rng, m, r, r)), seed)
+
+    def test_clustered_pencil(self):
+        # suite5's shape: H0 = -2I and trace-free D_k, so the averaged
+        # supergradient vanishes at s = 0 and that start stops at once
+        rng = np.random.default_rng(5)
+        dirs = _symmetric(rng, 3, 4, 4)
+        dirs -= np.trace(dirs, axis1=1, axis2=2)[:, None, None] / 4 * np.eye(4)
+        (_, val, _), _ = _both_signs_as_sequential(-2.0 * np.eye(4), list(dirs), 0)
+        assert val >= -2.0
+
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    def test_iteration_cap(self, max_iter):
+        rng = np.random.default_rng(max_iter)
+        _both_signs_as_sequential(_symmetric(rng, 3, 3), list(_symmetric(rng, 2, 3, 3)), 1, max_iter=max_iter)
+        _both_signs_as_sequential(self.KINK_H0, self.KINK_DIRS, 2, max_iter=max_iter)
+
+    def test_empty_family(self):
+        h0 = np.diag([3.0, -1.0, 2.0])
+        for (s, val, boundary) in _both_signs_as_sequential(h0, np.zeros((0, 3, 3)), 0):
+            assert s.shape == (0,)
+            assert not boundary
+        assert _both_signs_as_sequential(h0, [], 0)[0][1] == -1.0
 
 
 class TestConcavity:

@@ -215,6 +215,14 @@ class TestValidation:
         with pytest.raises(ValidationError):
             LieAlgebraBasis.build(space4, np.array([a, 2.0 * a]))
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6])
+    def test_independence_does_not_depend_on_scale(self, space4, scale):
+        a = scale * example1_generator()
+        LieAlgebraBasis.build(space4, a[None, :, :])
+        for dependent in ([np.zeros((4, 4))], [a, np.zeros((4, 4))], [a, 2.0 * a]):
+            with pytest.raises(ValidationError, match="linearly dependent"):
+                LieAlgebraBasis.build(space4, np.array(dependent))
+
     def test_rejects_non_hamiltonian_generator(self, space4):
         bad = np.diag([1.0, 0.0, 0.0, 0.0])  # pairs x1 with itself: not in sp(4)
         with pytest.raises(ValidationError, match="Hamiltonian"):
