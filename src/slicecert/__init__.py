@@ -26,7 +26,7 @@ from .certify import (
     velocity_residual,
 )
 from .dynamics import ProbeReport, integrate, orbit_distance, stability_probe
-from .cli import SystemDefinition, bundled_system, load_system, serialize_system
+from .cli import SystemDefinition, bundled_system, load_system
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "stability_probe",
     "SystemDefinition",
     "load_system",
-    "serialize_system",
     "bundled_system",
     "errors",
 ]

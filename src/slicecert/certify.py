@@ -32,6 +32,9 @@ VELOCITY_TOL = 1e-9
 SEARCH_RESTARTS = 20
 SEARCH_BOX = 1e3
 SEARCH_MAX_ITER = 500
+# Eigenvalues within CLUSTER_TOL * max(1, max|w|) of the smallest share its
+# eigenspace in the supergradient.
+CLUSTER_TOL = 1e-8
 
 VERDICT_POS = "STABLE_POS_DEF"
 VERDICT_NEG = "STABLE_NEG_DEF"
@@ -179,7 +182,7 @@ def orthogonal_velocity(family, algebra_metric):
     return family.xi1 - hb.T @ coef
 
 
-def _min_eig_supergradient(w, u, direction_mats, cluster_tol=1e-8):
+def _min_eig_supergradient(w, u, direction_mats):
     """Supergradient of s -> lambda_min(H(s)) from the eigenpairs (w, u) of H(s).
 
     At a simple minimal eigenvalue this is (u^T D_k u); at clustered
@@ -187,7 +190,7 @@ def _min_eig_supergradient(w, u, direction_mats, cluster_tol=1e-8):
     averaged, which is a valid supergradient of the concave objective.
     """
     scale = max(1.0, float(np.abs(w).max()))
-    members = np.nonzero(w <= w[0] + cluster_tol * scale)[0]
+    members = np.nonzero(w <= w[0] + CLUSTER_TOL * scale)[0]
     cols = u[:, members]
     return np.array([np.einsum("ij,jk,ki->i", cols.T, d, cols).sum() / len(members) for d in direction_mats])
 
@@ -221,24 +224,24 @@ def _certificate(hm, xi, boundary=False):
     )
 
 
-def _ascend_lambda_min(h0, direction_mats, rng, restarts, box, max_iter):
-    """Projected supergradient ascent of lambda_min over the box |s|_inf <= box.
+def _ascend_lambda_min(h0, direction_mats, rng):
+    """Projected supergradient ascent of lambda_min over the box |s|_inf <= SEARCH_BOX.
 
-    The starts, s = 0 and ``restarts`` uniform points of the box, ascend
+    The starts, s = 0 and SEARCH_RESTARTS uniform points of the box, ascend
     together, each on the path it would take alone.  A round takes one
     supergradient step for every start that has just moved, from one stacked
     ``eigh``, and one backtracking trial along its direction for every start
     still live, from one stacked ``eigvalsh``.  The step doubles on success,
-    up to ``box``, and halves on failure.  A start stops when its
+    up to SEARCH_BOX, and halves on failure.  A start stops when its
     supergradient vanishes, its step falls to 1e-13 (1 + |s|_inf), or it
-    has taken ``max_iter`` supergradient steps.  The first of the best
+    has taken SEARCH_MAX_ITER supergradient steps.  The first of the best
     starts wins.
     """
     m = len(direction_mats)
     if m == 0:
         return np.zeros(0), float(np.linalg.eigvalsh(h0)[0]), False
 
-    s = np.vstack([np.zeros((1, m)), rng.uniform(-box, box, size=(restarts, m))])
+    s = np.vstack([np.zeros((1, m)), rng.uniform(-SEARCH_BOX, SEARCH_BOX, size=(SEARCH_RESTARTS, m))])
     val = np.linalg.eigvalsh(_combine(h0, direction_mats, s))[:, 0]
     step = 1.0 + np.abs(s).max(axis=1)
     direction = np.zeros_like(s)
@@ -246,7 +249,7 @@ def _ascend_lambda_min(h0, direction_mats, rng, restarts, box, max_iter):
     live = np.ones(len(s), dtype=bool)
     moved = np.ones(len(s), dtype=bool)  # needs a supergradient at its s
     while live.any():
-        live &= ~moved | (ascents < max_iter)
+        live &= ~moved | (ascents < SEARCH_MAX_ITER)
         idx = np.flatnonzero(live & moved)
         if idx.size:
             w, u = np.linalg.eigh(_combine(h0, direction_mats, s[idx]))
@@ -261,21 +264,21 @@ def _ascend_lambda_min(h0, direction_mats, rng, restarts, box, max_iter):
             moved[idx] = False
         live &= step > 1e-13 * (1.0 + np.abs(s).max(axis=1))
         idx = np.flatnonzero(live)
-        trial = np.clip(s[idx] + step[idx, None] * direction[idx], -box, box)
+        trial = np.clip(s[idx] + step[idx, None] * direction[idx], -SEARCH_BOX, SEARCH_BOX)
         tval = np.linalg.eigvalsh(_combine(h0, direction_mats, trial))[:, 0]
         up = tval > val[idx]
         s[idx[up]], val[idx[up]] = trial[up], tval[up]
-        step[idx] = np.where(up, np.minimum(step[idx] * 2.0, box), step[idx] * 0.5)
+        step[idx] = np.where(up, np.minimum(step[idx] * 2.0, SEARCH_BOX), step[idx] * 0.5)
         moved[idx] = up
     best_s, best_val = np.zeros(m), -np.inf
     for si, vi in zip(s, val):
         if vi > best_val:
             best_s, best_val = si.copy(), float(vi)
-    boundary = bool(np.any(np.abs(best_s) >= box * (1.0 - 1e-9)))
+    boundary = bool(np.any(np.abs(best_s) >= SEARCH_BOX * (1.0 - 1e-9)))
     return best_s, best_val, boundary
 
 
-def definiteness_search(pencil, rng=None):
+def definiteness_search(pencil, rng):
     """Search the pencil's family for a definite restricted Hessian.
 
     Maximizes lambda_min(H(s)) and lambda_min(-H(s)) separately by projected
@@ -284,9 +287,12 @@ def definiteness_search(pencil, rng=None):
     optimum with the larger scaled value, and judges it by the verdict rule
     of ``_certificate``.  ``solve_velocities`` has already checked xi1.
     INCONCLUSIVE makes no instability claim (the criterion is sufficient
-    only).
+    only).  The restarts are drawn from ``rng``, a numpy Generator or a seed;
+    None, which would draw fresh entropy, raises TypeError.
     """
-    rng = np.random.default_rng(42 if rng is None else rng)
+    if rng is None:
+        raise TypeError("rng must be a seed or a numpy Generator, not None")
+    rng = np.random.default_rng(rng)
     h0, direction_mats, family = pencil.h0, pencil.directions, pencil.family
     if h0.shape[0] == 0:
         return _certificate(h0, family.xi1.copy())
@@ -295,8 +301,8 @@ def definiteness_search(pencil, rng=None):
         s, value, _ = optimum
         return value / max(1.0, float(np.abs(_combine(h0, direction_mats, s)).max()))
 
-    pos = _ascend_lambda_min(h0, direction_mats, rng, SEARCH_RESTARTS, SEARCH_BOX, SEARCH_MAX_ITER)
-    neg = _ascend_lambda_min(-h0, -direction_mats, rng, SEARCH_RESTARTS, SEARCH_BOX, SEARCH_MAX_ITER)
+    pos = _ascend_lambda_min(h0, direction_mats, rng)
+    neg = _ascend_lambda_min(-h0, -direction_mats, rng)
     s_best, _, boundary = pos if scaled(pos) >= scaled(neg) else neg
     return _certificate(_combine(h0, direction_mats, s_best), family.member(s_best), boundary)
 

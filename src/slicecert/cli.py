@@ -16,7 +16,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -51,6 +51,8 @@ EXIT_STABLE = 0
 EXIT_INCONCLUSIVE = 2
 EXIT_NOT_RELATIVE_EQUILIBRIUM = 3
 EXIT_VALIDATION = 4
+
+SEED = 42  # the default --seed of certify and probe
 
 CERTIFICATE_NOTE = (
     "Definiteness of the restricted Hessian is a sufficient condition; "
@@ -159,13 +161,7 @@ def system_from_dict(data):
         raise ValidationError(
             f"hamiltonian is not invariant under the group action (residual {residual:.3e})"
         )
-    return SystemDefinition(
-        space=space,
-        algebra=algebra,
-        hamiltonian=hamiltonian,
-        point=point,
-        algebra_metric=algebra_metric,
-    )
+    return SystemDefinition(space, algebra, hamiltonian, point, algebra_metric)
 
 
 def load_system(path):
@@ -184,20 +180,6 @@ def load_system(path):
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in '{path}': {exc}") from exc
     return system_from_dict(data)
-
-
-def serialize_system(system):
-    """Dict representation that round-trips through system_from_dict."""
-    return {
-        "dim": system.space.dim,
-        "omega": system.space.omega.tolist(),
-        "metric": system.space.metric.tolist(),
-        "generators": system.algebra.generators.tolist(),
-        "structureConstants": system.algebra.structure.tolist(),
-        "hamiltonian": system.hamiltonian.to_records(),
-        "point": system.point.tolist(),
-        "algebraMetric": system.algebra_metric.tolist(),
-    }
 
 
 def _jsonable(value):
@@ -219,21 +201,20 @@ def _jsonable(value):
 
 
 def cmd_validate(system):
-    report = {
+    return {
         "valid": True,
         "dim": system.space.dim,
         "numGenerators": system.algebra.dim,
         "hamiltonianDegree": system.hamiltonian.degree(),
         "compactnessVerified": compactness_certificate(system.algebra, system.space.metric),
-    }
-    return report, 0
+    }, 0
 
 
 def cmd_analyze(system, point=None):
     p = system.space.check_point(point) if point is not None else system.point
     algebra = system.algebra
     frame = witt_artin_frame(system.space, algebra, p)
-    report = {
+    return {
         "point": p,
         "mu": frame.mu,
         "dimAlgebra": algebra.dim,
@@ -248,8 +229,13 @@ def cmd_analyze(system, point=None):
             "n0": frame.basis_n0,
         },
         "compactnessVerified": compactness_certificate(algebra, system.space.metric),
-    }
-    return report, 0
+    }, 0
+
+
+def _camel(name):
+    """A report key from a field name: max_orbit_distance -> maxOrbitDistance."""
+    head, *rest = name.split("_")
+    return head + "".join(part.title() for part in rest)
 
 
 def _seeded_rng(seed):
@@ -259,7 +245,7 @@ def _seeded_rng(seed):
     return np.random.default_rng(seed)
 
 
-def cmd_certify(system, velocity=None, seed=42):
+def cmd_certify(system, velocity=None, seed=SEED):
     rng = _seeded_rng(seed)
     frame = witt_artin_frame(system.space, system.algebra, system.point)
     family = solve_velocities(system.hamiltonian, frame)
@@ -269,7 +255,7 @@ def cmd_certify(system, velocity=None, seed=42):
         cert = definiteness_search(pencil, rng=rng)
     else:
         cert = velocity_certificate(pencil, velocity)
-    report = {
+    return {
         "verdict": cert.verdict,
         "xiStar": cert.xi_star,
         "spectrum": cert.spectrum,
@@ -283,38 +269,14 @@ def cmd_certify(system, velocity=None, seed=42):
         "velocityResidual": family.residual,
         "familyDim": family.dim,
         "note": CERTIFICATE_NOTE,
-    }
-    return report, (EXIT_STABLE if cert.stable else EXIT_INCONCLUSIVE)
+    }, (EXIT_STABLE if cert.stable else EXIT_INCONCLUSIVE)
 
 
-def cmd_probe(system, epsilon=1e-3, horizon=100.0, samples=16, dt=1e-2,
-              escape_factor=100.0, seed=42, csv_path=None):
-    report = stability_probe(
-        system.space,
-        system.algebra,
-        system.hamiltonian,
-        system.point,
-        epsilon=epsilon,
-        horizon=horizon,
-        samples=samples,
-        dt=dt,
-        escape_factor=escape_factor,
-        rng=_seeded_rng(seed),
-        csv_path=csv_path,
-    )
-    out = {
-        "epsilon": report.epsilon,
-        "horizon": report.horizon,
-        "samples": report.samples,
-        "maxOrbitDistance": report.max_orbit_distance,
-        "energyDrift": report.energy_drift,
-        "momentumDrift": report.momentum_drift,
-        "escaped": report.escaped,
-        "solverFailures": report.solver_failures,
-        "dt": report.dt,
-        "escapeFactor": report.escape_factor,
-    }
-    return out, 0
+def cmd_probe(system, epsilon=1e-3, horizon=100.0, samples=16, seed=SEED, **options):
+    """``options`` are stability_probe's: dt, escape_factor and csv_path."""
+    report = stability_probe(system.space, system.algebra, system.hamiltonian, system.point, epsilon=epsilon,
+                             horizon=horizon, samples=samples, rng=_seeded_rng(seed), **options)
+    return {_camel(field.name): getattr(report, field.name) for field in fields(report)}, 0
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -342,29 +304,31 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_val = sub.add_parser("validate", help="load a system file and check every invariant")
-    p_val.add_argument("file")
+    def command(name, summary):  # an option left out takes the command function's default
+        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
 
-    p_ana = sub.add_parser("analyze", help="momentum, isotropy, and slice dimensions at a point")
+    command("validate", "load a system file and check every invariant").add_argument("file")
+
+    p_ana = command("analyze", "momentum, isotropy, and slice dimensions at a point")
     p_ana.add_argument("file")
-    p_ana.add_argument("--point", type=_parse_vector, default=None,
+    p_ana.add_argument("--point", type=_parse_vector,
                        help="comma-separated coordinates overriding the system point")
 
-    p_cert = sub.add_parser("certify", help="search the velocity family for a definite restricted Hessian")
+    p_cert = command("certify", "search the velocity family for a definite restricted Hessian")
     p_cert.add_argument("file")
-    p_cert.add_argument("--velocity", type=_parse_vector, default=None,
+    p_cert.add_argument("--velocity", type=_parse_vector,
                         help="fixed velocity coordinates; disables the search")
-    p_cert.add_argument("--seed", type=int, default=42)
+    p_cert.add_argument("--seed", type=int)
 
-    p_probe = sub.add_parser("probe", help="integrate trajectories near the point and track orbit distance")
+    p_probe = command("probe", "integrate trajectories near the point and track orbit distance")
     p_probe.add_argument("file")
-    p_probe.add_argument("--epsilon", type=float, default=1e-3)
-    p_probe.add_argument("--horizon", type=float, default=100.0)
-    p_probe.add_argument("--samples", type=int, default=16)
-    p_probe.add_argument("--dt", type=float, default=1e-2)
-    p_probe.add_argument("--escape-factor", type=float, default=100.0)
-    p_probe.add_argument("--csv", default=None)
-    p_probe.add_argument("--seed", type=int, default=42)
+    p_probe.add_argument("--epsilon", type=float)
+    p_probe.add_argument("--horizon", type=float)
+    p_probe.add_argument("--samples", type=int)
+    p_probe.add_argument("--dt", type=float)
+    p_probe.add_argument("--escape-factor", type=float)
+    p_probe.add_argument("--csv", dest="csv_path", metavar="CSV")
+    p_probe.add_argument("--seed", type=int)
 
     return parser
 
@@ -376,9 +340,9 @@ def _summary(command, report):
             f"xiStar={report['xiStar']} compact={report['compactnessVerified']}"
         )
     if command == "probe":  # a non-finite float is None here, null in the JSON
-        fields = [f"{key}={'null' if report[key] is None else format(report[key], '.3e')}"
+        drifts = [f"{key}={'null' if report[key] is None else format(report[key], '.3e')}"
                   for key in ("maxOrbitDistance", "energyDrift", "momentumDrift")]
-        return " ".join([f"escaped={report['escaped']}", *fields])
+        return " ".join([f"escaped={report['escaped']}", *drifts])
     if command == "analyze":
         return (
             f"dims(h,k,n)={report['dimIsotropy']},{report['dimMomentumIsotropy']},"
@@ -389,25 +353,11 @@ def _summary(command, report):
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
-        system = load_system(args.file)
-        if args.command == "validate":
-            report, code = cmd_validate(system)
-        elif args.command == "analyze":
-            report, code = cmd_analyze(system, point=args.point)
-        elif args.command == "certify":
-            report, code = cmd_certify(system, velocity=args.velocity, seed=args.seed)
-        else:
-            report, code = cmd_probe(
-                system,
-                epsilon=args.epsilon,
-                horizon=args.horizon,
-                samples=args.samples,
-                dt=args.dt,
-                escape_factor=args.escape_factor,
-                seed=args.seed,
-                csv_path=args.csv,
-            )
+        options = vars(build_parser().parse_args(argv))
+        command = options.pop("command")
+        system = load_system(options.pop("file"))
+        # the command's function, found by its name
+        report, code = globals()[f"cmd_{command}"](system, **options)
     except SliceCertError as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}))
         print(f"error: {exc}", file=sys.stderr)
@@ -424,7 +374,7 @@ def main(argv=None):
             file=sys.stderr,
         )
     print(json.dumps(_jsonable(report), indent=2))
-    print(_summary(args.command, _jsonable(report)), file=sys.stderr)
+    print(_summary(command, _jsonable(report)), file=sys.stderr)
     return code
 
 

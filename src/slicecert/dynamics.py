@@ -714,9 +714,9 @@ def stability_probe(
     epsilon,
     horizon,
     samples,
+    rng,
     dt=1e-2,
     escape_factor=100.0,
-    rng=None,
     csv_path=None,
 ):
     """Integrate ``samples`` trajectories from the metric epsilon-ball at p.
@@ -738,6 +738,8 @@ def stability_probe(
     superblocks start at each segment.  A sample whose Newton solve fails
     counts as one solver failure and leaves the batch.
     A trajectory that overflows, or none measured, reads as escape.
+    The starts are drawn from ``rng``, a numpy Generator or a seed; None,
+    which would draw fresh entropy, raises TypeError.
     """
     for name, value in (("epsilon", epsilon), ("horizon", horizon), ("dt", dt),
                         ("escape_factor", escape_factor)):
@@ -754,7 +756,9 @@ def stability_probe(
         )
     steps = max(1, math.ceil(horizon / dt))
     p = space.check_point(p)
-    rng = np.random.default_rng(42 if rng is None else rng)
+    if rng is None:
+        raise TypeError("rng must be a seed or a numpy Generator, not None")
+    rng = np.random.default_rng(rng)
     stride = max(1, steps // 200)
     inv_sqrt = metric_inv_sqrt(space.metric)
     mm = MomentumMap(space, algebra)

@@ -1,15 +1,12 @@
 """Rank-revealing linear algebra helpers shared by the geometric modules."""
 
-import os
-
 import numpy as np
 
 from .errors import ValidationError
 
 # A singular value sigma counts as zero iff sigma <= RANK_TOL * max(1, scale),
 # where scale is the largest singular value of the matrix being judged.
-# The environment variable SLICECERT_TOL overrides the default.
-RANK_TOL = float(os.environ.get("SLICECERT_TOL", "1e-9"))
+RANK_TOL = 1e-9
 
 
 def _rank(sigma, scale):

@@ -152,19 +152,12 @@ class Poly:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_records(cls, nvars, records):
-        """Build from a list of {"exponents": [...], "coeff": c} records.
-
-        Records with equal exponents add up, in record order.  Exponents
-        must be whole numbers (2.0 passes; 2.5, true and "2" raise
-        ParseError).
-        """
-        return cls.from_terms(nvars, [rec["exponents"] for rec in records], [rec["coeff"] for rec in records])
-
-    @classmethod
     def from_terms(cls, nvars, rows, coeffs):
-        """Build from exponent rows and their coefficients, as
-        ``from_records`` does from records holding them."""
+        """Build from exponent rows and their coefficients.
+
+        Rows with equal exponents add up, in row order.  Exponents must be
+        whole numbers (2.0 passes; 2.5, true and "2" raise ParseError).
+        """
         poly = cls.__new__(cls)
         poly._collect(nvars, rows, coeffs)
         return poly
@@ -194,12 +187,6 @@ class Poly:
     def _terms(self):
         """{exponent tuple: coefficient}, in monomial order."""
         return dict(zip(map(tuple, self._exps.tolist()), self._coeffs.tolist()))
-
-    def to_records(self):
-        return [
-            {"exponents": list(exps), "coeff": coeff}
-            for exps, coeff in sorted(self._terms.items())
-        ]
 
     # -- structure ---------------------------------------------------------
 

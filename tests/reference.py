@@ -71,7 +71,7 @@ def gathered_product_value(poly, x):
 def records_by_terms(records):
     """{exponent tuple: summed coefficient} of Poly records, summed term by
     term in record order, in order of first appearance, with the sums at
-    or below COEFF_DEDUP dropped: what ``Poly.from_records`` must hold."""
+    or below COEFF_DEDUP dropped: what ``Poly.from_terms`` must hold."""
     terms = {}
     for rec in records:
         key = tuple(int(e) for e in rec["exponents"])

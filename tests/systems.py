@@ -24,7 +24,10 @@ linear substitutions are the plain functions ``poly_constant``,
 them, the pipeline never builds polynomials from others, so ``Poly`` has no
 arithmetic of its own.  ``Poly(nvars)`` is the zero polynomial.  Likewise
 ``quadratic_form`` builds x^T Q x and ``canonical_space`` the space with the
-canonical omega and the identity metric.
+canonical omega and the identity metric.  ``serialize_system`` writes a
+system as the dict ``system_from_dict`` reads, and ``poly_records`` and
+``poly_from_records`` turn a Poly into hamiltonian records and back: the
+program itself only reads system files.
 """
 
 import dataclasses
@@ -34,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from slicecert import MomentumMap, Poly, SymplecticSpace, canonical_omega
-from slicecert.cli import serialize_system, system_from_dict
+from slicecert.cli import system_from_dict
 from slicecert.linalg import nullspace
 
 SUITE_FILE = Path(__file__).with_name("suite_systems.json")
@@ -76,6 +79,18 @@ def poly_terms(a):
     """The polynomial a as a {exponents: coefficient} dict, in a's own term
     order, so sums and products accumulate in the order they always have."""
     return dict(a._terms)
+
+
+def poly_records(a):
+    """The polynomial a as system-file records {"exponents", "coeff"}, in
+    monomial order."""
+    return [{"exponents": list(exps), "coeff": coeff} for exps, coeff in sorted(a._terms.items())]
+
+
+def poly_from_records(nvars, records):
+    """The Poly of system-file records, read as ``system_from_dict`` reads a
+    hamiltonian: records with equal exponents add up, in record order."""
+    return Poly.from_terms(nvars, [rec["exponents"] for rec in records], [rec["coeff"] for rec in records])
 
 
 def poly_constant(nvars, value):
@@ -354,6 +369,20 @@ def solve_hamiltonian_at(space, algebra, basis_polys, p, rng, tries=50):
     return h, xi
 
 
+def serialize_system(system):
+    """Dict representation that round-trips through system_from_dict."""
+    return {
+        "dim": system.space.dim,
+        "omega": system.space.omega.tolist(),
+        "metric": system.space.metric.tolist(),
+        "generators": system.algebra.generators.tolist(),
+        "structureConstants": system.algebra.structure.tolist(),
+        "hamiltonian": poly_records(system.hamiltonian),
+        "point": system.point.tolist(),
+        "algebraMetric": system.algebra_metric.tolist(),
+    }
+
+
 def _finish(space, gens, h, point, structure=None):
     """Run everything through the full validator so each random system is a
     genuinely valid system file."""
@@ -362,7 +391,7 @@ def _finish(space, gens, h, point, structure=None):
         "omega": space.omega.tolist(),
         "metric": space.metric.tolist(),
         "generators": np.asarray(gens).tolist(),
-        "hamiltonian": h.to_records(),
+        "hamiltonian": poly_records(h),
         "point": np.asarray(point, dtype=float).tolist(),
     }
     if structure is not None:
@@ -464,6 +493,22 @@ def with_scaled_omega(index, factor):
     """Suite system ``index`` with omega multiplied by ``factor``."""
     data = suite_data(index)
     return dict(data, omega=(factor * np.array(data["omega"])).tolist())
+
+
+def su2_pair_with_scaled_generators(factor):
+    """The su(2) pair of SU2_PAIR_FILE with every generator multiplied by
+    ``factor``."""
+    data = json.loads(SU2_PAIR_FILE.read_text())
+    return dict(data, generators=(factor * np.array(data["generators"])).tolist())
+
+
+def non_closing_pair(factor):
+    """A planar system whose generators, e and f of sl(2) = sp(2) times
+    ``factor``, are Hamiltonian but bracket to factor^2 diag(1, -1), which
+    leaves their span."""
+    gens = factor * np.array([[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
+    return {"dim": 2, "generators": gens.tolist(), "hamiltonian": [{"exponents": [2, 0], "coeff": 1.0}],
+            "point": [0.0, 0.0]}
 
 
 def suite2_asymmetric_algebra_metric():

@@ -6,6 +6,7 @@ import pytest
 from slicecert import (
     LieAlgebraBasis,
     Poly,
+    certify,
     definiteness_search,
     orthogonal_velocity,
     restricted_hessian,
@@ -13,14 +14,7 @@ from slicecert import (
     solve_velocities,
     witt_artin_frame,
 )
-from slicecert.certify import (
-    DEFINITENESS_TOL,
-    SEARCH_BOX,
-    SEARCH_MAX_ITER,
-    SEARCH_RESTARTS,
-    VelocityFamily,
-    _ascend_lambda_min,
-)
+from slicecert.certify import DEFINITENESS_TOL, VelocityFamily, _ascend_lambda_min
 from slicecert.errors import NotRelativeEquilibrium, PreconditionViolated
 from slicecert.linalg import inertia
 from slicecert.symmetry import Subalgebra, compactness_certificate, isotropy_algebra
@@ -138,6 +132,14 @@ class TestDefinitenessSearch:
         assert not cert.boundary_hit
         assert compactness_certificate(algebra, space.metric)
 
+    def test_refuses_no_seed(self, parts):
+        # None would draw fresh entropy: the search is deterministic only given a seed
+        space, algebra, h = parts
+        frame = witt_artin_frame(space, algebra, np.zeros(4))
+        pencil = slice_pencil(h, frame, solve_velocities(h, frame))
+        with pytest.raises(TypeError, match="rng"):
+            definiteness_search(pencil, None)
+
     def test_zero_dimensional_family_indefinite(self):
         space = canonical_space(2)
         algebra = LieAlgebraBasis.build(space, np.zeros((0, 2, 2)))
@@ -253,22 +255,32 @@ class TestOrthogonalVelocity:
         assert nontrivial >= 2
 
 
-def _both_signs_as_sequential(h0, dirs, seed, restarts=SEARCH_RESTARTS, max_iter=SEARCH_MAX_ITER, box=SEARCH_BOX):
+def _both_signs_as_sequential(h0, dirs, seed):
     """Run the lockstep ascent and the restart-by-restart one on h0 and then
-    on -h0, each pair from one rng as ``definiteness_search`` does, and
-    require the same s bits, value and boundary flag; return the lockstep
-    (s, value, boundary) of both signs."""
+    on -h0, each pair from one rng as ``definiteness_search`` does, at the
+    search constants ``certify`` holds now, and require the same s bits,
+    value and boundary flag; return the lockstep (s, value, boundary) of
+    both signs."""
     lockstep, sequential = np.random.default_rng(seed), np.random.default_rng(seed)
     out = []
     for sign in (1.0, -1.0):
         hs, ds = sign * h0, [sign * d for d in dirs]
-        got = _ascend_lambda_min(hs, ds, lockstep, restarts, box, max_iter)
-        want = sequential_ascend_lambda_min(hs, ds, sequential, restarts, box, max_iter)
+        got = _ascend_lambda_min(hs, ds, lockstep)
+        want = sequential_ascend_lambda_min(hs, ds, sequential, certify.SEARCH_RESTARTS, certify.SEARCH_BOX,
+                                            certify.SEARCH_MAX_ITER)
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
         assert got[2] == want[2]
         out.append(got)
     return out
+
+
+@pytest.fixture
+def small_search(monkeypatch):
+    """5 restarts per sign, 300 supergradient steps each, in the box |s|_inf <= 100."""
+    monkeypatch.setattr(certify, "SEARCH_RESTARTS", 5)
+    monkeypatch.setattr(certify, "SEARCH_MAX_ITER", 300)
+    monkeypatch.setattr(certify, "SEARCH_BOX", 100.0)
 
 
 def _symmetric(rng, *shape):
@@ -277,20 +289,20 @@ def _symmetric(rng, *shape):
 
 
 class TestAscentInternals:
-    def test_boundary_hit_flagged_on_unbounded_family(self):
+    def test_boundary_hit_flagged_on_unbounded_family(self, small_search):
         # lambda_min(H(s)) = s grows without bound: the optimum sits on the box
         h0 = np.zeros((1, 1))
         dirs = [np.eye(1)]
-        (s, val, boundary), _ = _both_signs_as_sequential(h0, dirs, 0, restarts=5, max_iter=300, box=100.0)
+        (s, val, boundary), _ = _both_signs_as_sequential(h0, dirs, 0)
         assert boundary
         assert abs(s[0] - 100.0) <= 1e-6
         assert abs(val - 100.0) <= 1e-6
 
-    def test_interior_optimum_not_flagged(self):
+    def test_interior_optimum_not_flagged(self, small_search):
         # lambda_min = -|s - 1| + 0: kink optimum at s = 1
         h0 = np.diag([1.0, -1.0])
         dirs = [np.diag([-1.0, 1.0])]
-        (s, val, boundary), _ = _both_signs_as_sequential(h0, dirs, 0, restarts=5, max_iter=300, box=100.0)
+        (s, val, boundary), _ = _both_signs_as_sequential(h0, dirs, 0)
         assert not boundary
         assert abs(s[0] - 1.0) <= 1e-6
         assert abs(val) <= 1e-6
@@ -339,10 +351,11 @@ class TestLockstepAscent:
         assert val >= -2.0
 
     @pytest.mark.parametrize("max_iter", [1, 3])
-    def test_iteration_cap(self, max_iter):
+    def test_iteration_cap(self, max_iter, monkeypatch):
+        monkeypatch.setattr(certify, "SEARCH_MAX_ITER", max_iter)
         rng = np.random.default_rng(max_iter)
-        _both_signs_as_sequential(_symmetric(rng, 3, 3), list(_symmetric(rng, 2, 3, 3)), 1, max_iter=max_iter)
-        _both_signs_as_sequential(self.KINK_H0, self.KINK_DIRS, 2, max_iter=max_iter)
+        _both_signs_as_sequential(_symmetric(rng, 3, 3), list(_symmetric(rng, 2, 3, 3)), 1)
+        _both_signs_as_sequential(self.KINK_H0, self.KINK_DIRS, 2)
 
     def test_empty_family(self):
         h0 = np.diag([3.0, -1.0, 2.0])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import slicecert
-from slicecert import LieAlgebraBasis, MomentumMap, Poly, bundled_system, cli, load_system, serialize_system, symmetry
+from slicecert import LieAlgebraBasis, MomentumMap, Poly, bundled_system, cli, load_system, symmetry
 from slicecert.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_NOT_RELATIVE_EQUILIBRIUM,
@@ -30,12 +30,86 @@ from slicecert.errors import ParseError, ValidationError
 from reference import count_calls
 from systems import (
     SU2_PAIR_FILE,
+    serialize_system,
     suite2_asymmetric_algebra_metric,
     suite6_under_metric,
     suite_data,
     with_point,
     with_scaled_omega,
 )
+
+
+# --help of slicecert and of each command at COLUMNS=80, option order included
+HELP = {
+    "": """\
+usage: slicecert [-h] {validate,analyze,certify,probe} ...
+
+Certify Lyapunov stability of relative equilibria in symmetric Hamiltonian
+systems.
+
+positional arguments:
+  {validate,analyze,certify,probe}
+    validate            load a system file and check every invariant
+    analyze             momentum, isotropy, and slice dimensions at a point
+    certify             search the velocity family for a definite restricted
+                        Hessian
+    probe               integrate trajectories near the point and track orbit
+                        distance
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "validate": """\
+usage: slicecert validate [-h] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "analyze": """\
+usage: slicecert analyze [-h] [--point POINT] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help     show this help message and exit
+  --point POINT  comma-separated coordinates overriding the system point
+""",
+    "certify": """\
+usage: slicecert certify [-h] [--velocity VELOCITY] [--seed SEED] file
+
+positional arguments:
+  file
+
+options:
+  -h, --help           show this help message and exit
+  --velocity VELOCITY  fixed velocity coordinates; disables the search
+  --seed SEED
+""",
+    "probe": """\
+usage: slicecert probe [-h] [--epsilon EPSILON] [--horizon HORIZON]
+                       [--samples SAMPLES] [--dt DT]
+                       [--escape-factor ESCAPE_FACTOR] [--csv CSV]
+                       [--seed SEED]
+                       file
+
+positional arguments:
+  file
+
+options:
+  -h, --help            show this help message and exit
+  --epsilon EPSILON
+  --horizon HORIZON
+  --samples SAMPLES
+  --dt DT
+  --escape-factor ESCAPE_FACTOR
+  --csv CSV
+  --seed SEED
+""",
+}
 
 
 def example1_dict():
@@ -585,22 +659,35 @@ def _console_script(name):
         return tomllib.load(f)["project"]["scripts"][name]
 
 
-class TestEnvironment:
-    def test_rank_tolerance_env_override(self):
-        code = (
-            "import slicecert.linalg as lin\n"
-            "assert lin.RANK_TOL == 1e-6, lin.RANK_TOL\n"
-            "print('ok')\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            env=_child_env(SLICECERT_TOL="1e-6"),
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "ok"
+class TestOptionDefaults:
+    """Each option's default is written once, in its command function, and
+    main passes on only the flags given."""
 
+    @pytest.mark.parametrize(
+        "argv, defaults",
+        [
+            (["certify", "example1"], ["--seed", "42"]),
+            (["probe", "example1", "--horizon", "0.05"],
+             ["--epsilon", "1e-3", "--samples", "16", "--dt", "0.01", "--escape-factor", "100", "--seed", "42"]),
+            (["probe", "example1", "--samples", "2"], ["--horizon", "100"]),
+        ],
+        ids=["certify", "probe", "probe-horizon"],
+    )
+    def test_flags_at_their_defaults_change_nothing(self, argv, defaults, capsys):
+        code = main(argv)
+        bare = capsys.readouterr()
+        assert (main(argv + defaults), *capsys.readouterr()) == (code, *bare)
+
+    @pytest.mark.parametrize("command", list(HELP))
+    def test_help_is_unchanged(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            main([*command.split(), "--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out == HELP[command]
+
+
+class TestEnvironment:
     def test_console_entry_point(self):
         # Run the declared target the way pip's generated wrapper does.
         module, attr = _console_script("slicecert").split(":")

@@ -778,7 +778,7 @@ class TestProbe:
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                stability_probe(space, algebra, h, p, epsilon=1e-3, horizon=100.0, samples=64)
+                stability_probe(space, algebra, h, p, epsilon=1e-3, horizon=100.0, samples=64, rng=42)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -856,6 +856,8 @@ class TestProbe:
             {"escape_factor": -1.0},
             {"escape_factor": nan},
         ):
-            args = dict({"epsilon": 1e-3, "horizon": 1.0, "samples": 1}, **bad)
+            args = dict({"epsilon": 1e-3, "horizon": 1.0, "samples": 1, "rng": 0}, **bad)
             with pytest.raises(ValidationError):
                 stability_probe(space, algebra, h, np.zeros(4), **args)
+        with pytest.raises(TypeError, match="rng"):  # None would be unseeded
+            stability_probe(space, algebra, h, np.zeros(4), 1e-3, 1.0, 1, rng=None)

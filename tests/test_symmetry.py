@@ -11,10 +11,20 @@ from slicecert import (
     normalizer_algebra,
 )
 from slicecert.errors import DimensionMismatch, NotClosedUnderBracket, SubalgebraNotContained, ValidationError
+from slicecert.cli import system_from_dict
 from slicecert.symmetry import Subalgebra
 
 from reference import group_exp, omega_form
-from systems import canonical_space, example1_generator, su2_generators
+from systems import (
+    canonical_space,
+    example1_generator,
+    non_closing_pair,
+    random_unitary,
+    realify,
+    su2_generators,
+    su2_pair_with_scaled_generators,
+    torus_generators,
+)
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +237,43 @@ class TestValidation:
         bad = np.diag([1.0, 0.0, 0.0, 0.0])  # pairs x1 with itself: not in sp(4)
         with pytest.raises(ValidationError, match="Hamiltonian"):
             LieAlgebraBasis.build(space4, bad[None, :, :])
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-8, 1e-6, 1.0, 1e3])
+    def test_hamiltonian_check_does_not_depend_on_scale(self, space4, scale):
+        # the residual is judged against |A| |Omega|: x 1e-13 used to pass
+        bad = np.diag([1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValidationError, match="Hamiltonian"):
+            LieAlgebraBasis.build(space4, scale * bad[None, :, :])
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e3])
+    def test_su2_pair_validates_at_every_scale(self, scale):
+        # closure is judged against |A_i| |A_j|: x 1e3 used to be refused
+        # at a closure residual of 1.16e-10
+        system = system_from_dict(su2_pair_with_scaled_generators(scale))
+        assert system.algebra.dim == 3
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1.0, 1e3])
+    def test_non_closing_pair_refused_at_every_scale(self, scale):
+        # x 1e-6 used to pass: its bracket leaves the span by only 1e-12
+        with pytest.raises(NotClosedUnderBracket, match="leaves the generator span"):
+            system_from_dict(non_closing_pair(scale))
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3])
+    def test_supplied_structure_constants_judged_at_every_scale(self, space4, scale):
+        gens = scale * su2_generators(blocks=1)
+        derived = derive_structure_constants(gens)
+        LieAlgebraBasis.build(space4, gens, structure=derived * (1.0 + 1e-13))
+        with pytest.raises(NotClosedUnderBracket, match="supplied"):
+            LieAlgebraBasis.build(space4, gens, structure=np.zeros((3, 3, 3)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_conjugated_three_torus_builds(self, seed):
+        # its commutators vanish only up to rounding, so its derived
+        # constants are rounding noise; the noise must not refuse it
+        rot = realify(random_unitary(np.random.default_rng(seed), 3))
+        gens = np.array([rot @ g @ rot.T for g in torus_generators(np.eye(3))])
+        algebra = LieAlgebraBasis.build(canonical_space(6), gens)
+        assert np.abs(algebra.structure).max() <= 1e-12
 
     def test_rejects_wrong_structure_constants(self, space4):
         gens = su2_generators(blocks=1)
