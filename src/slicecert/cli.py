@@ -45,7 +45,7 @@ from .symmetry import LieAlgebraBasis, compactness_certificate, normalizer_algeb
 from .witt_artin import witt_artin_frame
 from .dynamics import stability_probe
 
-INVARIANCE_TOL = 1e-9
+INVARIANCE_TOL = 1e-9  # on the residual relative to |grad h| |A_i x| (invariance_residual)
 
 EXIT_STABLE = 0
 EXIT_INCONCLUSIVE = 2

@@ -18,15 +18,16 @@ quadratic h it takes the energy as one quadratic form, and any other h a
 block of rows at a time.  When K fixes p the orbit is {p}, and every
 checkpoint distance is one metric norm, all rows at once.  Any other K
 takes one damped Newton search over orbit points q, on the checkpoints of
-a whole chunk at once, row by row: a step s moves q by left translation to
-exp(sum_i s_i A_i) q, with the same derivatives for every K.  Only the
-start and the exponential depend on K.  Abelian K is diagonalized once,
-A_i = V diag(lam_i) V^-1: its exponential is in closed form, and its start
-is the nearest point of a grid whose axes each span one period of their
-generator, built from one table of exp(t_i lam_i) per axis.  Other K start
-at p, each exponential from one eigendecomposition.  Either way the value
-is the distance to an actual orbit point, so it only ever overestimates,
-and probes err toward declaring escape, never toward confirming stability.
+a whole chunk at once, row by row, and the same search serves every K.
+Each generator is diagonalized once, A_i = V_i diag(lam_i) V_i^-1, so
+each factor exp(t_i A_i) is in closed form.  The search starts at the
+nearest point of a grid exp(t_1 A_1) ... exp(t_m A_m) p, each axis one
+period of its generator, tabulated one axis at a time; a step s moves q
+to exp(s_1 A_1) ... exp(s_m A_m) q, by the same factors.  The grid covers
+the orbit when that product covers K, as it does for tori and SU(2).
+The value is the distance to an actual orbit point, so it only ever
+overestimates, and probes err toward declaring escape, never toward
+confirming stability.
 Only numpy runs here: no command imports scipy.
 """
 
@@ -403,25 +404,20 @@ def _invert_rows(jac):
         return out
 
 
-def _joint_diagonalization(amats, norms):
-    """(V, V^-1, lam) with A_i = V diag(lam[i]) V^-1 for every generator A_i,
-    or None when K is non-abelian or a generator is not diagonalizable.
-
-    V comes from one eigendecomposition of a fixed generic combination
-    sum_i c_i A_i; the check that V reconstructs every A_i (to
-    1e-10 (1 + |A_i|)) is the one test of both conditions.
-    """
-    coeffs = np.random.default_rng(0).uniform(1.0, 2.0, len(amats)) / norms
-    _, vecs = np.linalg.eig(np.tensordot(coeffs, amats, axes=1))
-    try:
-        inv = np.linalg.inv(vecs)
-    except np.linalg.LinAlgError:
-        return None
-    lam = np.einsum("kj,ijl,lk->ik", inv, amats, vecs)
-    recon = np.einsum("jk,ik,kl->ijl", vecs, lam, inv)
+def _eigenbases(amats, norms):
+    """(V_i, V_i^-1, lam_i) with A_i = V_i diag(lam_i) V_i^-1, one eigenbasis
+    per generator, or None when some A_i is not diagonalizable: V_i must
+    rebuild A_i to 1e-10 (1 + |A_i|), which a singular or non-finite V_i
+    cannot."""
+    lam, vecs = np.linalg.eig(amats)
+    # complex whatever the generators: eig returns real arrays when all of
+    # its eigenvalues are real
+    lam, vecs = lam.astype(complex), vecs.astype(complex)
+    inv = _invert_rows(vecs)
+    recon = vecs @ (lam[:, :, None] * inv)
     if not (np.abs(recon - amats).max(axis=(1, 2)) <= 1e-10 * (1.0 + norms)).all():
-        return None  # also when eig returned non-finite vectors
-    return vecs, inv, lam
+        return None
+    return list(zip(vecs, inv, lam))
 
 
 def _circle_period(lam):
@@ -439,7 +435,7 @@ def _circle_period(lam):
     freqs = np.abs(lam.imag)
     top = freqs.max()
     ratios = freqs[freqs > 1e-9 * top] / top
-    from fractions import Fraction  # deferred: only an abelian K's grid needs it
+    from fractions import Fraction  # deferred: only an orbit grid needs it
 
     fracs = [Fraction(r).limit_denominator(PERIOD_MAX_DENOMINATOR) for r in ratios]
     if any(abs(r - float(f)) > 1e-9 for r, f in zip(ratios, fracs)):
@@ -463,21 +459,23 @@ def _grid_axes(half, step):
     return [np.arange(-c, c + 1.0) * s for c, s in zip(counts, step)]
 
 
-def _orbit_table(axes, lam, w, vecs):
-    """Re(V (exp(t . lam) * w)) at every t of the grid spanned by axes, in
-    row-major order.  exp(t . lam) is the product over i of exp(t_i lam_i),
-    and each factor is tabulated along its own axis from real exp, cos and
-    sin, so the transcendentals number sum_i len(axes[i]) * dim, not one
-    complex exp per grid point."""
-    z = w
-    for axis, row in zip(axes, lam):
-        growth = np.exp(np.multiply.outer(axis, row.real))
-        angle = np.multiply.outer(axis, row.imag)
+def _orbit_table(axes, factors, p):
+    """exp(t_1 A_1) ... exp(t_m A_m) p at every t of the grid spanned by
+    axes, in row-major order.  Along axis i, exp(t_i A_i) is the real
+    matrix Re(V_i diag(exp(t_i lam_i)) V_i^-1), applied to every point
+    built so far from the factors after it; exp(t_i lam_i) is tabulated
+    from real exp, cos and sin, so the transcendentals number
+    sum_i len(axes[i]) * dim, not one complex exp per grid point."""
+    points = p[None]
+    for axis, (vecs, inv, lam) in zip(axes[::-1], factors[::-1]):
+        growth = np.exp(np.multiply.outer(axis, lam.real))
+        angle = np.multiply.outer(axis, lam.imag)
         table = np.empty(angle.shape, dtype=complex)
         table.real = growth * np.cos(angle)
         table.imag = growth * np.sin(angle)
-        z = (z[..., None, :] * table).reshape(-1, len(w))
-    return np.real(z @ vecs.T)
+        maps = np.real((vecs * table[:, None]) @ inv)
+        points = (points @ maps.transpose(0, 2, 1)).reshape(-1, len(p))
+    return points
 
 
 def _metric_norms(diffs, metric):
@@ -497,49 +495,58 @@ def _residual(q, xs, metric):
     return (d[:, None, :] @ md[:, :, None])[:, 0, 0], md
 
 
-def _grid_start(p, metric, norms, vecs, inv, lam):
+def _grid_start(p, metric, norms, factors):
     """The function xs -> the nearest point to each row of xs of a grid on
-    the orbit of abelian K, A_i = V diag(lam[i]) V^-1.  The grid's points
-    are Re(V (exp(t . lam) * w)), w = V^-1 p.  The A_i commute, so each t_i
-    spans one period of its own A_i, or [-box, box], box = pi max(1,
-    1/min_i |A_i|_2), if it has none, at spacing (pi/16)/|A_i|_2; the rows
-    are scored a chunk at a time."""
+    the orbit of K, exp(t_1 A_1) ... exp(t_m A_m) p (``_orbit_table``).
+    Each t_i spans one period of its own A_i, or [-box, box], box = pi
+    max(1, 1/min_i |A_i|_2), if it has none, at spacing (pi/16)/|A_i|_2;
+    the rows are scored a chunk at a time.  The grid covers the orbit when
+    this product of one-parameter subgroups covers K, as it does for tori
+    (where the factors commute) and for SU(2) (Euler angles); for any other
+    K it may miss a part of the orbit, and the distance found is then only
+    larger."""
     box = math.pi * max(1.0, 1.0 / norms.min())
-    periods = [_circle_period(row) for row in lam]
+    periods = [_circle_period(lam) for _, _, lam in factors]
     axes = _grid_axes(np.array([box if period is None else 0.5 * period for period in periods]),
                       GRID_STEP / norms)
-    points = _orbit_table(axes, lam, inv @ p, vecs)
-    mpoints = points @ metric
-    squares = np.einsum("ij,ij->i", mpoints, points)
-    mpoints_t = np.ascontiguousarray(mpoints.T)
+    points = _orbit_table(axes, factors, p)
+    # M q for every grid point q, laid out (dim, points), and |q|^2.  Here
+    # and in the scores, einsum keeps these long products out of BLAS,
+    # whose threads would go on spinning after them and slow what follows.
+    mpoints_t = np.einsum("ji,qj->iq", metric, points)
+    squares = np.einsum("ij,ji->i", points, mpoints_t)
     chunk = max(1, GRID_PASS_BYTES // (8 * len(points)))
 
     def start(xs):
         # |x - q|^2 = |q|^2 - 2 <x, q> + |x|^2 over the grid
         index = np.empty(len(xs), dtype=np.int64)
         for lo in range(0, len(xs), chunk):
-            scores = (xs[lo : lo + chunk, None, :] @ mpoints_t)[:, 0]
-            index[lo : lo + chunk] = np.argmin(squares - 2.0 * scores, axis=1)
+            scores = np.einsum("rn,ng->rg", xs[lo : lo + chunk], mpoints_t)
+            scores *= -2.0
+            scores += squares
+            index[lo : lo + chunk] = np.argmin(scores, axis=1)
         return points[index]
 
     return start
 
 
-def _orbit_newton(xs, metric, amats, q, exponential):
+def _orbit_newton(xs, metric, amats, q, factors):
     """f = |x - q|^2_metric per row of xs at the orbit point q that damped
     Newton reaches from the start q, all rows at once and every product row
     by row, so a row holds a one-row call's bits.
 
-    A step s moves q by left translation to exp(sum_i s_i A_i) q (Absil,
-    Mahony & Sepulchre, 2008), whose derivatives at s = 0 are A_i q and
-    (A_i A_j + A_j A_i) q / 2, for every K.  With (V, V^-1, lam) =
-    exponential(s), the trial point is Re(V (exp(lam) * (V^-1 q))); a row
-    whose V is singular reads NaN and does not move.  Hessian |eigenvalue|s
-    floored at NEWTON_EIG_FLOOR of the largest make every step descend,
-    even where a generator fixes p; a row takes the first of s, s/2, ...
-    that lowers f, until the gain the model promises (-grad . s) falls to
-    rounding level, and a row that does not move is done."""
-    pairs = 0.5 * (amats[:, None] @ amats[None] + amats[None] @ amats[:, None])
+    A step s moves q to exp(s_1 A_1) ... exp(s_m A_m) q, the product the
+    grid is built from, each factor Re(V_i (exp(s_i lam_i) * (V_i^-1 q)))
+    from ``factors``.  Its derivatives at s = 0 are A_i q and, for i <= j,
+    A_i A_j q; for commuting A_i it is left translation by
+    exp(sum_i s_i A_i) (Absil, Mahony & Sepulchre, 2008).  Hessian
+    |eigenvalue|s floored at NEWTON_EIG_FLOOR of the largest make every
+    step descend, even where a generator fixes p; a row takes the first of
+    s, s/2, ... that lowers f, until the gain the model promises
+    (-grad . s) falls to rounding level, and a row that does not move is
+    done."""
+    order = np.arange(len(amats))
+    pairs = amats[np.minimum.outer(order, order)] @ amats[np.maximum.outer(order, order)]
     f, md = _residual(q, xs, metric)
     rows = np.arange(len(xs))
     for _ in range(NEWTON_ITERS):
@@ -563,8 +570,9 @@ def _orbit_newton(xs, metric, amats, q, exponential):
             if not len(live):
                 break
             at = rows[live]
-            vecs, inv, lam = exponential(step[live])
-            trial = np.real(_apply_rows(vecs, np.exp(lam) * _apply_rows(inv, q[at].astype(complex))))
+            trial = q[at]
+            for (vecs, inv, lam), s in zip(factors[::-1], step[live].T[::-1]):
+                trial = np.real(_apply_rows(vecs, np.exp(np.multiply.outer(s, lam)) * _apply_rows(inv, trial)))
             found_f, found_md = _residual(trial, xs[at], metric)
             lower = found_f < f[at]
             hit = at[lower]
@@ -580,16 +588,14 @@ def _orbit_newton(xs, metric, amats, q, exponential):
 def _orbit_distance_to(space, algebra, p, sub_k):
     """The function xs -> the metric distance from each row x of xs to the
     K-orbit of p, from above.  When K is trivial or fixes p the orbit is
-    {p}, and the distance is |x - p|_metric (``_metric_norms``).  Otherwise
-    it is the smaller of that and |x - q|_metric, at the orbit point q that
-    ``_orbit_newton`` reaches.  The search is the same for every K; only
-    its start and its exponential depend on K, and both are settled here,
-    once per point.  For abelian K one diagonalization
-    A_i = V diag(lam[i]) V^-1 gives both: the start is the nearest grid
-    point of the orbit (``_grid_start``), and
-    exp(sum_i s_i A_i) = V diag(exp(s . lam)) V^-1.  Any other K starts at
-    p, and each exponential is one eigendecomposition of sum_i s_i A_i per
-    row."""
+    {p}, and the distance is |x - p|_metric (``_metric_norms``); so it is
+    when some generator A_i of K is not diagonalizable, which no compact K
+    has.  Otherwise it is the smaller of that and |x - q|_metric, at the
+    orbit point q that ``_orbit_newton`` reaches from the nearest point of
+    one grid of the orbit (``_grid_start``).  One search serves every K:
+    each A_i = V_i diag(lam_i) V_i^-1 is decomposed once per point, and the
+    grid and the Newton steps are both products of the factors
+    exp(t_i A_i) = V_i diag(exp(t_i lam_i)) V_i^-1."""
     metric = space.metric
     amats = np.array([algebra.matrix(xi) for xi in sub_k.basis]).reshape(sub_k.dim, len(p), len(p))
 
@@ -600,29 +606,13 @@ def _orbit_distance_to(space, algebra, p, sub_k):
         return direct
 
     norms = np.array([np.linalg.norm(a, 2) for a in amats])
-    diagonal = _joint_diagonalization(amats, norms)
-    if diagonal is None:
-        n = len(p)
-        flat = amats.reshape(len(amats), n * n)
-
-        def start(xs):
-            return np.repeat(p[None], len(xs), axis=0)
-
-        def exponential(s):
-            lam, vecs = np.linalg.eig((s[:, None, :] @ flat)[:, 0].reshape(-1, n, n))
-            # complex whatever the batch: eig returns real arrays when all of
-            # its eigenvalues are real
-            vecs = vecs.astype(complex)
-            return vecs, _invert_rows(vecs), lam
-    else:
-        vecs, inv, lam = diagonal
-        start = _grid_start(p, metric, norms, *diagonal)
-
-        def exponential(s):
-            return vecs, inv, (s[:, None, :] @ lam)[:, 0]
+    factors = _eigenbases(amats, norms)
+    if factors is None:
+        return direct
+    start = _grid_start(p, metric, norms, factors)
 
     def distance(xs):
-        found = np.sqrt(np.maximum(_orbit_newton(xs, metric, amats, start(xs), exponential), 0.0))
+        found = np.sqrt(np.maximum(_orbit_newton(xs, metric, amats, start(xs), factors), 0.0))
         return np.minimum(direct(xs), found)
 
     return distance
@@ -632,11 +622,10 @@ def orbit_distance(space, algebra, x, p, sub_k, starts=32, rng=None):
     """Metric distance from x to the K-orbit of p, from above: the one row
     of ``_orbit_distance_to``, so |x - p| when K fixes p, and otherwise
     the smaller of that and |x - q| at the orbit point q that one damped
-    Newton search finds.  The search moves by left translation; abelian K
-    starts from a grid over one period of each generator, other K at p.
-    The probe's batched rows hold this call's bits.  ``starts`` and
-    ``rng`` are accepted, since existing callers pass them, and unused; no
-    K is searched from random starts."""
+    Newton search finds, for every K from the nearest point of a grid over
+    one period of each generator.  The probe's batched rows hold this
+    call's bits.  ``starts`` and ``rng`` are accepted, since existing
+    callers pass them, and unused; no K is searched from random starts."""
     p = space.check_point(p)
     return float(_orbit_distance_to(space, algebra, p, sub_k)(space.check_point(x)[None])[0])
 

@@ -67,13 +67,19 @@ class MomentumMap:
 
 def invariance_residual(space, algebra, hamiltonian):
     """Max of |grad h(x) . (A_i x)| over INVARIANCE_SAMPLES seeded random
-    points and every generator.
+    points and every generator, relative to the largest
+    |grad h(x)|_2 |A_i x|_2 over the same points and generators, so that it
+    is at most 1 and does not change when h or a generator is scaled.
 
     Zero (to rounding) iff h is invariant under the identity component of the
-    generated group.
+    generated group; zero also when grad h or every A_i x vanishes at every
+    sample.
     """
     if algebra.dim == 0:
         return 0.0
     x = np.random.default_rng(0).standard_normal((INVARIANCE_SAMPLES, space.dim))
+    grad = hamiltonian.gradient(x)
     moved = np.einsum("imn,sn->ism", algebra.generators, x)
-    return float(np.abs(np.einsum("sm,ism->is", hamiltonian.gradient(x), moved)).max(initial=0.0))
+    scale = (np.linalg.norm(grad, axis=1) * np.linalg.norm(moved, axis=2)).max()
+    residual = np.abs(np.einsum("sm,ism->is", grad, moved)).max()
+    return float(residual / scale) if scale > 0.0 else 0.0

@@ -87,7 +87,7 @@ def witt_artin_frame(space, algebra, p, rng=None):
 
     if dims[0]:
         iso = np.abs(basis_t0.T @ space.omega @ basis_t0).max()
-        if iso > 1e-10:
+        if iso > 1e-10 * np.abs(space.omega).max():
             raise ValidationError(f"T0 is not isotropic (residual {iso:.3e})")
         pairing = basis_t0.T @ space.omega @ basis_n0
         if degenerate(pairing):

@@ -229,6 +229,17 @@ def su2_generators(blocks=1):
     )
 
 
+def spin_generators(j):
+    """Realified generators -i J_a of the spin-j irrep of su(2) on C^(2j+1),
+    in the basis |j>, |j-1>, ..., |-j> of J_z eigenvectors; their structure
+    constants are the Levi-Civita epsilon, and spin 1/2 gives
+    ``su2_generators()``."""
+    m = np.arange(j, -j - 1.0, -1.0)
+    raising = np.diag(np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0)), 1)
+    jx, jy, jz = (raising + raising.T) / 2.0, (raising - raising.T) / 2.0j, np.diag(m)
+    return np.array([realify(-1.0j * a) for a in (jx, jy, jz)])
+
+
 def torus_generators(weights):
     """One block-rotation generator per weight row."""
     w = np.asarray(weights, dtype=float)
@@ -493,6 +504,12 @@ def with_scaled_omega(index, factor):
     """Suite system ``index`` with omega multiplied by ``factor``."""
     data = suite_data(index)
     return dict(data, omega=(factor * np.array(data["omega"])).tolist())
+
+
+def with_scaled_hamiltonian(data, factor):
+    """The system dict ``data`` with every hamiltonian coefficient multiplied
+    by ``factor``."""
+    return dict(data, hamiltonian=[dict(record, coeff=factor * record["coeff"]) for record in data["hamiltonian"]])
 
 
 def su2_pair_with_scaled_generators(factor):

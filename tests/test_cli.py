@@ -35,6 +35,7 @@ from systems import (
     suite6_under_metric,
     suite_data,
     with_point,
+    with_scaled_hamiltonian,
     with_scaled_omega,
 )
 
@@ -415,6 +416,34 @@ class TestInputValidation:
         code = main(["validate", str(system_file)])
         assert (code, json.loads(capsys.readouterr().out)["valid"]) == (0, True)
 
+    @pytest.mark.parametrize("factor", [1e-8, 1e5, 1e6])
+    def test_scaled_hamiltonian_is_valid(self, factor):
+        # invariance is judged relative to |grad h| |A_i x|: against the old
+        # absolute bound of 1e-9, h x 1e5 was refused for 7 of the 10 suite
+        # systems and h x 1e6 for all of them
+        for index in range(10):
+            system_from_dict(with_scaled_hamiltonian(suite_data(index), factor))
+
+    @pytest.mark.parametrize("factor", [1e-12, 1e-8, 1.0, 1e6])
+    def test_non_invariant_hamiltonian_refused_at_every_scale(self, factor):
+        # example1's h is not invariant under the scaling diag(1, -1, 1, -1);
+        # against the old absolute bound, h x 1e-12 passed
+        data = example1_dict()
+        data["generators"] = [np.diag([1.0, -1.0, 1.0, -1.0]).tolist()]
+        with pytest.raises(ValidationError, match="invariant"):
+            system_from_dict(with_scaled_hamiltonian(data, factor))
+
+    @pytest.mark.parametrize("factor", [1e6, 1e7])
+    def test_large_omega_is_analyzed(self, factor, tmp_path, capsys):
+        # T0's isotropy is judged against max |omega|: against the old
+        # absolute bound of 1e-10, suite3 failed at omega x 1e6 and 6 of the
+        # 10 suite systems at omega x 1e7
+        system_file = tmp_path / "system.json"
+        for index in range(10):
+            system_file.write_text(json.dumps(with_scaled_omega(index, factor)))
+            assert main(["analyze", str(system_file)]) == 0, capsys.readouterr().out
+        capsys.readouterr()
+
     @pytest.mark.parametrize(
         "argv, kind",
         [
@@ -727,9 +756,9 @@ class TestEnvironment:
     )
     def test_scipy_optimize_is_not_imported(self, argv, tmp_path):
         # No command loads any scipy module.  example1's base point is
-        # K-fixed; at MOVED = (1, 0, 0, 0) its circle K moves p and takes
-        # the eigenbasis search; at the su(2) pair's point K is all of
-        # su(2) and takes the search by left translation.
+        # K-fixed; at MOVED = (1, 0, 0, 0) its circle K moves p, and at the
+        # su(2) pair's point K is all of su(2): both take the grid-started
+        # Newton search.
         argv = [str(_moved_example1(tmp_path)) if arg == "MOVED" else arg for arg in argv]
         code = (
             "import contextlib, io, sys\n"

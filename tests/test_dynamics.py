@@ -1,6 +1,7 @@
 """Implicit midpoint integration, orbit distance, and the stability probe."""
 
 import csv
+import itertools
 import json
 import math
 import tracemalloc
@@ -41,6 +42,7 @@ from systems import (
     poly_add,
     quadratic_form,
     random_system_suite,
+    spin_generators,
     su2_generators,
     torus_generators,
 )
@@ -371,6 +373,16 @@ def _su2_null_case(blocks):
     return space, algebra, k, p
 
 
+def _spin_case(j):
+    """(space, algebra, K, generators, p) for the spin-j irrep of su(2), with
+    K all of su(2) and p drawn from default_rng(2 j)."""
+    gens = spin_generators(j)
+    space = canonical_space(gens.shape[1])
+    algebra = LieAlgebraBasis.build(space, gens)
+    p = np.random.default_rng(int(2 * j)).standard_normal(gens.shape[1])
+    return space, algebra, Subalgebra.from_vectors(algebra, np.eye(3)), gens, p
+
+
 def _dense_orbit(gens, p, per_axis):
     """exp(sum_i theta_i G_i) p over a per_axis^m grid of one period [0, 2 pi)^m,
     each factor by scipy's expm."""
@@ -527,7 +539,7 @@ class TestOrbitDistance:
             (example1_generator()[None], [1.0, 0.2, -0.4, 0.3], 1 << 14),
             # a 33 x 33 torus grid: the default holds 120 rows
             (torus_generators([[1, 0], [0, 1]]), [0.8, -0.6, 0.3, 0.5], dynamics.GRID_PASS_BYTES),
-            # su(2) at a J(p) = 0 point: no grid, Newton by left translation
+            # su(2) at a J(p) = 0 point: a 33^3 grid of Euler-angle products
             (su2_generators(blocks=2), _su2_null_case(2)[3], dynamics.GRID_PASS_BYTES),
         ],
         ids=["circle", "torus", "su2"],
@@ -548,24 +560,6 @@ class TestOrbitDistance:
         distance = dynamics._orbit_distance_to(space, algebra, p, k)
         np.testing.assert_array_equal(distance(xs), [orbit_distance(space, algebra, x, p, k) for x in xs])
 
-    @pytest.mark.parametrize("name", sorted(ABELIAN_CASES))
-    def test_eig_exponential_agrees_with_the_closed_form(self, name, monkeypatch):
-        # Without the joint eigenbasis, commuting generators take the
-        # non-abelian start p and one eig per exponential; near p the one
-        # Newton must reach the closed form's orbit point from there too,
-        # to 1e-10 relative, or to rounding, ~1e-16 |p|, at the smallest delta.
-        space, algebra, k, gens, p = _abelian_case(name)
-        draws = np.random.default_rng(8)
-        xs = []
-        for _ in range(12):
-            u = draws.standard_normal(len(p))
-            x = scipy.linalg.expm(np.tensordot(draws.uniform(-0.5, 0.5, len(gens)), gens, axes=1)) @ p
-            xs.append(x + 10 ** draws.uniform(-6.0, -1.0) * u / np.linalg.norm(u))
-        closed = [orbit_distance(space, algebra, x, p, k) for x in xs]
-        monkeypatch.setattr(dynamics, "_joint_diagonalization", lambda amats, norms: None)
-        eig = [orbit_distance(space, algebra, x, p, k) for x in xs]
-        np.testing.assert_allclose(eig, closed, rtol=1e-10, atol=1e-14)
-
     def test_non_abelian_group_translates_are_on_the_orbit(self):
         space, algebra, k, p = _su2_null_case(2)
         draws = np.random.default_rng(5)
@@ -576,7 +570,8 @@ class TestOrbitDistance:
     @pytest.mark.parametrize("blocks", sorted(SU2_NULL_BLOCKS))
     def test_non_abelian_k_no_worse_than_nelder_mead(self, blocks):
         # x = exp(kappa) p + delta u, from near the orbit to half its radius
-        # off it; damped Newton from p must match the multi-start oracle
+        # off it; damped Newton from the nearest grid point must match the
+        # multi-start oracle
         space, algebra, k, p = _su2_null_case(blocks)
         draws = np.random.default_rng(blocks)
         for i in range(40):
@@ -587,6 +582,55 @@ class TestOrbitDistance:
             oracle = nelder_mead_orbit_distance(space, algebra, x, p, k, rng=np.random.default_rng(i))
             assert dist <= oracle * (1 + 1e-9) + 1e-12
             assert dist <= metric_norm(space, x - p)
+
+    @pytest.mark.parametrize("j", [1.0, 1.5, 2.0])
+    def test_spin_orbit_points_moved_by_delta_are_delta_away(self, j):
+        # x = g p + delta u with |u| = 1 lies at most delta from the orbit.
+        # For spin >= 3/2, |x - g' p| has local minima away from g p, and
+        # Newton started at p used to stop at one: 21 of these 30 spin-3/2
+        # draws and 23 of the spin-2 draws read more than delta, up to
+        # 1.8e3 delta.
+        space, algebra, k, gens, p = _spin_case(j)
+        draws = np.random.default_rng(17)
+        delta = 1e-3
+        xs = []
+        for _ in range(30):
+            u = draws.standard_normal(len(p))
+            x = scipy.linalg.expm(np.tensordot(draws.uniform(-4.0, 4.0, 3), gens, axes=1)) @ p
+            xs.append(x + delta * u / np.linalg.norm(u))
+        assert dynamics._orbit_distance_to(space, algebra, p, k)(np.array(xs)).max() <= delta * (1 + 1e-9)
+
+    @pytest.mark.parametrize("j", [1.5, 2.0])
+    def test_spin_orbit_no_worse_than_nelder_mead(self, j):
+        # off the orbit by a quarter of |p|, where no point is known to be nearest
+        space, algebra, k, gens, p = _spin_case(j)
+        draws = np.random.default_rng(19)
+        for i in range(2):
+            u = draws.standard_normal(len(p))
+            x = scipy.linalg.expm(np.tensordot(draws.uniform(-4.0, 4.0, 3), gens, axes=1)) @ p
+            x += 0.25 * np.linalg.norm(p) * u / np.linalg.norm(u)
+            oracle = nelder_mead_orbit_distance(space, algebra, x, p, k, starts=24, rng=np.random.default_rng(i))
+            assert orbit_distance(space, algebra, x, p, k) <= oracle * (1 + 1e-9)
+
+    def test_nilpotent_generator_gives_the_direct_distance(self):
+        # [[0, 1], [0, 0]] moves p but has no eigenbasis to step or tabulate by
+        space = canonical_space(2)
+        algebra = LieAlgebraBasis.build(space, np.array([[[0.0, 1.0], [0.0, 0.0]]]))
+        k = Subalgebra.from_vectors(algebra, np.eye(1))
+        p = np.array([0.3, 1.0])
+        for x in np.random.default_rng(4).standard_normal((5, 2)):
+            assert orbit_distance(space, algebra, x, p, k) == dynamics._metric_norms(x - p, space.metric)
+
+    @pytest.mark.parametrize("j", [0.5, 1.5])
+    def test_orbit_table_is_the_product_of_exponentials(self, j):
+        # row-major over the axes, the point exp(t_1 A_1) exp(t_2 A_2) exp(t_3 A_3) p
+        _, _, _, gens, p = _spin_case(j)
+        factors = dynamics._eigenbases(gens, np.array([np.linalg.norm(a, 2) for a in gens]))
+        axes = [np.linspace(-3.0, 3.0, 4), np.linspace(-1.0, 2.0, 3), np.linspace(-5.0, 5.0, 5)]
+        expected = [scipy.linalg.expm(t1 * gens[0]) @ scipy.linalg.expm(t2 * gens[1]) @ scipy.linalg.expm(t3 * gens[2]) @ p
+                    for t1, t2, t3 in itertools.product(*axes)]
+        np.testing.assert_allclose(dynamics._orbit_table(axes, factors, p), expected, rtol=0,
+                                   atol=1e-13 * np.linalg.norm(p))
 
     @pytest.mark.parametrize("seed", [3, 42])
     def test_sampled_starts_depend_on_the_seed_alone(self, seed, tmp_path, capsys):

@@ -245,10 +245,11 @@ class TestValidation:
         with pytest.raises(ValidationError, match="Hamiltonian"):
             LieAlgebraBasis.build(space4, scale * bad[None, :, :])
 
-    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e3])
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e3, 1e6])
     def test_su2_pair_validates_at_every_scale(self, scale):
         # closure is judged against |A_i| |A_j|: x 1e3 used to be refused
-        # at a closure residual of 1.16e-10
+        # at a closure residual of 1.16e-10; invariance relative to
+        # |grad h| |A_i x|: x 1e6 used to be refused at a residual of 3.7e-9
         system = system_from_dict(su2_pair_with_scaled_generators(scale))
         assert system.algebra.dim == 3
 
