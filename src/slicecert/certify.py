@@ -90,18 +90,23 @@ def _velocity_residual(mm, gradient, p, xi):
     return float(np.linalg.norm(gradient - predicted))
 
 
+def _velocity_bound(gradient):
+    """VELOCITY_TOL * (1 + |grad h(p)|): the largest residual of a velocity."""
+    return VELOCITY_TOL * (1.0 + float(np.linalg.norm(gradient)))
+
+
 def solve_velocities(hamiltonian, frame):
     """Solve grad J_xi(p) = grad h(p) for xi by least squares at the frame's point.
 
     Returns the minimum-norm particular solution together with the frame's
     isotropy algebra (the family directions); raises NotRelativeEquilibrium
-    when the residual exceeds VELOCITY_TOL * (1 + |grad h(p)|).
+    unless the residual is at most ``_velocity_bound`` (a NaN one is refused).
     """
-    target = hamiltonian.gradient(frame.point)
-    mat = frame.momentum_map.differential_rows(frame.point).T  # (2n, d), d = 0 included
+    p, target = frame.point, hamiltonian.gradient(frame.point)
+    mat = frame.momentum_map.differential_rows(p).T  # (2n, d), d = 0 included
     xi1, _, _, _ = np.linalg.lstsq(mat, target, rcond=None)
-    residual = float(np.linalg.norm(mat @ xi1 - target))
-    if residual > VELOCITY_TOL * (1.0 + float(np.linalg.norm(target))):
+    residual = _velocity_residual(frame.momentum_map, target, p, xi1)
+    if not residual <= _velocity_bound(target):
         raise NotRelativeEquilibrium(
             f"critical-point residual {residual:.3e} exceeds tolerance; "
             "the point is not a relative equilibrium"
@@ -113,7 +118,7 @@ def require_velocity(mm, gradient, p, xi):
     """Raise PreconditionViolated unless xi is a velocity of p for momentum
     map ``mm``, given ``gradient`` = grad h(p)."""
     res = _velocity_residual(mm, gradient, p, xi)
-    bound = VELOCITY_TOL * (1.0 + float(np.linalg.norm(gradient)))
+    bound = _velocity_bound(gradient)
     if not res <= bound:  # a NaN residual is rejected too
         raise PreconditionViolated(f"xi is not a velocity of p (residual {res:.3e} > {bound:.3e})")
 

@@ -9,7 +9,7 @@ from .errors import ValidationError
 RANK_TOL = 1e-9
 
 
-def _rank(sigma, scale):
+def rank(sigma, scale):
     """Number of singular values in ``sigma`` that count as nonzero."""
     return int(np.count_nonzero(sigma > RANK_TOL * max(1.0, float(scale))))
 
@@ -23,7 +23,7 @@ def nullspace(mat):
     if rows == 0 or not np.any(mat):
         return np.eye(cols)
     _, sigma, vh = np.linalg.svd(mat)
-    return vh[_rank(sigma, sigma[0]):].T.copy()
+    return vh[rank(sigma, sigma[0]):].T.copy()
 
 
 def singular_ratio(mat):
@@ -53,30 +53,32 @@ def require_spd(mat, name):
 
 def orthonormalize(vectors, gram=None, against=None):
     """Orthonormal basis (columns) of the span of ``vectors`` with ``against``
-    projected out, by one SVD after metric whitening.
+    projected out, by one SVD.
 
     ``gram`` is the inner-product matrix (Euclidean when omitted); ``against``
     holds columns that are already orthonormal in that inner product.  With
-    G = L L^T, the columns are whitened to L^T v, ``against`` is projected
-    out twice, and the left singular vectors that ``_rank`` keeps are mapped
-    back through L^-T.  The scale of the rank rule is the largest singular
-    value of the whitened input before projection, so a direction that only
-    rounding leaves after projection is dropped.
+    ``gram`` = L L^T, the columns are whitened to L^T v and the kept left
+    singular vectors are mapped back through L^-T; without ``gram`` neither
+    step is taken.  ``against`` is projected out twice.  The scale of the
+    rank rule is the largest singular value of the whitened input before
+    projection, so a direction that only rounding leaves after projection is
+    dropped; with nothing projected out, that value comes from the one SVD.
     """
-    v = np.asarray(vectors, dtype=float)
-    n = v.shape[0]
-    if not v.shape[1]:
-        return np.zeros((n, 0))
-    lt = np.eye(n) if gram is None else np.linalg.cholesky(gram).T
-    w = lt @ v
-    scale = np.linalg.norm(w, 2)
+    w = np.asarray(vectors, dtype=float)
+    if not w.shape[1]:
+        return np.zeros((w.shape[0], 0))
+    if gram is not None:
+        lt = np.linalg.cholesky(gram).T
+        w = lt @ w
+        against = None if against is None else lt @ against
+    scale = None
     if against is not None and against.size:
-        q = lt @ against
+        scale = np.linalg.norm(w, 2)
         for _ in range(2):
-            w = w - q @ (q.T @ w)
+            w = w - against @ (against.T @ w)
     u, sigma, _ = np.linalg.svd(w, full_matrices=False)
-    kept = u[:, : _rank(sigma, scale)]
-    return np.linalg.solve(lt, kept)
+    kept = u[:, : rank(sigma, sigma[0] if scale is None else scale)]
+    return kept if gram is None else np.linalg.solve(lt, kept)
 
 
 def inertia(sym_matrix, zero_tol):

@@ -9,7 +9,7 @@ grad J_i(x) . v = omega(A_i x, v), which the test suite asserts.
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import nullspace, orthonormalize
+from .linalg import nullspace
 from .symmetry import Subalgebra
 
 INVARIANCE_SAMPLES = 100
@@ -58,11 +58,6 @@ class MomentumMap:
         """Rows grad J_i(p); their common kernel is ker dJ(p)."""
         p = self.space.check_point(p)
         return 2.0 * np.einsum("imn,n->im", self._quad, p)
-
-    def kernel_basis(self, p):
-        """Metric-orthonormal basis (columns) of ker dJ(p)."""
-        null = nullspace(self.differential_rows(p))
-        return orthonormalize(null, gram=self.space.metric)
 
 
 def invariance_residual(space, algebra, hamiltonian):

@@ -3,7 +3,8 @@
 The tangent space splits as T0 + T + N + N0 where T0 = k.p is isotropic,
 T realizes the remaining group directions, N realizes the symplectic slice
 ker dJ(p) / k.p, and N0 pairs with T0 under the symplectic form.  Each basis
-is metric-orthonormal, from one whitened SVD (``linalg.orthonormalize``).
+is metric-orthonormal: the metric is factored once, M = L L^T, and every
+basis is found Euclidean-orthonormal in the whitened coordinates L^T x.
 The slice is realized as the metric-orthogonal complement of k.p inside
 ker dJ(p); any other complement yields a restricted Hessian with the same
 inertia, which the tests check against a random complement and against the
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSliceForm, ValidationError
-from .linalg import degenerate, orthonormalize, singular_ratio
+from .linalg import degenerate, nullspace, orthonormalize, rank, singular_ratio
 from .momentum import MomentumMap, momentum_isotropy_algebra
 from .symmetry import Subalgebra, isotropy_algebra
 
@@ -49,30 +50,34 @@ class WittArtinFrame:
 def witt_artin_frame(space, algebra, p, rng=None):
     """Build the decomposition at p.
 
+    In whitened coordinates, T0 is the span of k.p, T that of g.p and N that
+    of ker dJ(p) (one ``nullspace``), T and N each with T0 projected out.
+    One SVD of the union of T0, T and N decides its rank, and its left
+    singular vectors past that rank span N0.  The four bases are mapped back
+    through L^-T.
+
     With ``rng`` given, the slice is realized through a random complement of
     k.p inside ker dJ(p) instead of the metric-orthogonal one; downstream
     inertia results must not depend on that choice.
     """
     p = space.check_point(p)
-    metric = space.metric
     sub_h = isotropy_algebra(algebra, p)
     mm = MomentumMap(space, algebra)
     mu = mm.value(p)
     sub_k = momentum_isotropy_algebra(algebra, mu)
 
+    lt = np.linalg.cholesky(space.metric).T
     k_orbit = np.array([algebra.act(xi, p) for xi in sub_k.basis]).reshape(sub_k.dim, space.dim).T
-    basis_t0 = orthonormalize(k_orbit, gram=metric)
-    basis_t = orthonormalize(algebra.orbit_matrix(p), gram=metric, against=basis_t0)
-    kernel = mm.kernel_basis(p)
-    basis_n = orthonormalize(kernel, gram=metric, against=basis_t0)
-    if rng is not None and basis_t0.shape[1] and basis_n.shape[1]:
-        shift = rng.standard_normal((basis_t0.shape[1], basis_n.shape[1]))
-        basis_n = orthonormalize(basis_n + basis_t0 @ shift, gram=metric)
-    # T and N are each orthogonal to T0 but not to one another; orthonormalize
-    # the union before complementing so the rank of g.p + ker dJ(p) is exact.
-    spanned = orthonormalize(np.column_stack([basis_t0, basis_t, basis_n]), gram=metric)
-    basis_n0 = orthonormalize(np.eye(space.dim), gram=metric, against=spanned)
-
+    w_t0 = orthonormalize(lt @ k_orbit)
+    w_t = orthonormalize(lt @ algebra.orbit_matrix(p), against=w_t0)
+    w_n = orthonormalize(lt @ nullspace(mm.differential_rows(p)), against=w_t0)
+    if rng is not None and w_t0.shape[1] and w_n.shape[1]:
+        w_n = orthonormalize(w_n + w_t0 @ rng.standard_normal((w_t0.shape[1], w_n.shape[1])))
+    # T and N are each orthogonal to T0 but not to one another, so the rank
+    # of their union is decided here, once.
+    u, sigma, _ = np.linalg.svd(np.column_stack([w_t0, w_t, w_n]))
+    w_n0 = u[:, rank(sigma, sigma.max(initial=0.0)) :]
+    basis_t0, basis_t, basis_n, basis_n0 = (np.linalg.solve(lt, w) for w in (w_t0, w_t, w_n, w_n0))
     dims = (basis_t0.shape[1], basis_t.shape[1], basis_n.shape[1], basis_n0.shape[1])
     expected = (
         sub_k.dim - sub_h.dim,

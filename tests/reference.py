@@ -5,7 +5,8 @@ a space, polynomial evaluation as one gathered product, the term-by-term
 collection of polynomial records and build of derivative tables, the augmented
 Hessian, the slice form and slice momentum, the descent property, the
 coadjoint action, the group exponential, the Hamiltonian vector field, the
-step-by-step linear midpoint rule) so that tests can check the pipeline
+step-by-step linear midpoint rule, the Witt-Artin frame built subspace by
+subspace under the metric) so that tests can check the pipeline
 against them, and ``count_calls`` counts how often the pipeline calls a
 function.  Nothing in ``slicecert`` calls them.
 """
@@ -17,11 +18,12 @@ import scipy.linalg
 import scipy.optimize
 
 from slicecert.certify import require_velocity
-from slicecert.errors import DegenerateSliceForm, DimensionMismatch, PreconditionViolated
-from slicecert.linalg import degenerate, singular_ratio
+from slicecert.errors import DegenerateSliceForm, DimensionMismatch, PreconditionViolated, ValidationError
+from slicecert.linalg import degenerate, nullspace, orthonormalize, singular_ratio
 from slicecert.momentum import MomentumMap, momentum_isotropy_algebra
 from slicecert.phase_space import COEFF_DEDUP
-from slicecert.symmetry import SUBALGEBRA_TOL
+from slicecert.symmetry import SUBALGEBRA_TOL, isotropy_algebra
+from slicecert.witt_artin import WittArtinFrame
 
 KERNEL_TOL = 1e-10
 
@@ -270,6 +272,77 @@ def descent_residual(space, algebra, hamiltonian, p, xi, v, eta):
     q = augmented_hessian(mm, hamiltonian, p, xi)
     w = v + algebra.act(eta, p)
     return abs(float(w @ q @ w) - float(v @ q @ v))
+
+
+def kernel_basis(mm, p):
+    """Metric-orthonormal basis (columns) of ker dJ(p) for momentum map ``mm``."""
+    null = nullspace(mm.differential_rows(p))
+    return orthonormalize(null, gram=mm.space.metric)
+
+
+def reference_witt_artin_frame(space, algebra, p, rng=None):
+    """``witt_artin_frame`` built one metric-whitened ``orthonormalize`` at a
+    time: T0, then T and N (from ``kernel_basis``) with T0 projected out,
+    the union of T0, T and N orthonormalized again, and N0 as the metric
+    complement of that union.  Same checks and signature as the pipeline's."""
+    p = space.check_point(p)
+    metric = space.metric
+    sub_h = isotropy_algebra(algebra, p)
+    mm = MomentumMap(space, algebra)
+    mu = mm.value(p)
+    sub_k = momentum_isotropy_algebra(algebra, mu)
+
+    k_orbit = np.array([algebra.act(xi, p) for xi in sub_k.basis]).reshape(sub_k.dim, space.dim).T
+    basis_t0 = orthonormalize(k_orbit, gram=metric)
+    basis_t = orthonormalize(algebra.orbit_matrix(p), gram=metric, against=basis_t0)
+    kernel = kernel_basis(mm, p)
+    basis_n = orthonormalize(kernel, gram=metric, against=basis_t0)
+    if rng is not None and basis_t0.shape[1] and basis_n.shape[1]:
+        shift = rng.standard_normal((basis_t0.shape[1], basis_n.shape[1]))
+        basis_n = orthonormalize(basis_n + basis_t0 @ shift, gram=metric)
+    spanned = orthonormalize(np.column_stack([basis_t0, basis_t, basis_n]), gram=metric)
+    basis_n0 = orthonormalize(np.eye(space.dim), gram=metric, against=spanned)
+
+    dims = (basis_t0.shape[1], basis_t.shape[1], basis_n.shape[1], basis_n0.shape[1])
+    expected = (
+        sub_k.dim - sub_h.dim,
+        algebra.dim - sub_k.dim,
+        space.dim - (algebra.dim - sub_h.dim) - (sub_k.dim - sub_h.dim),
+        sub_k.dim - sub_h.dim,
+    )
+    if dims != expected or sum(dims) != space.dim:
+        raise ValidationError(
+            f"Witt-Artin dimension identities failed: got {dims}, expected {expected}"
+        )
+
+    if dims[0]:
+        iso = np.abs(basis_t0.T @ space.omega @ basis_t0).max()
+        if iso > 1e-10 * np.abs(space.omega).max():
+            raise ValidationError(f"T0 is not isotropic (residual {iso:.3e})")
+        pairing = basis_t0.T @ space.omega @ basis_n0
+        if degenerate(pairing):
+            raise ValidationError(
+                "symplectic pairing of T0 with N0 is degenerate "
+                f"(sigma_min/sigma_max {singular_ratio(pairing):.3e})"
+            )
+    if dims[2]:
+        form = basis_n.T @ space.omega @ basis_n
+        if degenerate(form):
+            raise DegenerateSliceForm(
+                f"symplectic form on the slice is degenerate (sigma_min/sigma_max {singular_ratio(form):.3e})"
+            )
+
+    return WittArtinFrame(
+        point=p,
+        momentum_map=mm,
+        mu=mu,
+        basis_t0=basis_t0,
+        basis_t=basis_t,
+        basis_n=basis_n,
+        basis_n0=basis_n0,
+        isotropy=sub_h,
+        momentum_isotropy=sub_k,
+    )
 
 
 def _combine(h0, mats, s):

@@ -1,5 +1,7 @@
 """Velocity families, restricted Hessians, the search, and the baseline."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,12 @@ class TestSolveVelocities:
         frame = witt_artin_frame(space, algebra, np.array([1.0, 1.0, 1.0, 1.0]))
         with pytest.raises(NotRelativeEquilibrium):
             solve_velocities(h, frame)
+
+    def test_rejects_nan_residual(self, parts):
+        space, algebra, _ = parts
+        frame = witt_artin_frame(space, algebra, np.array([1.0, 0, 0, 0]))
+        with pytest.raises(NotRelativeEquilibrium):
+            solve_velocities(SimpleNamespace(gradient=lambda p: np.full(4, np.nan)), frame)
 
     def test_affine_family_members_are_velocities(self, rng):
         for system in random_system_suite():

@@ -6,15 +6,32 @@ import pytest
 from slicecert import (
     LieAlgebraBasis,
     MomentumMap,
+    load_system,
     restricted_hessian,
     solve_velocities,
     witt_artin_frame,
 )
+from slicecert.cli import system_from_dict
 from slicecert.errors import PreconditionViolated
-from slicecert.linalg import inertia
+from slicecert.linalg import inertia, orthonormalize
 
-from reference import descent_residual, slice_momentum_map, slice_symplectic_form
-from systems import canonical_space, example1_generator, example1_hamiltonian, random_system_suite
+from reference import (
+    descent_residual,
+    kernel_basis,
+    reference_witt_artin_frame,
+    slice_momentum_map,
+    slice_symplectic_form,
+)
+from systems import (
+    SU2_PAIR_FILE,
+    canonical_space,
+    example1_generator,
+    example1_hamiltonian,
+    random_system_suite,
+    suite6_under_metric,
+)
+
+PROJECTOR_TOL = 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +80,55 @@ class TestFrame:
             assert np.abs(frame.basis_t0.T @ omega @ frame.basis_t0).max() <= 1e-10
             pairing = frame.basis_t0.T @ omega @ frame.basis_n0
             assert np.linalg.svd(pairing, compute_uv=False).min() > 1e-9
+
+
+@pytest.fixture(scope="module")
+def oracle_systems():
+    """example1, saddle, the ten suite systems, the su(2) pair, and suite6
+    under the metrics of seeds 2-5."""
+    named = {"example1": load_system("example1"), "saddle": load_system("saddle")}
+    named.update({f"suite{i}": s for i, s in enumerate(random_system_suite())})
+    named["su2pair"] = load_system(str(SU2_PAIR_FILE))
+    for seed in range(2, 6):
+        named[f"suite6metric{seed}"] = system_from_dict(suite6_under_metric(seed))
+    return named
+
+
+ORACLE_NAMES = (
+    ["example1", "saddle"] + [f"suite{i}" for i in range(10)] + ["su2pair"] + [f"suite6metric{s}" for s in range(2, 6)]
+)
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_same_subspaces_as_reference_frame(oracle_systems, name, seed):
+    """The frame from one whitened pass spans the subspaces that the
+    subspace-by-subspace construction in ``tests/reference.py`` spans, and
+    N0 is metric-orthogonal to T0 + T + N."""
+    system = oracle_systems[name]
+    metric = system.space.metric
+    args = (system.space, system.algebra, system.point)
+    frame, oracle = (
+        build(*args, rng=None if seed is None else np.random.default_rng(seed))
+        for build in (witt_artin_frame, reference_witt_artin_frame)
+    )
+    assert frame.dims == oracle.dims
+    pairs = [(frame.basis_t0, oracle.basis_t0), (frame.basis_t, oracle.basis_t), (frame.basis_n0, oracle.basis_n0)]
+    if seed is None:
+        pairs.append((frame.basis_n, oracle.basis_n))
+    else:
+        # Each construction shifts its own basis of N by the same draw, so the
+        # random slices differ where T0 is not zero; with T0 both must span
+        # the same ker dJ(p).
+        kernels = [orthonormalize(np.column_stack([f.basis_t0, f.basis_n]), gram=metric) for f in (frame, oracle)]
+        assert kernels[0].shape[1] == frame.dims[0] + frame.dims[2]
+        pairs.append(kernels)
+    for mine, theirs in pairs:
+        assert np.abs(mine @ mine.T @ metric - theirs @ theirs.T @ metric).max(initial=0.0) <= PROJECTOR_TOL
+    for basis in (frame.basis_t0, frame.basis_t, frame.basis_n, frame.basis_n0):
+        assert np.abs(basis.T @ metric @ basis - np.eye(basis.shape[1])).max(initial=0.0) <= PROJECTOR_TOL
+    spanned = np.column_stack([frame.basis_t0, frame.basis_t, frame.basis_n])
+    assert np.abs(spanned.T @ metric @ frame.basis_n0).max(initial=0.0) <= PROJECTOR_TOL
 
 
 class TestSliceForm:
@@ -165,7 +231,7 @@ class TestDescent:
         mm = MomentumMap(system.space, system.algebra)
         frame = witt_artin_frame(system.space, system.algebra, system.point)
         family = solve_velocities(system.hamiltonian, frame)
-        kernel = mm.kernel_basis(system.point)
+        kernel = kernel_basis(mm, system.point)
         q = system.hamiltonian.hessian(system.point) - np.einsum(
             "i,imn->mn", family.xi1, mm.component_hessians()
         )
