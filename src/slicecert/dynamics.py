@@ -81,9 +81,7 @@ def integrate(space, hamiltonian, x0, dt, steps):
     x0 = np.asarray(x0, dtype=float)
     batch = x0.ndim == 2
     starts = np.array([space.check_point(x) for x in x0]) if batch else space.check_point(x0)[None]
-    dt = float(dt)
-    if dt <= 0.0:
-        raise ValidationError(f"dt must be positive, got {dt}")
+    dt = _finite_positive("dt", dt)
     steps = int(steps)
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
@@ -94,6 +92,14 @@ def integrate(space, hamiltonian, x0, dt, steps):
     if failed[0] >= 0:
         raise SolverDiverged(f"implicit midpoint failed to converge at step {failed[0]}")
     return traj[0]
+
+
+def _finite_positive(name, value):
+    """``value`` as a float; ValidationError unless it is finite and positive."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValidationError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 def _stepper(space, hamiltonian, dt, steps, starts):
@@ -407,15 +413,14 @@ def _invert_rows(jac):
 def _eigenbases(amats, norms):
     """(V_i, V_i^-1, lam_i) with A_i = V_i diag(lam_i) V_i^-1, one eigenbasis
     per generator, or None when some A_i is not diagonalizable: V_i must
-    rebuild A_i to 1e-10 (1 + |A_i|), which a singular or non-finite V_i
-    cannot."""
+    rebuild A_i to 1e-10 |A_i|, which a singular or non-finite V_i cannot."""
     lam, vecs = np.linalg.eig(amats)
     # complex whatever the generators: eig returns real arrays when all of
     # its eigenvalues are real
     lam, vecs = lam.astype(complex), vecs.astype(complex)
     inv = _invert_rows(vecs)
     recon = vecs @ (lam[:, :, None] * inv)
-    if not (np.abs(recon - amats).max(axis=(1, 2)) <= 1e-10 * (1.0 + norms)).all():
+    if not (np.abs(recon - amats).max(axis=(1, 2)) <= 1e-10 * norms).all():
         return None
     return list(zip(vecs, inv, lam))
 
@@ -587,12 +592,13 @@ def _orbit_newton(xs, metric, amats, q, factors):
 
 def _orbit_distance_to(space, algebra, p, sub_k):
     """The function xs -> the metric distance from each row x of xs to the
-    K-orbit of p, from above.  When K is trivial or fixes p the orbit is
-    {p}, and the distance is |x - p|_metric (``_metric_norms``); so it is
-    when some generator A_i of K is not diagonalizable, which no compact K
-    has.  Otherwise it is the smaller of that and |x - q|_metric, at the
-    orbit point q that ``_orbit_newton`` reaches from the nearest point of
-    one grid of the orbit (``_grid_start``).  One search serves every K:
+    K-orbit of p, from above.  When K is trivial or fixes p, each
+    |A_i p| <= 1e-13 |A_i|_2 |p|, the orbit is {p}, and the distance is
+    |x - p|_metric (``_metric_norms``); so it is when some generator A_i of
+    K is not diagonalizable, which no compact K has.  Otherwise it is the
+    smaller of that and |x - q|_metric, at the orbit point q that
+    ``_orbit_newton`` reaches from the nearest point of one grid of the
+    orbit (``_grid_start``).  One search serves every K:
     each A_i = V_i diag(lam_i) V_i^-1 is decomposed once per point, and the
     grid and the Newton steps are both products of the factors
     exp(t_i A_i) = V_i diag(exp(t_i lam_i)) V_i^-1."""
@@ -602,10 +608,10 @@ def _orbit_distance_to(space, algebra, p, sub_k):
     def direct(xs):
         return _metric_norms(xs - p, metric)
 
-    if np.abs(amats @ p).max(initial=0.0) <= 1e-13 * (1.0 + float(np.abs(p).max())):
+    norms = np.linalg.svd(amats, compute_uv=False)[:, 0]  # |A_i|_2
+    if (np.linalg.norm(amats @ p, axis=1) <= 1e-13 * norms * np.linalg.norm(p)).all():
         return direct
 
-    norms = np.array([np.linalg.norm(a, 2) for a in amats])
     factors = _eigenbases(amats, norms)
     if factors is None:
         return direct
@@ -732,8 +738,7 @@ def stability_probe(
     """
     for name, value in (("epsilon", epsilon), ("horizon", horizon), ("dt", dt),
                         ("escape_factor", escape_factor)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValidationError(f"{name} must be finite and positive, got {value}")
+        _finite_positive(name, value)
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
     # ceil(horizon / dt) steps, with (steps + 1) * dim <= MAX_TRAJECTORY_ENTRIES

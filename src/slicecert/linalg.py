@@ -27,18 +27,19 @@ def nullspace(mat):
 
 
 def singular_ratio(mat):
-    """sigma_min / sigma_max of a nonempty square matrix, 0 for a zero one.
+    """sigma_min / sigma_max of a nonempty matrix, 0 for a zero one.
 
     The one nondegeneracy rule: ``mat`` is degenerate iff this ratio is at
     most RANK_TOL (``degenerate``), so no rescaling of ``mat`` changes the
-    verdict, as a determinant threshold would.
+    verdict, as a determinant threshold would.  For a matrix with no more
+    rows than columns, degenerate means its rows are linearly dependent.
     """
     sigma = np.linalg.svd(np.asarray(mat, dtype=float), compute_uv=False)
     return float(sigma[-1] / sigma[0]) if sigma[0] > 0.0 else 0.0
 
 
 def degenerate(mat):
-    """True iff sigma_min <= RANK_TOL * sigma_max for the square ``mat``."""
+    """True iff sigma_min <= RANK_TOL * sigma_max for the nonempty ``mat``."""
     return singular_ratio(mat) <= RANK_TOL
 
 

@@ -16,14 +16,22 @@ from .errors import (
     SubalgebraNotContained,
     ValidationError,
 )
-from .linalg import RANK_TOL, nullspace, orthonormalize
+from .linalg import degenerate, nullspace, orthonormalize
 
-# Relative to the data judged: |A_i| |Omega| and |A_i| |A_j|, each |.| the
-# largest absolute entry.
+# Relative to the data judged: |A_i| |Omega|, |A_i| |A_j| and |A_i| |metric|,
+# each |.| the largest absolute entry.
 HAMILTONIAN_TOL = 1e-12
 CLOSURE_TOL = 1e-10
 SUBALGEBRA_TOL = 1e-9
 COMPACTNESS_TOL = 1e-10
+
+
+def _skewness(gens, form):
+    """|A_i^T S + S A_i| / (|A_i| |S|) for each generator A_i of the stack
+    ``gens`` and the form S, each |.| the largest absolute entry: 0 iff A_i
+    is skew for S, and unchanged by any rescaling of A_i or S."""
+    residuals = np.abs(gens.transpose(0, 2, 1) @ form + form @ gens).max(axis=(1, 2))
+    return residuals / (np.abs(gens).max(axis=(1, 2)) * np.abs(form).max())
 
 
 def derive_structure_constants(generators):
@@ -84,20 +92,16 @@ class LieAlgebraBasis:
         if gens.ndim != 3 or gens.shape[1:] != (dim, dim):
             raise DimensionMismatch(f"generators must have shape (d, {dim}, {dim}), got {gens.shape}")
         d = gens.shape[0]
-        if d:
-            # scale-free: sigma > RANK_TOL * sigma_max, so a zero stack has rank 0
-            sigma = np.linalg.svd(gens.reshape(d, -1), compute_uv=False)
-            if np.count_nonzero(sigma > RANK_TOL * sigma[0]) != d:
-                raise ValidationError("generators are linearly dependent")
-        omega = space.omega
-        sizes = np.abs(gens).max(axis=(1, 2))
-        bound = HAMILTONIAN_TOL * np.abs(omega).max()
-        for i in range(d):
-            residual = np.abs(gens[i].T @ omega + omega @ gens[i]).max()
-            if residual > bound * sizes[i]:
-                raise ValidationError(
-                    f"generator {i} is not Hamiltonian: |A^T Omega + Omega A| = {residual:.3e}"
-                )
+        # the one nondegeneracy rule, so a zero stack is dependent at any scale
+        if d and degenerate(gens.reshape(d, -1)):
+            raise ValidationError("generators are linearly dependent")
+        skewness = _skewness(gens, space.omega)
+        if (skewness > HAMILTONIAN_TOL).any():
+            i = int(np.argmax(skewness))
+            raise ValidationError(
+                f"generator {i} is not Hamiltonian: "
+                f"|A^T Omega + Omega A| / (|A| |Omega|) = {skewness[i]:.3e}"
+            )
         struct = derive_structure_constants(gens)
         if structure is not None:
             supplied = np.asarray(structure, dtype=float)
@@ -107,6 +111,7 @@ class LieAlgebraBasis:
             # each supplied bracket sum_k c[i,j,k] A_k against the derived one
             difference = supplied.reshape(struct.shape) - struct
             residuals = np.abs(np.tensordot(difference, gens, axes=1)).max(axis=(2, 3))
+            sizes = np.abs(gens).max(axis=(1, 2))
             if not (residuals <= CLOSURE_TOL * np.outer(sizes, sizes)).all():  # NaN fails too
                 raise NotClosedUnderBracket(
                     f"supplied structure constants do not match the brackets [A_i, A_j] "
@@ -177,25 +182,26 @@ class Subalgebra:
     def dim(self):
         return self.basis.shape[0]
 
-    def project(self, algebra, v):
-        """Orthogonal projection of ``v`` onto the subalgebra."""
-        coords = self.basis @ algebra.gram() @ np.asarray(v, dtype=float)
-        return self.basis.T @ coords
+    def outside(self, algebra, v):
+        """The component outside the subalgebra, orthogonal to it in the
+        algebra Gram, of each vector along the last axis of ``v``."""
+        v = np.asarray(v, dtype=float)
+        return v - v @ algebra.gram() @ self.basis.T @ self.basis
 
     def containment_residual(self, algebra, v):
-        v = np.asarray(v, dtype=float)
-        r = v - self.project(algebra, v)
-        return float(np.sqrt(max(r @ algebra.gram() @ r, 0.0)))
+        """The Gram norm of ``outside`` for each vector along the last axis."""
+        r = self.outside(algebra, v)
+        return np.sqrt(np.maximum(np.einsum("...i,ij,...j->...", r, algebra.gram(), r), 0.0))
 
     def check_closed(self, algebra):
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                b = algebra.bracket(self.basis[i], self.basis[j])
-                residual = self.containment_residual(algebra, b)
-                if residual > SUBALGEBRA_TOL * (1.0 + float(np.linalg.norm(b))):
-                    raise ValidationError(
-                        f"subalgebra is not closed under the bracket (residual {residual:.3e})"
-                    )
+        if self.dim < 2:  # every bracket in a line or a point is zero
+            return
+        brackets = np.einsum("ai,bj,ijk->abk", self.basis, self.basis, algebra.structure)
+        residuals = self.containment_residual(algebra, brackets)
+        if (residuals > SUBALGEBRA_TOL * (1.0 + np.linalg.norm(brackets, axis=-1))).any():
+            raise ValidationError(
+                f"subalgebra is not closed under the bracket (residual {residuals.max():.3e})"
+            )
 
 
 def isotropy_algebra(algebra, p):
@@ -214,26 +220,22 @@ def normalizer_algebra(algebra, sub_h, sub_k):
     over i.  An empty h leaves no rows, so n = k.  Raises
     SubalgebraNotContained unless h is contained in k.
     """
-    for i in range(sub_h.dim):
-        if sub_k.containment_residual(algebra, sub_h.basis[i]) > SUBALGEBRA_TOL:
-            raise SubalgebraNotContained("h is not contained in k")
+    if (sub_k.containment_residual(algebra, sub_h.basis) > SUBALGEBRA_TOL).any():
+        raise SubalgebraNotContained("h is not contained in k")
     brackets = np.einsum("ai,bj,ijk->abk", sub_k.basis, sub_h.basis, algebra.structure)
-    outside = brackets - brackets @ algebra.gram() @ sub_h.basis.T @ sub_h.basis
+    outside = sub_h.outside(algebra, brackets)
     null = nullspace(outside.transpose(1, 2, 0).reshape(sub_h.dim * algebra.dim, sub_k.dim))
     vectors = (sub_k.basis.T @ null).T
     return Subalgebra.from_vectors(algebra, vectors)
 
 
 def compactness_certificate(algebra, metric):
-    """True iff every generator is skew-symmetric for ``metric``.
+    """True iff every generator is skew-symmetric for ``metric``, to
+    COMPACTNESS_TOL relative to |A_i| |metric| (``_skewness``).
 
     This is a sufficient condition: it bounds the generated group inside the
     metric's orthogonal group, so its closure (and every isotropy subgroup)
     is compact.  False is a verdict, not an error.
     """
-    metric = np.asarray(metric, dtype=float)
-    for i in range(algebra.dim):
-        a = algebra.generators[i]
-        if np.abs(a.T @ metric + metric @ a).max() > COMPACTNESS_TOL:
-            return False
-    return True
+    skewness = _skewness(algebra.generators, np.asarray(metric, dtype=float))
+    return bool((skewness <= COMPACTNESS_TOL).all())

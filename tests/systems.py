@@ -512,6 +512,14 @@ def with_scaled_hamiltonian(data, factor):
     return dict(data, hamiltonian=[dict(record, coeff=factor * record["coeff"]) for record in data["hamiltonian"]])
 
 
+def with_scaled_generators(index, factor):
+    """Suite system ``index`` with its generators and structure constants
+    multiplied by ``factor``."""
+    data = suite_data(index)
+    return dict(data, generators=(factor * np.array(data["generators"])).tolist(),
+                structureConstants=(factor * np.array(data["structureConstants"])).tolist())
+
+
 def su2_pair_with_scaled_generators(factor):
     """The su(2) pair of SU2_PAIR_FILE with every generator multiplied by
     ``factor``."""

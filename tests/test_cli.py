@@ -35,6 +35,7 @@ from systems import (
     suite6_under_metric,
     suite_data,
     with_point,
+    with_scaled_generators,
     with_scaled_hamiltonian,
     with_scaled_omega,
 )
@@ -291,6 +292,21 @@ class TestCertify:
         assert code == EXIT_STABLE
         assert report["verdict"] == "STABLE_NEG_DEF"
         assert report["compactnessVerified"] is False
+
+    @pytest.mark.parametrize("index,factor", [(0, 1e8), (3, 1e8), (8, 1e6), (5, 1e-12), (6, 1e12)])
+    def test_compactness_stamp_does_not_depend_on_scale(self, index, factor):
+        # skewness is judged against |A_i| |metric|: suite0 and suite3 x 1e8
+        # and suite8 x 1e6 used to be stamped not compact
+        report, code = cmd_validate(system_from_dict(with_scaled_generators(index, factor)))
+        assert (code, report["compactnessVerified"]) == (0, True)
+
+    def test_small_hyperbolic_generator_is_not_stamped_compact(self):
+        # diag(1, -1) x 1e-11 is far from skew relative to its own size; an
+        # absolute 1e-10 used to stamp it compact
+        data = {"dim": 2, "generators": [[[1e-11, 0.0], [0.0, -1e-11]]],
+                "hamiltonian": [{"exponents": [1, 1], "coeff": 1.0}], "point": [0.0, 0.0]}
+        report, code = cmd_validate(system_from_dict(data))
+        assert (code, report["compactnessVerified"]) == (0, False)
 
 
 class TestInputValidation:

@@ -195,6 +195,12 @@ class TestIntegrate:
             integrate(space2, h, np.zeros(2), -0.1, 10)
         with pytest.raises(ValidationError):
             integrate(space2, h, np.zeros(2), 0.1, 0)
+        # a NaN or infinite dt used to give an all-NaN trajectory on the
+        # linear path and SolverDiverged at step 0 on the Newton path
+        for h in (h, Poly(2, {(4, 0): 1.0, (0, 4): 1.0})):
+            for dt in (math.nan, math.inf):
+                with pytest.raises(ValidationError, match="finite and positive"):
+                    integrate(space2, h, np.array([0.5, -0.2]), dt, 3)
 
     def test_solver_divergence_detected(self, space2, monkeypatch):
         h = Poly(2, {(4, 0): 1.0, (0, 4): 1.0})
@@ -434,6 +440,20 @@ class TestOrbitDistance:
         for _ in range(5):
             x = rng.standard_normal(4)
             assert orbit_distance(space, algebra, x, p, k, rng=rng) <= metric_norm(space, x - p) + 1e-12
+
+    def test_does_not_depend_on_scale(self, example1_parts):
+        # K fixes p and A_i rebuilds from its eigenbasis relative to |A_i| and
+        # |p|: at c = 1e-14 and 1e-20, p used to read as fixed, so the
+        # distance fell back to |x - p|
+        space, algebra, _ = example1_parts
+        k = Subalgebra.from_vectors(algebra, np.eye(1))
+        p = np.array([1.0, 0, 0.5, 0])
+        u = np.array([0.3, -0.5, 0.7, 0.4]) / np.linalg.norm([0.3, -0.5, 0.7, 0.4])
+        unit = orbit_distance(space, algebra, p + 1e-3 * u, p, k)
+        assert unit < 0.9 * metric_norm(space, 1e-3 * u)
+        for c in (1e-20, 1e-14, 1e-12, 1e-10, 1e6, 1e100):
+            scaled = orbit_distance(space, algebra, c * (p + 1e-3 * u), c * p, k)
+            assert scaled / c == pytest.approx(unit, rel=1e-9)
 
     @pytest.mark.parametrize("name", sorted(ABELIAN_CASES))
     def test_no_worse_than_dense_reference(self, name, rng):
