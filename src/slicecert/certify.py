@@ -7,8 +7,11 @@ restricted to the symplectic slice form one affine pencil
 H(s) = H0 + sum_k s_k D_k, built once per point from one d2h(p) by
 ``slice_pencil``.  The searched xi*, the baselines xiPerp and xi1, and a
 caller's fixed ``--velocity`` are all judged from it: the certificate is a
-velocity whose restricted Hessian is definite.  The criterion is
-sufficient only: INCONCLUSIVE never asserts instability.
+velocity whose restricted Hessian is definite.  The search maximizes
+lambda_min(H(s)) and lambda_min(-H(s)) from random restarts, all restarts
+of both signs stepped together with stacked eigen-solves and batched
+supergradients that keep the bits of the one-start ascent.  The criterion
+is sufficient only: INCONCLUSIVE never asserts instability.
 """
 
 from dataclasses import dataclass
@@ -187,17 +190,31 @@ def orthogonal_velocity(family, algebra_metric):
     return family.xi1 - hb.T @ coef
 
 
-def _min_eig_supergradient(w, u, direction_mats):
-    """Supergradient of s -> lambda_min(H(s)) from the eigenpairs (w, u) of H(s).
+def _min_eig_supergradients(w, u, direction_mats):
+    """Supergradients of s -> lambda_min(H(s)), one row for each stacked
+    eigendecomposition (w, u) of an H(s).
 
     At a simple minimal eigenvalue this is (u^T D_k u); at clustered
     spectra the eigenvector contributions over the minimal eigenspace are
     averaged, which is a valid supergradient of the concave objective.
+    Each u^T D_k u is summed in the order of the one-matrix form
+    ``einsum("ij,jk,ki->i", u.T, D_k, u)`` and each average as
+    ``sum / count``, so every row has the bits of one matrix's supergradient.
     """
-    scale = max(1.0, float(np.abs(w).max()))
-    members = np.nonzero(w <= w[0] + CLUSTER_TOL * scale)[0]
-    cols = u[:, members]
-    return np.array([np.einsum("ij,jk,ki->i", cols.T, d, cols).sum() / len(members) for d in direction_mats])
+    n, r = w.shape
+    scale = np.maximum(1.0, np.abs(w).max(axis=1))
+    sizes = np.count_nonzero(w <= w[:, :1] + CLUSTER_TOL * scale[:, None], axis=1)  # of each minimal cluster
+    x = u.transpose(0, 2, 1).reshape(n * r, r)  # every eigenvector as a row
+    if r > 2:
+        q = np.stack([np.einsum("ij,jk,ki->i", x, d, x.T) for d in direction_mats])
+    else:  # at r <= 2 that einsum sums in another order than the one-matrix form
+        q = np.stack([((x.T[:, None] * d[:, :, None]) * x.T).sum(1).sum(0) for d in direction_mats])
+    q = q.reshape(len(q), n, r)
+    grad = np.empty((n, len(q)))
+    for c in set(sizes.tolist()):
+        rows = sizes == c
+        grad[rows] = (q[:, rows, :c].sum(-1) / c).T
+    return grad
 
 
 def _combine(h0, mats, s):
@@ -229,25 +246,34 @@ def _certificate(hm, xi, boundary=False):
     )
 
 
-def _ascend_lambda_min(h0, direction_mats, rng):
-    """Projected supergradient ascent of lambda_min over the box |s|_inf <= SEARCH_BOX.
+def _ascend_both_signs(h0, direction_mats, rng):
+    """Projected supergradient ascent of lambda_min(H(s)) and of
+    lambda_min(-H(s)) over the box |s|_inf <= SEARCH_BOX.
 
-    The starts, s = 0 and SEARCH_RESTARTS uniform points of the box, ascend
-    together, each on the path it would take alone.  A round takes one
-    supergradient step for every start that has just moved, from one stacked
-    ``eigh``, and one backtracking trial along its direction for every start
-    still live, from one stacked ``eigvalsh``.  The step doubles on success,
-    up to SEARCH_BOX, and halves on failure.  A start stops when its
-    supergradient vanishes, its step falls to 1e-13 (1 + |s|_inf), or it
-    has taken SEARCH_MAX_ITER supergradient steps.  The first of the best
-    starts wins.
+    Each sign starts at s = 0 and at SEARCH_RESTARTS uniform points of the
+    box, the positive sign's drawn first, and all starts ascend together,
+    each on the path it would take alone.  A round takes one supergradient
+    step for every start that has just moved, from one stacked ``eigh``,
+    and one backtracking trial along its direction for every start still
+    live, from one stacked ``eigvalsh``.  A negative start's matrix,
+    supergradient and direction are the exact negations of the positive
+    forms, so H(s) and u^T D_k u are computed once for both signs.  The
+    step doubles on success, up to SEARCH_BOX, and halves on failure.  A
+    start stops when its supergradient vanishes, its step falls to
+    1e-13 (1 + |s|_inf), or it has taken SEARCH_MAX_ITER supergradient
+    steps.  Returns the (s, value, boundary) of each sign, positive first;
+    the first of a sign's best starts wins.
     """
     m = len(direction_mats)
     if m == 0:
-        return np.zeros(0), float(np.linalg.eigvalsh(h0)[0]), False
+        values = np.linalg.eigvalsh(np.stack([h0, -h0]))[:, 0]
+        return [(np.zeros(0), float(v), False) for v in values]
 
-    s = np.vstack([np.zeros((1, m)), rng.uniform(-SEARCH_BOX, SEARCH_BOX, size=(SEARCH_RESTARTS, m))])
-    val = np.linalg.eigvalsh(_combine(h0, direction_mats, s))[:, 0]
+    n = SEARCH_RESTARTS + 1
+    draws = rng.uniform(-SEARCH_BOX, SEARCH_BOX, size=(2, SEARCH_RESTARTS, m))
+    s = np.concatenate([np.zeros((2, 1, m)), draws], axis=1).reshape(2 * n, m)
+    sign = np.repeat([1.0, -1.0], n)[:, None]  # each start's matrices are sign * H(s)
+    val = np.linalg.eigvalsh(sign[:, :, None] * _combine(h0, direction_mats, s))[:, 0]
     step = 1.0 + np.abs(s).max(axis=1)
     direction = np.zeros_like(s)
     ascents = np.zeros(len(s), dtype=int)  # supergradient steps taken
@@ -257,43 +283,43 @@ def _ascend_lambda_min(h0, direction_mats, rng):
         live &= ~moved | (ascents < SEARCH_MAX_ITER)
         idx = np.flatnonzero(live & moved)
         if idx.size:
-            w, u = np.linalg.eigh(_combine(h0, direction_mats, s[idx]))
-            for i, wi, ui in zip(idx, w, u):
-                grad = _min_eig_supergradient(wi, ui, direction_mats)
-                gnorm = float(np.linalg.norm(grad))
-                if gnorm < 1e-15:
-                    live[i] = False
-                else:
-                    direction[i] = grad / gnorm
+            w, u = np.linalg.eigh(sign[idx, :, None] * _combine(h0, direction_mats, s[idx]))
+            grad = sign[idx] * _min_eig_supergradients(w, u, direction_mats)
+            gnorm = np.sqrt(np.vecdot(grad, grad))[:, None]
+            live[idx[gnorm[:, 0] < 1e-15]] = False  # a flat start stops; its direction is never read
+            direction[idx] = grad / np.maximum(gnorm, 1e-15)
             ascents[idx] += 1
             moved[idx] = False
         live &= step > 1e-13 * (1.0 + np.abs(s).max(axis=1))
         idx = np.flatnonzero(live)
         trial = np.clip(s[idx] + step[idx, None] * direction[idx], -SEARCH_BOX, SEARCH_BOX)
-        tval = np.linalg.eigvalsh(_combine(h0, direction_mats, trial))[:, 0]
+        tval = np.linalg.eigvalsh(sign[idx, :, None] * _combine(h0, direction_mats, trial))[:, 0]
         up = tval > val[idx]
         s[idx[up]], val[idx[up]] = trial[up], tval[up]
         step[idx] = np.where(up, np.minimum(step[idx] * 2.0, SEARCH_BOX), step[idx] * 0.5)
         moved[idx] = up
-    best_s, best_val = np.zeros(m), -np.inf
-    for si, vi in zip(s, val):
-        if vi > best_val:
-            best_s, best_val = si.copy(), float(vi)
-    boundary = bool(np.any(np.abs(best_s) >= SEARCH_BOX * (1.0 - 1e-9)))
-    return best_s, best_val, boundary
+    optima = []
+    for half in (slice(0, n), slice(n, 2 * n)):
+        best_s, best_val = np.zeros(m), -np.inf
+        for si, vi in zip(s[half], val[half]):
+            if vi > best_val:
+                best_s, best_val = si.copy(), float(vi)
+        optima.append((best_s, best_val, bool(np.any(np.abs(best_s) >= SEARCH_BOX * (1.0 - 1e-9)))))
+    return optima
 
 
 def definiteness_search(pencil, rng):
     """Search the pencil's family for a definite restricted Hessian.
 
-    Maximizes lambda_min(H(s)) and lambda_min(-H(s)) separately by projected
-    supergradient ascent with random restarts (s = 0 always included), all
-    restarts of one sign run together by ``_ascend_lambda_min``, keeps the
-    optimum with the larger scaled value, and judges it by the verdict rule
-    of ``_certificate``.  ``solve_velocities`` has already checked xi1.
-    INCONCLUSIVE makes no instability claim (the criterion is sufficient
-    only).  The restarts are drawn from ``rng``, a numpy Generator or a seed;
-    None, which would draw fresh entropy, raises TypeError.
+    Maximizes lambda_min(H(s)) and lambda_min(-H(s)) by projected
+    supergradient ascent with random restarts (s = 0 always included), the
+    restarts of both signs run together by ``_ascend_both_signs``, keeps
+    the optimum with the larger scaled value, the positive one on a tie,
+    and judges it by the verdict rule of ``_certificate``.
+    ``solve_velocities`` has already checked xi1.  INCONCLUSIVE makes no
+    instability claim (the criterion is sufficient only).  The restarts are
+    drawn from ``rng``, a numpy Generator or a seed; None, which would draw
+    fresh entropy, raises TypeError.
     """
     if rng is None:
         raise TypeError("rng must be a seed or a numpy Generator, not None")
@@ -306,8 +332,7 @@ def definiteness_search(pencil, rng):
         s, value, _ = optimum
         return value / max(1.0, float(np.abs(_combine(h0, direction_mats, s)).max()))
 
-    pos = _ascend_lambda_min(h0, direction_mats, rng)
-    neg = _ascend_lambda_min(-h0, -direction_mats, rng)
+    pos, neg = _ascend_both_signs(h0, direction_mats, rng)
     s_best, _, boundary = pos if scaled(pos) >= scaled(neg) else neg
     return _certificate(_combine(h0, direction_mats, s_best), family.member(s_best), boundary)
 

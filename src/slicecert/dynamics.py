@@ -33,6 +33,7 @@ Only numpy runs here: no command imports scipy.
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,9 +83,10 @@ def integrate(space, hamiltonian, x0, dt, steps):
     batch = x0.ndim == 2
     starts = np.array([space.check_point(x) for x in x0]) if batch else space.check_point(x0)[None]
     dt = _finite_positive("dt", dt)
+    if not (isinstance(steps, numbers.Real) and not isinstance(steps, bool) and math.isfinite(steps)
+            and steps == int(steps) >= 1):  # bools are refused, as for a system file's dim
+        raise ValidationError(f"steps must be a whole number >= 1, got {steps!r}")
     steps = int(steps)
-    if steps < 1:
-        raise ValidationError(f"steps must be >= 1, got {steps}")
     traj, failed = _stepper(space, hamiltonian, dt, steps, starts)(steps)
     if batch:
         traj[failed >= 0] = np.nan

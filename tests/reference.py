@@ -364,9 +364,17 @@ def _min_eig_supergradient(hmat, direction_mats, cluster_tol=1e-8):
     return float(w[0]), grad
 
 
+def sequential_ascend_both_signs(h0, direction_mats, rng, restarts, box, max_iter):
+    """``sequential_ascend_lambda_min`` on (h0, D) and then on (-h0, -D),
+    from one rng: the lockstep ``certify._ascend_both_signs`` must give the
+    bits of both optima."""
+    return [sequential_ascend_lambda_min(sign * h0, [sign * d for d in direction_mats], rng, restarts, box, max_iter)
+            for sign in (1.0, -1.0)]
+
+
 def sequential_ascend_lambda_min(h0, direction_mats, rng, restarts, box, max_iter):
-    """``certify._ascend_lambda_min`` run one restart after another, each
-    matrix its own eigen-solve: the lockstep search must give its bits."""
+    """The ascent of one sign run one restart after another, each matrix its
+    own eigen-solve and supergradient."""
     m = len(direction_mats)
 
     def value(s):

@@ -43,7 +43,7 @@ def test_lockstep_search_gives_the_sequential_bits(catalog_paths, monkeypatch):
     # codes must agree exactly
     argvs = [["certify", path, *extra] for path in catalog_paths for extra in ([], ["--seed", "3"])]
     shipped = [_run(argv) for argv in argvs]
-    monkeypatch.setattr(certify, "_ascend_lambda_min", lambda h0, dirs, rng: reference.sequential_ascend_lambda_min(
+    monkeypatch.setattr(certify, "_ascend_both_signs", lambda h0, dirs, rng: reference.sequential_ascend_both_signs(
         h0, dirs, rng, certify.SEARCH_RESTARTS, certify.SEARCH_BOX, certify.SEARCH_MAX_ITER))
     sequential = [_run(argv) for argv in argvs]
     assert [argv for argv, a, b in zip(argvs, shipped, sequential) if a != b] == []

@@ -16,12 +16,12 @@ from slicecert import (
     solve_velocities,
     witt_artin_frame,
 )
-from slicecert.certify import DEFINITENESS_TOL, VelocityFamily, _ascend_lambda_min
+from slicecert.certify import DEFINITENESS_TOL, VelocityFamily, _ascend_both_signs
 from slicecert.errors import NotRelativeEquilibrium, PreconditionViolated
 from slicecert.linalg import inertia
 from slicecert.symmetry import Subalgebra, compactness_certificate, isotropy_algebra
 
-from reference import group_exp, sequential_ascend_lambda_min
+from reference import _min_eig_supergradient, group_exp, sequential_ascend_both_signs
 from systems import canonical_space, example1_generator, example1_hamiltonian, random_system_suite
 
 
@@ -264,22 +264,18 @@ class TestOrthogonalVelocity:
 
 
 def _both_signs_as_sequential(h0, dirs, seed):
-    """Run the lockstep ascent and the restart-by-restart one on h0 and then
-    on -h0, each pair from one rng as ``definiteness_search`` does, at the
-    search constants ``certify`` holds now, and require the same s bits,
-    value and boundary flag; return the lockstep (s, value, boundary) of
-    both signs."""
-    lockstep, sequential = np.random.default_rng(seed), np.random.default_rng(seed)
-    out = []
-    for sign in (1.0, -1.0):
-        hs, ds = sign * h0, [sign * d for d in dirs]
-        got = _ascend_lambda_min(hs, ds, lockstep)
-        want = sequential_ascend_lambda_min(hs, ds, sequential, certify.SEARCH_RESTARTS, certify.SEARCH_BOX,
-                                            certify.SEARCH_MAX_ITER)
+    """Run the lockstep ascent of both signs and its oracle, the
+    restart-by-restart ascent on h0 and then on -h0 from one rng, at the
+    search constants ``certify`` holds now; require the same s bits, value
+    and boundary flag of each sign, and return the lockstep
+    (s, value, boundary) of both signs."""
+    out = _ascend_both_signs(h0, dirs, np.random.default_rng(seed))
+    oracle = sequential_ascend_both_signs(h0, dirs, np.random.default_rng(seed), certify.SEARCH_RESTARTS,
+                                          certify.SEARCH_BOX, certify.SEARCH_MAX_ITER)
+    for got, want in zip(out, oracle):
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]
         assert got[2] == want[2]
-        out.append(got)
     return out
 
 
@@ -371,6 +367,54 @@ class TestLockstepAscent:
             assert s.shape == (0,)
             assert not boundary
         assert _both_signs_as_sequential(h0, [], 0)[0][1] == -1.0
+
+
+def _pencil_kinds(rng, r, m):
+    """(h0, dirs, s) with 12 rows of s: a random pencil, a multiple of I
+    (a cluster of r at s = 0) and, for even r, repeated blocks, whose every
+    eigenvalue is at least double for all s (suite5 and suite6's shape)."""
+    s = rng.uniform(-3.0, 3.0, size=(12, m))
+    s[:3] = 0.0
+    kinds = [(_symmetric(rng, r, r), _symmetric(rng, m, r, r)), (-2.0 * np.eye(r), _symmetric(rng, m, r, r))]
+    if r % 2 == 0:
+        block = np.eye(2)
+        kinds.append((np.kron(_symmetric(rng, r // 2, r // 2), block),
+                      np.array([np.kron(d, block) for d in _symmetric(rng, m, r // 2, r // 2)])))
+    return [(h0, dirs, s) for h0, dirs in kinds]
+
+
+class TestSupergradients:
+    """The batched supergradients keep the bits of the one-matrix form in
+    tests/reference.py, row by row, for both signs."""
+
+    @staticmethod
+    def _check(h0, dirs, s):
+        hs = certify._combine(h0, dirs, s)
+        for sign in (1.0, -1.0):
+            w, u = np.linalg.eigh(sign * hs)
+            for rows in (slice(None), slice(0, 1), slice(2, 5)):
+                got = sign * certify._min_eig_supergradients(w[rows], u[rows], dirs)
+                norms = np.sqrt(np.vecdot(got, got))  # the ascent's norm
+                for h, g, norm in zip(sign * hs[rows], got, norms):
+                    want = _min_eig_supergradient(h, sign * dirs)[1]
+                    assert np.array_equal(g, want)
+                    assert norm == np.linalg.norm(want)
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_random_and_clustered_pencils(self, r, m):
+        for h0, dirs, s in _pencil_kinds(np.random.default_rng([r, m]), r, m):
+            self._check(h0, dirs, s)
+
+    @pytest.mark.parametrize("index", [2, 4, 5, 6])
+    def test_suite_pencils(self, index):
+        # suite5's h0 is -2 I and suite6's has two eigenvalues of multiplicity 4
+        system = random_system_suite()[index]
+        frame = witt_artin_frame(system.space, system.algebra, system.point)
+        pencil = slice_pencil(system.hamiltonian, frame, solve_velocities(system.hamiltonian, frame))
+        s = np.random.default_rng(index).uniform(-3.0, 3.0, size=(12, len(pencil.directions)))
+        s[:3] = 0.0
+        self._check(pencil.h0, pencil.directions, s)
 
 
 class TestConcavity:

@@ -771,7 +771,8 @@ class TestEnvironment:
         ],
     )
     def test_scipy_optimize_is_not_imported(self, argv, tmp_path):
-        # No command loads any scipy module.  example1's base point is
+        # No command loads any scipy module, nor numpy.ma, which np.unique
+        # on an integer array imports at 0.6-2 MB of peak RSS.  example1's base point is
         # K-fixed; at MOVED = (1, 0, 0, 0) its circle K moves p, and at the
         # su(2) pair's point K is all of su(2): both take the grid-started
         # Newton search.
@@ -781,7 +782,8 @@ class TestEnvironment:
             "from slicecert.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = main({argv!r})\n"
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(code, sorted(m for m in sys.modules\n"
+            "                   if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True

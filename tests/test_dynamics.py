@@ -195,6 +195,14 @@ class TestIntegrate:
             integrate(space2, h, np.zeros(2), -0.1, 10)
         with pytest.raises(ValidationError):
             integrate(space2, h, np.zeros(2), 0.1, 0)
+        # steps must be a whole number >= 1: nan used to raise ValueError,
+        # inf OverflowError, and 2.5 and True ran 2 steps and 1
+        for steps in (math.nan, math.inf, -math.inf, 2.5, True, np.True_, -1.0, "3", None):
+            with pytest.raises(ValidationError, match="whole number"):
+                integrate(space2, h, np.array([0.5, -0.2]), 0.1, steps)
+        three = integrate(space2, h, np.array([0.5, -0.2]), 0.1, 3)
+        for steps in (3.0, np.int64(3), np.float64(3.0)):
+            assert np.array_equal(integrate(space2, h, np.array([0.5, -0.2]), 0.1, steps), three)
         # a NaN or infinite dt used to give an all-NaN trajectory on the
         # linear path and SolverDiverged at step 0 on the Newton path
         for h in (h, Poly(2, {(4, 0): 1.0, (0, 4): 1.0})):
