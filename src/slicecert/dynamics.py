@@ -83,10 +83,7 @@ def integrate(space, hamiltonian, x0, dt, steps):
     batch = x0.ndim == 2
     starts = np.array([space.check_point(x) for x in x0]) if batch else space.check_point(x0)[None]
     dt = _finite_positive("dt", dt)
-    if not (isinstance(steps, numbers.Real) and not isinstance(steps, bool) and math.isfinite(steps)
-            and steps == int(steps) >= 1):  # bools are refused, as for a system file's dim
-        raise ValidationError(f"steps must be a whole number >= 1, got {steps!r}")
-    steps = int(steps)
+    steps = _whole_positive("steps", steps)
     traj, failed = _stepper(space, hamiltonian, dt, steps, starts)(steps)
     if batch:
         traj[failed >= 0] = np.nan
@@ -102,6 +99,16 @@ def _finite_positive(name, value):
     if not (math.isfinite(value) and value > 0.0):
         raise ValidationError(f"{name} must be finite and positive, got {value}")
     return value
+
+
+def _whole_positive(name, value):
+    """``value`` as an int; ValidationError unless it is a whole number >= 1,
+    an int or a float such as 3.0.  Bools are refused, as for a system
+    file's dim."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+            and value == int(value) >= 1):
+        raise ValidationError(f"{name} must be a whole number >= 1, got {value!r}")
+    return int(value)
 
 
 def _stepper(space, hamiltonian, dt, steps, starts):
@@ -741,8 +748,7 @@ def stability_probe(
     for name, value in (("epsilon", epsilon), ("horizon", horizon), ("dt", dt),
                         ("escape_factor", escape_factor)):
         _finite_positive(name, value)
-    if samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
+    samples = _whole_positive("samples", samples)
     # ceil(horizon / dt) steps, with (steps + 1) * dim <= MAX_TRAJECTORY_ENTRIES
     # entries; NaN and inf fail the comparison too
     if not horizon / dt <= MAX_TRAJECTORY_ENTRIES // space.dim - 1:
@@ -835,7 +841,7 @@ def stability_probe(
     return ProbeReport(
         epsilon=float(epsilon),
         horizon=float(horizon),
-        samples=int(samples),
+        samples=samples,
         max_orbit_distance=float(max_dist),
         energy_drift=float(drifts[live, 0].max(initial=0.0)),
         momentum_drift=float(drifts[live, 1:].max(initial=0.0)),

@@ -1,9 +1,8 @@
 """The lockstep search and the one-pass frame against their oracles on the
-benchmark's certify catalog, seed 1.
+benchmark's certify catalog, seeds 1-3.
 
-CI's "Search smoke" and "Frame smoke" steps make the same two comparisons,
-with the same agreement rules, for catalog seeds 1-3.  The catalog systems
-are written by ``perfbench/inputs.py``, which is only imported.
+The catalog systems are written by ``perfbench/inputs.py``, which is only
+imported; example1 is in every catalog.
 """
 
 import contextlib
@@ -22,14 +21,6 @@ import reference
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 import inputs  # noqa: E402
 
-SEED = 1
-
-
-@pytest.fixture(scope="module")
-def catalog_paths(tmp_path_factory):
-    paths, _ = inputs.write_systems(inputs.certify_catalog(SEED), tmp_path_factory.mktemp("catalog"))
-    return [str(path) for path in paths.values()]
-
 
 def _run(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -38,15 +29,22 @@ def _run(argv):
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def test_lockstep_search_gives_the_sequential_bits(catalog_paths, monkeypatch):
+@pytest.fixture(scope="module", params=[1, 2, 3])
+def shipped(request, tmp_path_factory):
+    """(argv, its shipped run) for analyze, certify and certify --seed 3 on
+    each system of the catalog of seed ``request.param``."""
+    paths, _ = inputs.write_systems(inputs.certify_catalog(request.param), tmp_path_factory.mktemp("catalog"))
+    argvs = [argv for path in map(str, paths.values())
+             for argv in (["analyze", path], ["certify", path], ["certify", path, "--seed", "3"])]
+    return [(argv, _run(argv)) for argv in argvs]
+
+
+def test_lockstep_search_gives_the_sequential_bits(shipped, monkeypatch):
     # certify at the default seed and at --seed 3: stdout, stderr and exit
     # codes must agree exactly
-    argvs = [["certify", path, *extra] for path in catalog_paths for extra in ([], ["--seed", "3"])]
-    shipped = [_run(argv) for argv in argvs]
     monkeypatch.setattr(certify, "_ascend_both_signs", lambda h0, dirs, rng: reference.sequential_ascend_both_signs(
         h0, dirs, rng, certify.SEARCH_RESTARTS, certify.SEARCH_BOX, certify.SEARCH_MAX_ITER))
-    sequential = [_run(argv) for argv in argvs]
-    assert [argv for argv, a, b in zip(argvs, shipped, sequential) if a != b] == []
+    assert [argv for argv, run in shipped if argv[0] == "certify" and run != _run(argv)] == []
 
 
 def _close(a, b):
@@ -73,12 +71,9 @@ def _agree(path, a, b):
     return all(_close(a[k], b[k]) for k in ("spectrum", "margin") if k in a)
 
 
-def test_one_pass_frame_spans_the_reference_frame(catalog_paths, monkeypatch):
-    argvs = [argv for path in catalog_paths
-             for argv in (["analyze", path], ["certify", path], ["certify", path, "--seed", "3"])]
-    shipped = [_run(argv) for argv in argvs]
+def test_one_pass_frame_spans_the_reference_frame(shipped, monkeypatch):
     monkeypatch.setattr(cli, "witt_artin_frame", reference.reference_witt_artin_frame)
-    oracle = [_run(argv) for argv in argvs]
-    bad = [argv for argv, a, b in zip(argvs, shipped, oracle)
+    oracle = [_run(argv) for argv, _ in shipped]
+    bad = [argv for (argv, a), b in zip(shipped, oracle)
            if a[0] != b[0] or not _agree(argv[1], json.loads(a[1]), json.loads(b[1]))]
     assert bad == []

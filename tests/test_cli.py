@@ -584,6 +584,7 @@ def _probe_peak_rss_kb(samples, horizon):
     )
     result = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+    assert isinstance(json.loads(result.stdout), dict)  # stdout holds the JSON report
     return int(result.stderr.split()[-1])
 
 
@@ -793,7 +794,10 @@ class TestEnvironment:
 
     def test_every_command_runs_with_scipy_blocked(self, tmp_path, capsys):
         # sys.modules["scipy"] = None makes any import of scipy fail; each
-        # command must still give the report and exit code it gives here
+        # command must still give the report and exit code it gives here.
+        # One more run, made only with scipy blocked, is the default probe
+        # (16 samples, horizon 100) at the su(2) pair's point, where K is
+        # all of su(2): no sample may escape or fail its solve.
         argvs = [
             [command, path] + extra
             for path in ("example1", str(_moved_example1(tmp_path)), str(SU2_PAIR_FILE))
@@ -809,7 +813,7 @@ class TestEnvironment:
             "sys.modules['scipy'] = None\n"
             "from slicecert.cli import main\n"
             "runs = []\n"
-            f"for argv in {argvs!r}:\n"
+            f"for argv in {argvs + [['probe', str(SU2_PAIR_FILE)]]!r}:\n"
             "    out = io.StringIO()\n"
             "    with contextlib.redirect_stdout(out):\n"
             "        code = main(argv)\n"
@@ -820,9 +824,12 @@ class TestEnvironment:
             [sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout) == expected
+        *runs, (probe_code, default_probe) = json.loads(result.stdout)
+        assert runs == expected
         assert [code for code, _ in expected] == [0, 0, EXIT_STABLE, 0, 0, 0, EXIT_STABLE, 0,
                                                   0, 0, EXIT_INCONCLUSIVE, 0]
+        assert (probe_code, default_probe["samples"], default_probe["horizon"]) == (0, 16, 100.0)
+        assert default_probe["escaped"] is False and default_probe["solverFailures"] == 0
 
     def test_import_loads_no_scipy_linalg(self):
         code = "import sys, slicecert\nprint(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"

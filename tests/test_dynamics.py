@@ -649,6 +649,26 @@ class TestOrbitDistance:
         for x in np.random.default_rng(4).standard_normal((5, 2)):
             assert orbit_distance(space, algebra, x, p, k) == dynamics._metric_norms(x - p, space.metric)
 
+    def test_hyperbolic_generator_has_no_period(self, monkeypatch):
+        # diag(1, -1) is in sp(2, R) but its eigenvalues are real: it
+        # has no period, and its points exp(t A) p still lie on the orbit
+        space = canonical_space(2)
+        algebra = LieAlgebraBasis.build(space, np.array([[[1.0, 0.0], [0.0, -1.0]]]))
+        k = Subalgebra.from_vectors(algebra, np.eye(1))
+        p = np.array([1.0, 1.0])
+        periods = []
+        original = dynamics._circle_period
+
+        def recorded(lam):
+            periods.append(original(lam))
+            return periods[-1]
+
+        monkeypatch.setattr(dynamics, "_circle_period", recorded)
+        for t in (0.5, -2.0, 3.0, 5.0):
+            x = np.array([np.exp(t), np.exp(-t)])
+            assert orbit_distance(space, algebra, x, p, k) <= 1e-15
+        assert periods and all(period is None for period in periods)
+
     @pytest.mark.parametrize("j", [0.5, 1.5])
     def test_orbit_table_is_the_product_of_exponentials(self, j):
         # row-major over the axes, the point exp(t_1 A_1) exp(t_2 A_2) exp(t_3 A_3) p
@@ -828,8 +848,12 @@ class TestProbe:
         assert len(searches) == (0 if point == "fixed" else 1)  # one search per chunk
         with csv_file.open(newline="") as handle:
             rows = np.array([[float(v) for v in row] for row in list(csv.reader(handle))[1:]])
-        per_row = [orbit_distance(space, algebra, x, p, k) for x in rows[:, 2 : 2 + space.dim]]
+        # one closure, applied a row at a time, is the call orbit_distance makes
+        # for each row; it builds the orbit grid once, not once per row
+        distance = dynamics._orbit_distance_to(space, algebra, p, k)
+        per_row = [float(distance(x[None])[0]) for x in rows[:, 2 : 2 + space.dim]]
         np.testing.assert_array_equal(rows[:, -1], per_row)
+        assert orbit_distance(space, algebra, rows[0, 2 : 2 + space.dim], p, k) == rows[0, -1]
         assert report.max_orbit_distance == rows[:, -1].max()
 
     def test_a_chunk_peaks_under_six_segments(self, example1_parts):
@@ -919,6 +943,9 @@ class TestProbe:
             {"epsilon": inf},
             {"samples": 0},
             {"samples": -3},
+            {"samples": 2.5},  # non-whole samples, as for integrate's steps
+            {"samples": True},
+            {"samples": nan},
             {"horizon": -5.0},
             {"horizon": 0.0},
             {"horizon": nan},
@@ -933,3 +960,5 @@ class TestProbe:
                 stability_probe(space, algebra, h, np.zeros(4), **args)
         with pytest.raises(TypeError, match="rng"):  # None would be unseeded
             stability_probe(space, algebra, h, np.zeros(4), 1e-3, 1.0, 1, rng=None)
+        # a whole float is accepted, as integrate accepts steps=3.0
+        assert stability_probe(space, algebra, h, np.zeros(4), 1e-3, 1.0, 3.0, rng=0).samples == 3

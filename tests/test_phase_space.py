@@ -269,6 +269,18 @@ class TestAlgebra:
         back = poly_from_records(4, poly_records(h))
         assert back == h
 
+    def test_equal_polys_hash_equal(self):
+        # the same terms, built from the records in reverse order
+        h = example1_hamiltonian()
+        back = poly_from_records(4, poly_records(h)[::-1])
+        assert back == h and hash(back) == hash(h)
+        assert len({h, back}) == 1
+
+    def test_repr_names_each_term(self):
+        f = Poly(3, {(2, 0, 0): 1.5, (0, 1, 1): -2.0, (0, 0, 0): 0.25})
+        assert repr(f) == "Poly(3, 0.25*1 + -2*x1^1*x2^1 + 1.5*x0^2)"
+        assert repr(Poly(2, {})) == "Poly(2, 0)"
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValidationError):
             Poly(2, {(-1, 0): 1.0})
